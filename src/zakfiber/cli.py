@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .fiberization import fiber_context, determining_function, zak, zak_inverse, zak_matrix
+from .fiberization import fiber_context, determining_function, zak, zak_inverse
 from .groups import make_group, pairing, subgroup_from_generators, translate, translation_matrix
 from .operators import (
     RangeOperatorField,
@@ -107,8 +107,12 @@ def _print_summary(report: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
-def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool]:
-    """check -> extract -> norm/HS/trace/structural on the full signal space."""
+def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, RangeOperatorField | None]:
+    """check -> extract -> norm/HS/trace/structural on the full signal space.
+
+    Returns the report body, the verdict and the extracted field (None when
+    the pipeline stopped before the field was accepted).
+    """
     rangefn = full_range_function(ctx)
     report: dict = {}
     verdict = check_translation_preserving(ctx, u, tol=cfg.abs_tol(1e-10))
@@ -119,11 +123,11 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool]:
         "witness_entry": list(verdict.witness_entry) if verdict.witness_entry else None,
     }
     if not verdict:
-        return report, False
+        return report, False, None
     field, solve_residual = solve_range_field(ctx, u, rangefn)
-    if solve_residual > cfg.abs_tol(1e-8):
+    if not solve_residual <= cfg.abs_tol(1e-8):
         report["fiber_solve"] = {"passed": False, "residual": solve_residual}
-        return report, False
+        return report, False, None
     report["fiber_solve"] = {"passed": True, "residual": solve_residual}
     report["range_field"] = jsonio.field_to_json(field, rangefn)
 
@@ -139,14 +143,14 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool]:
     report["structural"] = structural.to_dict()
 
     ok = norm.passed and hs.passed and structural.passed
-    return report, ok
+    return report, ok, field
 
 
 def cmd_analyze(args) -> int:
     cfg = _config_from_args(args)
     ctx = _context_from_spec(args.group_spec)
     u = jsonio.operator_from_json(ctx, _load_json(args.operator))
-    body, ok = _pipeline(ctx, u, cfg)
+    body, ok, _ = _pipeline(ctx, u, cfg)
     report = {
         "command": "analyze",
         "group": jsonio.group_spec_to_json(ctx.group, ctx.gamma),
@@ -172,13 +176,12 @@ def cmd_demo_diffop(args) -> int:
     ctx = fiber_context(g, gamma)
     u = np.eye(g.size, dtype=complex) - translation_matrix(g, step)
 
-    body, ok = _pipeline(ctx, u, cfg)
+    body, ok, field = _pipeline(ctx, u, cfg)
     expected = [1.0 - pairing(g, step, w) for w in ctx.omega.reps]
     symbols = []
     scalar_residual = 0.0
-    if "range_field" in body:
-        for wi, rows in enumerate(body["range_field"]["matrices"]):
-            mat = jsonio.matrix_from_json(rows, shape=(ctx.n_c, ctx.n_c))
+    if field is not None:
+        for mat in field.matrices:
             symbol = complex(mat[0, 0]) if ctx.n_c else 0.0
             symbols.append(symbol)
             scalar_residual = max(
@@ -223,24 +226,21 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
             "passed": bool(residual <= tolerance),
         }
 
-    signals = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(20)]
+    signals = np.column_stack([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(20)])
+    fibered = zak(ctx, signals)
 
-    r_iso = max(
-        abs(np.linalg.norm(zak(ctx, f)) - np.linalg.norm(f)) / np.linalg.norm(f)
-        for f in signals
-    )
+    norms = np.linalg.norm(signals, axis=0)
+    r_iso = (np.abs(np.linalg.norm(fibered, axis=(0, 1)) - norms) / norms).max()
     record("zak_isometry", r_iso, cfg.rel_tol(1e-10))
 
-    r_round = max(np.abs(zak_inverse(ctx, zak(ctx, f)) - f).max() for f in signals)
+    r_round = np.abs(zak_inverse(ctx, fibered) - signals).max()
     record("zak_roundtrip", r_round, cfg.abs_tol(1e-10))
 
     r_inter = 0.0
-    for f in signals[:5]:
-        fibers = zak(ctx, f)
-        for t in ctx.gamma.elements:
-            lhs = zak(ctx, translate(ctx.group, f, t))
-            rhs = determining_function(ctx, t)[:, None] * fibers
-            r_inter = max(r_inter, float(np.abs(lhs - rhs).max()))
+    for t in ctx.gamma.elements:
+        lhs = zak(ctx, translate(ctx.group, signals[:, :5], t))
+        rhs = determining_function(ctx, t)[:, None, None] * fibered[..., :5]
+        r_inter = max(r_inter, float(np.abs(lhs - rhs).max()))
     record("zak_intertwining", r_inter, cfg.abs_tol(1e-10))
 
     chars = np.column_stack([determining_function(ctx, t) for t in ctx.gamma.elements])
@@ -250,10 +250,9 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     delta0 = np.zeros(n, dtype=complex)
     delta0[0] = 1.0
     r_range = 0.0
-    for gens in ([delta0], [signals[0], signals[1]]):
+    for gens in ([delta0], [signals[:, 0], signals[:, 1]]):
         rangefn = range_function(ctx, gens)
-        basis = space_from_range(ctx, rangefn)
-        rangefn2 = range_function(ctx, [basis[:, j] for j in range(basis.shape[1])])
+        rangefn2 = range_function(ctx, space_from_range(ctx, rangefn).T)
         for b1, b2 in zip(rangefn.bases, rangefn2.bases):
             r_range = max(r_range, float(np.abs(b1 @ b1.conj().T - b2 @ b2.conj().T).max()))
     record("range_roundtrip", r_range, cfg.abs_tol(1e-9))
@@ -347,3 +346,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    run()

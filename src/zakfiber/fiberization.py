@@ -29,9 +29,6 @@ from .groups import (
     transversal,
 )
 
-REL_TOL = 1e-10
-ABS_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class FiberContext:
@@ -60,9 +57,9 @@ class FiberContext:
             [[pairing(g, t, w) for t in gamma_elts] for w in self.omega.reps],
             dtype=complex,
         )
-        coset_plus = np.array(
-            [[g.index(g.add(c, t)) for t in gamma_elts] for c in self.c_section.reps]
-        )
+        # coset_plus[c, t] is the index of c + t
+        sums = np.array(self.c_section.reps)[:, None, :] + np.array(gamma_elts)[None, :, :]
+        coset_plus = np.ravel_multi_index(np.moveaxis(sums, -1, 0), g.orders, mode="wrap")
         object.__setattr__(self, "_phase", phase)
         object.__setattr__(self, "_coset_plus", coset_plus)
         object.__setattr__(self, "_gamma_index", {t: i for i, t in enumerate(gamma_elts)})
@@ -105,27 +102,42 @@ def fiber_context(g: GroupSpec, gamma: Subgroup) -> FiberContext:
 
 
 def zak(ctx: FiberContext, f) -> np.ndarray:
-    """Fiberize a signal; rows are fibers indexed by omega, columns by C."""
+    """Fiberize a signal; rows are fibers indexed by omega, columns by C.
+
+    A signal of shape ``(|G|,)`` gives ``(|Omega|, |C|)``. A ``(|G|, k)``
+    matrix of k signals, one per column, gives ``(|Omega|, |C|, k)``; column
+    j of the result is bit-identical to ``zak(ctx, f[:, j])``.
+    """
     f = as_signal(ctx.group, f)
-    samples = f[ctx._coset_plus]  # (|C|, |Gamma|)
-    return ctx.normalization * (ctx._phase @ samples.T)
+    # gather into ([k,] |C|, |Gamma|) stacks and give each stack the matrix
+    # product a lone signal gets; one large product would round differently
+    samples = np.ascontiguousarray(f.T[..., ctx._coset_plus])
+    fibers = ctx.normalization * (ctx._phase @ np.swapaxes(samples, -1, -2))
+    return np.moveaxis(fibers, 0, -1) if f.ndim == 2 else fibers
 
 
 def as_fibered(ctx: FiberContext, fibers) -> np.ndarray:
-    """Coerce to a complex |Omega| x |C| fiber array."""
+    """Coerce to a complex |Omega| x |C| fiber array, or |Omega| x |C| x k
+    for k fibered vectors."""
     arr = np.asarray(fibers, dtype=complex)
-    if arr.shape != ctx.fiber_shape():
-        raise ValueError(f"fibered vector has shape {arr.shape}, expected {ctx.fiber_shape()}")
+    if arr.ndim not in (2, 3) or arr.shape[:2] != ctx.fiber_shape():
+        raise ValueError(f"fibered vector has shape {arr.shape}, expected {ctx.fiber_shape()} [+ (k,)]")
     return arr
 
 
 def zak_inverse(ctx: FiberContext, fibers) -> np.ndarray:
-    """Invert the fiberization; exact inverse of :func:`zak` up to rounding."""
+    """Invert the fiberization; exact inverse of :func:`zak` up to rounding.
+
+    Fibers of shape ``(|Omega|, |C|)`` give a signal ``(|G|,)``;
+    ``(|Omega|, |C|, k)`` gives ``(|G|, k)``, one signal per column, each
+    bit-identical to the inverse of its own fibers.
+    """
     fibers = as_fibered(ctx, fibers)
-    vals = ctx.normalization * (fibers.T @ ctx._phase.conj())  # (|C|, |Gamma|)
-    out = np.empty(ctx.group.size, dtype=complex)
-    out[ctx._coset_plus] = vals
-    return out
+    stacked = np.ascontiguousarray(np.moveaxis(fibers, -1, 0)) if fibers.ndim == 3 else fibers
+    vals = ctx.normalization * (np.swapaxes(stacked, -1, -2) @ ctx._phase.conj())  # ([k,] |C|, |Gamma|)
+    out = np.empty(fibers.shape[2:] + (ctx.group.size,), dtype=complex)
+    out[..., ctx._coset_plus] = vals
+    return out.T
 
 
 def zak_matrix(ctx: FiberContext) -> np.ndarray:

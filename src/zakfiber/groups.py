@@ -179,28 +179,29 @@ def transversal(g: GroupSpec, h: Subgroup) -> Transversal:
 
 
 def translate(g: GroupSpec, f, t) -> np.ndarray:
-    """(T_t f)(x) = f(x - t); a norm-preserving relabeling of coordinates."""
+    """(T_t f)(x) = f(x - t); a norm-preserving relabeling of coordinates.
+
+    ``f`` is one signal of shape ``(|G|,)`` or a ``(|G|, k)`` matrix with one
+    signal per column; every column is translated by the same index gather.
+    """
     f = as_signal(g, f)
     t = g.validate(t)
-    src = np.array([g.index(g.sub(x, t)) for x in g.elements()])
+    coords = np.indices(g.orders).reshape(len(g.orders), -1)
+    src = np.ravel_multi_index(coords - np.array(t)[:, None], g.orders, mode="wrap")
     return f[src]
 
 
 def translation_matrix(g: GroupSpec, t) -> np.ndarray:
     """Matrix of the translation operator T_t in the standard signal basis."""
-    t = g.validate(t)
-    n = g.size
-    mat = np.zeros((n, n), dtype=complex)
-    for x in g.elements():
-        mat[g.index(x), g.index(g.sub(x, t))] = 1.0
-    return mat
+    return translate(g, np.eye(g.size, dtype=complex), t)
 
 
 def as_signal(g: GroupSpec, f) -> np.ndarray:
-    """Coerce to a complex vector indexed by the group enumeration."""
+    """Coerce to a complex vector indexed by the group enumeration, or to a
+    ``(|G|, k)`` matrix holding one such signal per column."""
     arr = np.asarray(f, dtype=complex)
-    if arr.shape != (g.size,):
-        raise ValueError(f"signal has shape {arr.shape}, expected ({g.size},)")
+    if arr.ndim not in (1, 2) or arr.shape[0] != g.size:
+        raise ValueError(f"signal has shape {arr.shape}, expected ({g.size},) or ({g.size}, k)")
     return arr
 
 

@@ -63,6 +63,8 @@ def group_spec_from_json(obj) -> tuple[GroupSpec, Subgroup]:
 
 def fibered_to_json(ctx: FiberContext, fibers) -> dict:
     fibers = as_fibered(ctx, fibers)
+    if fibers.ndim != 2:
+        raise ValueError(f"expected one fibered vector of shape {ctx.fiber_shape()}, got {fibers.shape}")
     return {
         "omega_reps": [list(w) for w in ctx.omega.reps],
         "c_reps": [list(c) for c in ctx.c_section.reps],
@@ -103,7 +105,7 @@ def range_function_from_json(ctx: FiberContext, obj, ortho_tol: float = 1e-10) -
             mat = np.zeros((ctx.n_c, 0), dtype=complex)
         if mat.shape != (ctx.n_c, d):
             raise ValueError(f"fiber {wi} basis has shape {mat.shape}, expected ({ctx.n_c}, {d})")
-        if d and np.abs(mat.conj().T @ mat - np.eye(d)).max() > ortho_tol:
+        if d and not np.abs(mat.conj().T @ mat - np.eye(d)).max() <= ortho_tol:
             raise ValueError(f"fiber {wi} basis columns are not orthonormal")
         bases.append(mat)
     return RangeFunction(tuple(bases))

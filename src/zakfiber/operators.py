@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fiberization import FiberContext, determining_function, zak, zak_matrix
-from .groups import translation_matrix
+from .fiberization import FiberContext, determining_function, zak, zak_inverse
+from .groups import translate
 from .spaces import RangeFunction, numerical_rank, space_from_range
 
 COMMUTE_TOL = 1e-10
@@ -138,11 +138,13 @@ def check_translation_preserving(ctx: FiberContext, u, tol: float = COMMUTE_TOL)
     element, so generators are the only probes needed.
     """
     u = as_operator(ctx, u)
+    g = ctx.group
     probes = ctx.gamma.generators or ctx.gamma.elements
     worst = 0.0
     for t in probes:
-        tmat = translation_matrix(ctx.group, t)
-        comm = u @ tmat - tmat @ u
+        # T_t u permutes the rows of u; u T_t = (T_{-t} u^T)^T permutes its
+        # columns. Both are exact gathers, so no translation matrix is formed.
+        comm = translate(g, u.T, g.neg(t)).T - translate(g, u, t)
         r = float(np.abs(comm).max())
         if r > tol:
             i, j = np.unravel_index(int(np.argmax(np.abs(comm))), comm.shape)
@@ -160,24 +162,14 @@ def solve_range_field(ctx: FiberContext, u, rangefn: RangeFunction):
     a large residual means no field exists.
     """
     u = as_operator(ctx, u)
-    basis = space_from_range(ctx, rangefn)
-    matrices = [np.zeros((ctx.n_c, ctx.n_c), dtype=complex) for _ in range(ctx.n_omega)]
-    residual = 0.0
-    col = 0
-    for wi, fiber_basis in enumerate(rangefn.bases):
-        d = fiber_basis.shape[1]
-        if d == 0:
-            continue
-        images = np.empty((ctx.n_c, d), dtype=complex)
-        for j in range(d):
-            fibers = zak(ctx, u @ basis[:, col])
-            col += 1
-            images[:, j] = fibers[wi]
-            off = np.delete(fibers, wi, axis=0)
-            if off.size:
-                residual = max(residual, float(np.abs(off).max()))
-        matrices[wi] = images @ fiber_basis.conj().T
-    return RangeOperatorField(tuple(matrices)), residual
+    images = zak(ctx, u @ space_from_range(ctx, rangefn))  # (|Omega|, |C|, dim)
+    owner = np.repeat(np.arange(ctx.n_omega), rangefn.dims)  # the fiber of each basis column
+    own = np.arange(ctx.n_omega)[:, None] == owner[None, :]
+    residual = float(np.where(own, 0.0, np.abs(images).max(axis=1)).max(initial=0.0))
+    matrices = tuple(
+        images[wi][:, owner == wi] @ fiber_basis.conj().T for wi, fiber_basis in enumerate(rangefn.bases)
+    )
+    return RangeOperatorField(matrices), residual
 
 
 def extract_range_operator(
@@ -197,7 +189,7 @@ def extract_range_operator(
     if not verdict:
         raise NotTranslationPreservingError(verdict)
     field, residual = solve_range_field(ctx, u, rangefn)
-    if residual > tol:
+    if not residual <= tol:
         raise RangeSolveError(residual)
     return field
 
@@ -213,9 +205,14 @@ def synthesize_operator(
     The result acts as the field on the space of the range function and as
     zero on its orthocomplement; it always commutes with the subgroup
     translations, and extracting its field recovers the input.
+
+    With Z the fiberization and B the block-diagonal field, U = Z* B Z is
+    computed as ``zak_inverse(zak_inverse(B)^H)^H`` over columns, since
+    ``zak_inverse`` applies Z* to each column.
     """
     n = ctx.group.size
     nc = ctx.n_c
+    shape = ctx.fiber_shape() + (n,)
     if len(field.matrices) != ctx.n_omega:
         raise ValueError(f"field has {len(field.matrices)} fibers, expected {ctx.n_omega}")
     big = np.zeros((n, n), dtype=complex)
@@ -225,14 +222,14 @@ def synthesize_operator(
             raise ValueError(f"fiber matrix {wi} has shape {mat.shape}, expected ({nc}, {nc})")
         proj = fiber_basis @ fiber_basis.conj().T
         leak = np.abs(mat @ (np.eye(nc) - proj)).max() if nc else 0.0
-        if leak > domain_tol:
+        if not leak <= domain_tol:
             raise ValueError(
                 f"fiber matrix {wi} does not vanish on the fiber orthocomplement "
                 f"(residual {leak:.3e})"
             )
         big[wi * nc : (wi + 1) * nc, wi * nc : (wi + 1) * nc] = mat
-    zmat = zak_matrix(ctx)
-    return zmat.conj().T @ big @ zmat
+    left = zak_inverse(ctx, big.reshape(shape))  # Z* B
+    return zak_inverse(ctx, left.conj().T.reshape(shape)).conj().T
 
 
 def multiplication_preserving_check(
@@ -264,18 +261,13 @@ def multiplication_preserving_check(
             worst = max(worst, r)
         return MultiplicationVerdict(True, mode, worst)
     if mode == "full":
-        worst = 0.0
-        witness = None
-        for wi in range(ctx.n_omega):
-            for wj in range(ctx.n_omega):
-                if wi == wj:
-                    continue
-                block = uhat[wi * nc : (wi + 1) * nc, wj * nc : (wj + 1) * nc]
-                r = float(np.abs(block).max()) if block.size else 0.0
-                if r > worst:
-                    worst, witness = r, (wi, wj)
+        # blocks[wi, wj] is the largest entry of the (wi, wj) block
+        blocks = np.abs(uhat).reshape(ctx.n_omega, nc, ctx.n_omega, nc).max(axis=(1, 3))
+        np.fill_diagonal(blocks, 0.0)
+        wi, wj = np.unravel_index(int(np.argmax(blocks)), blocks.shape)
+        worst = float(blocks[wi, wj])
         if worst > tol:
-            return MultiplicationVerdict(False, mode, worst, witness)
+            return MultiplicationVerdict(False, mode, worst, (int(wi), int(wj)))
         return MultiplicationVerdict(True, mode, worst)
     raise ValueError(f"unknown mode {mode!r}; expected 'determining-set' or 'full'")
 
@@ -330,20 +322,18 @@ def hs_trace_report(
     """
     u = as_operator(ctx, u)
     basis = space_from_range(ctx, rangefn)
-    frame = [np.asarray(y, dtype=complex) for y in frame]
-    proj = basis @ basis.conj().T
-    frame_op = np.zeros_like(proj)
-    for y in frame:
-        frame_op += np.outer(y, y.conj())
-    frame_residual = float(np.abs(frame_op - proj).max())
-    if frame_residual > frame_tol:
+    vectors = [np.asarray(y, dtype=complex) for y in frame]
+    frame = np.stack(vectors, axis=1) if vectors else np.zeros((ctx.group.size, 0), dtype=complex)
+    frame_residual = float(np.abs(frame @ frame.conj().T - basis @ basis.conj().T).max())
+    if not frame_residual <= frame_tol:
         raise ValueError(
             f"frame is not Parseval for the space (frame operator residual {frame_residual:.3e})"
         )
 
     restricted = u @ basis
+    u_frame = u @ frame
     hs_entry = float(np.linalg.norm(restricted) ** 2)
-    hs_frame = float(sum(np.linalg.norm(u @ y) ** 2 for y in frame))
+    hs_frame = float(np.linalg.norm(u_frame) ** 2)
     hs_fiber_terms = [
         float(np.linalg.norm(mat @ fb) ** 2) for mat, fb in zip(field.matrices, rangefn.bases)
     ]
@@ -369,7 +359,7 @@ def hs_trace_report(
 
     if positive:
         tr_basis = float(np.trace(compressed).real)
-        tr_frame = float(sum(np.vdot(y, u @ y).real for y in frame))
+        tr_frame = float(np.vdot(frame, u_frame).real)
         tr_fiber_terms = [
             float(np.trace(fb.conj().T @ mat @ fb).real)
             for mat, fb in zip(field.matrices, rangefn.bases)

@@ -46,28 +46,29 @@ class RangeFunction:
         return b @ b.conj().T
 
 
+def _rank_cut(s: np.ndarray, tol: float) -> int:
+    """Number of singular values above tol * max(1, sigma_max)."""
+    return int(np.sum(s > tol * max(1.0, float(s[0]))))
+
+
 def numerical_rank(mat: np.ndarray, tol: float = RANK_TOL) -> int:
     """Rank with the fixed threshold tol * max(1, sigma_max)."""
     if mat.size == 0:
         return 0
-    s = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(s > tol * max(1.0, float(s[0]))))
+    return _rank_cut(np.linalg.svd(mat, compute_uv=False), tol)
 
 
-def _canonical_phase(mat: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-modulus entry is real positive.
+def _column_span(mat: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal basis of the numerical column span of mat.
 
-    Keeps orthonormality and makes SVD-derived bases reproducible across
-    LAPACK builds.
+    The left singular directions above the rank cut, each rotated so its
+    largest-modulus entry is real positive; this keeps orthonormality and
+    makes the basis reproducible across LAPACK builds.
     """
-    out = mat.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        pivot = col[i]
-        if abs(pivot) > 0:
-            out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out
+    u, s, _ = np.linalg.svd(mat, full_matrices=False)
+    u = u[:, : _rank_cut(s, tol)]
+    pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    return u * (pivots.conj() / np.abs(pivots))
 
 
 def range_function(ctx: FiberContext, generators, rank_tol: float = RANK_TOL) -> RangeFunction:
@@ -76,17 +77,11 @@ def range_function(ctx: FiberContext, generators, rank_tol: float = RANK_TOL) ->
     An empty generator list yields the zero range function.
     """
     gens = [as_signal(ctx.group, f) for f in generators]
-    fibered = [zak(ctx, f) for f in gens]
-    bases = []
-    for wi in range(ctx.n_omega):
-        if gens:
-            stacked = np.column_stack([fib[wi] for fib in fibered])
-            u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-            rank = int(np.sum(s > rank_tol * max(1.0, float(s[0])))) if s.size else 0
-            bases.append(_canonical_phase(u[:, :rank]))
-        else:
-            bases.append(np.zeros((ctx.n_c, 0), dtype=complex))
-    return RangeFunction(tuple(bases))
+    if not gens:
+        return RangeFunction(tuple(np.zeros((ctx.n_c, 0), dtype=complex) for _ in range(ctx.n_omega)))
+    # fibered[wi] stacks the omega-fibers of all generators as columns
+    fibered = zak(ctx, np.stack(gens, axis=1))
+    return RangeFunction(tuple(_column_span(stacked, rank_tol) for stacked in fibered))
 
 
 def full_range_function(ctx: FiberContext) -> RangeFunction:
@@ -102,15 +97,12 @@ def space_from_range(ctx: FiberContext, rangefn: RangeFunction) -> np.ndarray:
     Each basis vector is supported on a single fiber, which downstream fiber
     solves rely on.
     """
-    cols = []
+    fibers = np.zeros(ctx.fiber_shape() + (rangefn.dim_total,), dtype=complex)
+    col = 0
     for wi, basis in enumerate(rangefn.bases):
-        for j in range(basis.shape[1]):
-            fibers = np.zeros(ctx.fiber_shape(), dtype=complex)
-            fibers[wi] = basis[:, j]
-            cols.append(zak_inverse(ctx, fibers))
-    if not cols:
-        return np.zeros((ctx.group.size, 0), dtype=complex)
-    return np.column_stack(cols)
+        fibers[wi, :, col : col + basis.shape[1]] = basis
+        col += basis.shape[1]
+    return zak_inverse(ctx, fibers)
 
 
 def project_via_fibers(ctx: FiberContext, rangefn: RangeFunction, f) -> np.ndarray:
@@ -147,13 +139,13 @@ def is_translation_invariant(ctx: FiberContext, basis, tol: float = INVARIANCE_T
     probes = ctx.gamma.generators or ctx.gamma.elements
     worst = 0.0
     for t in probes:
-        for j in range(basis.shape[1]):
-            shifted = translate(ctx.group, basis[:, j], t)
-            resid = shifted - basis @ (basis.conj().T @ shifted)
-            r = float(np.abs(resid).max())
-            if r > tol:
-                return InvarianceVerdict(False, r, t, j)
-            worst = max(worst, r)
+        shifted = translate(ctx.group, basis, t)
+        resid = np.abs(shifted - basis @ (basis.conj().T @ shifted)).max(axis=0)  # per column
+        over = np.flatnonzero(resid > tol)
+        if over.size:
+            j = int(over[0])
+            return InvarianceVerdict(False, float(resid[j]), t, j)
+        worst = max(worst, float(resid.max()))
     return InvarianceVerdict(True, worst)
 
 
@@ -171,25 +163,15 @@ def principal_decomposition(ctx: FiberContext, basis, rank_tol: float = RANK_TOL
     verdict = is_translation_invariant(ctx, basis)
     if not verdict:
         raise NotTranslationInvariantError(verdict.witness_gamma, verdict.witness_column, verdict.residual)
-    d = basis.shape[1]
-    if d == 0:
+    if basis.shape[1] == 0:
         return []
-    fibered = [zak(ctx, basis[:, j]) for j in range(d)]
-    directions = []  # per omega: |C| x rank matrix of singular directions
-    for wi in range(ctx.n_omega):
-        stacked = np.column_stack([fib[wi] for fib in fibered])
-        u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-        rank = int(np.sum(s > rank_tol * max(1.0, float(s[0])))) if s.size else 0
-        directions.append(_canonical_phase(u[:, :rank]))
-    n_generators = max((mat.shape[1] for mat in directions), default=0)
-    phis = []
-    for n in range(n_generators):
-        fibers = np.zeros(ctx.fiber_shape(), dtype=complex)
-        for wi, mat in enumerate(directions):
-            if n < mat.shape[1]:
-                fibers[wi] = mat[:, n]
-        phis.append(zak_inverse(ctx, fibers))
-    return phis
+    # per omega: |C| x rank matrix of singular directions
+    directions = [_column_span(stacked, rank_tol) for stacked in zak(ctx, basis)]
+    n_generators = max(mat.shape[1] for mat in directions)
+    fibers = np.zeros(ctx.fiber_shape() + (n_generators,), dtype=complex)
+    for wi, mat in enumerate(directions):
+        fibers[wi, :, : mat.shape[1]] = mat
+    return list(zak_inverse(ctx, fibers).T)
 
 
 def parseval_fiber_check(ctx: FiberContext, phi, tol: float = 1e-9) -> bool:
@@ -213,10 +195,11 @@ def translate_parseval_frame(ctx: FiberContext, generators) -> list[np.ndarray]:
     The scaling accounts for counting measure putting total mass |Gamma| on
     the subgroup.
     """
+    gens = [as_signal(ctx.group, phi) for phi in generators]
+    if not gens:
+        return []
     scale = 1.0 / np.sqrt(ctx.gamma.size)
-    frame = []
-    for phi in generators:
-        phi = as_signal(ctx.group, phi)
-        for t in ctx.gamma.elements:
-            frame.append(scale * translate(ctx.group, phi, t))
-    return frame
+    phis = np.stack(gens, axis=1)
+    shifted = np.stack([translate(ctx.group, phis, t) for t in ctx.gamma.elements])  # (|Gamma|, |G|, N)
+    # generator-major order: all translates of the first generator come first
+    return list(scale * shifted.transpose(2, 0, 1).reshape(-1, ctx.group.size))

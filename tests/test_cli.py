@@ -1,12 +1,16 @@
 """Exit-code contract, report content and determinism of the command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from zakfiber import cli, jsonio
 from zakfiber.cli import main
-from zakfiber import jsonio
 
 
 @pytest.fixture
@@ -42,6 +46,13 @@ class TestAnalyze:
         assert code == 1
         assert report["translation_preserving"]["passed"] is False
         assert report["translation_preserving"]["witness_gamma"] == [2]
+
+    def test_nan_solve_residual_fails(self, tmp_path, f1_spec, capsys, monkeypatch):
+        solve = cli.solve_range_field
+        monkeypatch.setattr(cli, "solve_range_field", lambda *args: (solve(*args)[0], float("nan")))
+        op = write_operator(tmp_path, "id.json", np.eye(4))
+        assert main(["analyze", f1_spec, op, "--json"]) == 1
+        assert read_report(capsys)["fiber_solve"]["passed"] is False
 
     def test_shape_mismatch_is_input_error(self, tmp_path, f1_spec):
         op = write_operator(tmp_path, "small.json", np.eye(3))
@@ -114,6 +125,12 @@ class TestContract:
     def test_usage_error_exit_code(self):
         assert main([]) == 2
         assert main(["frobnicate"]) == 2
+
+    def test_module_entry_point_runs_the_cli(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "zakfiber.cli"], env=env, capture_output=True, timeout=60)
+        assert done.returncode == 2
 
     def test_reports_are_byte_deterministic(self, tmp_path, f1_spec):
         out1 = tmp_path / "a.json"

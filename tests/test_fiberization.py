@@ -70,6 +70,14 @@ class TestZak:
         for _ in range(3):
             f = rand_signal(rng, ctx.group.size)
             assert np.allclose(zak(ctx, f), zak_oracle(ctx, f), atol=1e-12)
+        # a (|G|, k) batch, column by column against the oracle and against
+        # the transform of each column alone
+        batch = rand_signal(rng, 3 * ctx.group.size).reshape(ctx.group.size, 3)
+        fibered = zak(ctx, batch)
+        assert fibered.shape == ctx.fiber_shape() + (3,)
+        for j in range(3):
+            assert np.allclose(fibered[..., j], zak_oracle(ctx, batch[:, j]), atol=1e-12)
+            assert np.array_equal(fibered[..., j], zak(ctx, batch[:, j]))
 
     def test_delta_fibers(self, f1_ctx):
         fibers = zak(f1_ctx, delta(f1_ctx.group, (0,)))
@@ -128,6 +136,13 @@ class TestZakInverse:
         recovered = zak_inverse(f1_ctx, fibers)
         assert np.allclose(recovered, delta(f1_ctx.group, (0,)), atol=1e-12)
         assert np.allclose(recovered, zak_inverse_oracle(f1_ctx, fibers), atol=1e-12)
+        rng = np.random.default_rng(12)
+        batch = rand_signal(rng, 12).reshape(f1_ctx.fiber_shape() + (3,))
+        signals = zak_inverse(f1_ctx, batch)
+        assert signals.shape == (f1_ctx.group.size, 3)
+        for j in range(3):
+            assert np.allclose(signals[:, j], zak_inverse_oracle(f1_ctx, batch[..., j]), atol=1e-12)
+            assert np.array_equal(signals[:, j], zak_inverse(f1_ctx, batch[..., j]))
 
     def test_zero_fibers(self, f1_ctx):
         assert np.array_equal(zak_inverse(f1_ctx, np.zeros((2, 2))), np.zeros(4))

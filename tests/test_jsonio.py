@@ -68,6 +68,8 @@ def test_fibered_roundtrip(z8_ctx):
     assert [tuple(w) for w in obj["omega_reps"]] == list(z8_ctx.omega.reps)
     back = jsonio.fibered_from_json(z8_ctx, obj)
     assert np.array_equal(back, fibers)
+    with pytest.raises(ValueError):  # the wire format holds one vector, not a batch
+        jsonio.fibered_to_json(z8_ctx, fibers[..., None])
 
 
 def test_fibered_rejects_wrong_reps(z8_ctx):
@@ -91,6 +93,13 @@ def test_range_function_rejects_nonorthonormal(z8_ctx):
     rangefn = full_range_function(z8_ctx)
     obj = jsonio.range_function_to_json(rangefn)
     obj["bases"][0][0][0] = [2.0, 0.0]  # stretch one basis vector
+    with pytest.raises(ValueError):
+        jsonio.range_function_from_json(z8_ctx, obj)
+
+
+def test_range_function_rejects_nan_basis(z8_ctx):
+    obj = jsonio.range_function_to_json(full_range_function(z8_ctx))
+    obj["bases"][0][0][0] = [float("nan"), 0.0]
     with pytest.raises(ValueError):
         jsonio.range_function_from_json(z8_ctx, obj)
 

@@ -26,6 +26,8 @@ from zakfiber import (
     zak_matrix,
 )
 
+from zakfiber import operators
+
 from conftest import delta, rand_field, rand_signal, rand_tp_operator
 
 
@@ -49,6 +51,26 @@ class TestCheckTranslationPreserving:
         comm = u @ t2 - t2 @ u
         assert np.abs(comm).max() == pytest.approx(verdict.residual)
         assert verdict.residual == pytest.approx(1.0)
+
+    def test_matches_dense_commutator(self, ctx):
+        # the permutation gathers against u T - T u with the dense matrix, on
+        # the same probes in the same order
+        rng = np.random.default_rng(57)
+        g = ctx.group
+        for _ in range(3):
+            u = rand_signal(rng, g.size * g.size).reshape(g.size, g.size)
+            verdict = check_translation_preserving(ctx, u)
+            worst, witness = 0.0, (None, None)
+            for t in ctx.gamma.generators or ctx.gamma.elements:
+                tmat = translation_matrix(g, t)
+                comm = np.abs(u @ tmat - tmat @ u)
+                worst = max(worst, float(comm.max()))
+                if comm.max() > 1e-10:
+                    i, j = np.unravel_index(int(np.argmax(comm)), comm.shape)
+                    witness = (t, (int(i), int(j)))
+                    break
+            assert verdict.residual == worst
+            assert (verdict.witness_gamma, verdict.witness_entry) == witness
 
     def test_identity_commutes(self, ctx):
         assert check_translation_preserving(ctx, np.eye(ctx.group.size, dtype=complex))
@@ -111,6 +133,14 @@ class TestExtract:
             )
 
 
+    def test_nan_solve_residual_is_a_failure(self, f1_ctx, monkeypatch):
+        rangefn = full_range_function(f1_ctx)
+        field, _ = solve_range_field(f1_ctx, np.eye(4, dtype=complex), rangefn)
+        monkeypatch.setattr(operators, "solve_range_field", lambda *args: (field, float("nan")))
+        with pytest.raises(RangeSolveError):
+            extract_range_operator(f1_ctx, np.eye(4, dtype=complex), rangefn)
+
+
 class TestSynthesize:
     def test_identity_field_is_projection(self, f1_ctx):
         rangefn = range_function(f1_ctx, [delta(f1_ctx.group, (0,))])
@@ -153,6 +183,12 @@ class TestSynthesize:
         bad = RangeOperatorField((np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
         with pytest.raises(ValueError):
             synthesize_operator(f1_ctx, bad, rangefn)
+
+    def test_nan_field_rejected(self, f1_ctx):
+        rangefn = full_range_function(f1_ctx)
+        nan = RangeOperatorField(tuple(np.full((2, 2), np.nan, dtype=complex) for _ in range(2)))
+        with pytest.raises(ValueError):
+            synthesize_operator(f1_ctx, nan, rangefn)
 
     def test_bijection_roundtrips(self, ctx):
         rng = np.random.default_rng(53)
@@ -264,6 +300,26 @@ class TestHsTrace:
                 unscaled.append(translation_matrix(f1_ctx.group, t) @ phi)
         with pytest.raises(ValueError):
             hs_trace_report(f1_ctx, u, field, rangefn, unscaled)
+
+    def test_routes_disagree_on_a_mismatched_field(self, f1_ctx):
+        # the operator routes read only u and the fiber routes only the field,
+        # so a field of 2u against u must fail every identity
+        rangefn = full_range_function(f1_ctx)
+        u = np.eye(4, dtype=complex)
+        field = extract_range_operator(f1_ctx, 2 * u, rangefn)
+        norm = norm_identity_report(f1_ctx, u, field, rangefn)
+        hs = hs_trace_report(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx))
+        assert not norm.passed and not hs.verdicts["hs_agree"] and not hs.verdicts["trace_agree"]
+        assert hs.values["hs_squared"]["frame"] == pytest.approx(hs.values["hs_squared"]["entrywise"])
+        assert hs.values["hs_squared"]["fiber"] == pytest.approx(16.0)
+        assert not structural_flags(f1_ctx, u, field, rangefn).passed
+
+    def test_rejects_nan_frame(self, f1_ctx):
+        rangefn = full_range_function(f1_ctx)
+        u = np.eye(4, dtype=complex)
+        field = extract_range_operator(f1_ctx, u, rangefn)
+        with pytest.raises(ValueError):
+            hs_trace_report(f1_ctx, u, field, rangefn, [np.full(4, np.nan, dtype=complex)] * 4)
 
     def test_frame_independence(self, ctx):
         # the HS sum agrees across an orthonormal basis, the scaled translate
