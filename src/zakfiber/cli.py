@@ -101,7 +101,7 @@ def _print_summary(report: dict, indent: str = "") -> None:
         if isinstance(value, dict):
             print(f"{indent}{key}:")
             _print_summary(value, indent + "  ")
-        elif isinstance(value, list) and len(value) > 8:
+        elif isinstance(value, list) and (len(value) > 8 or any(isinstance(v, list) for v in value)):
             print(f"{indent}{key}: [{len(value)} entries]")
         else:
             print(f"{indent}{key}: {value}")

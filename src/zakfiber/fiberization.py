@@ -15,6 +15,7 @@ pairing(t, omega).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,9 +24,9 @@ from .groups import (
     GroupSpec,
     Subgroup,
     Transversal,
+    _exponents,
     annihilator,
     as_signal,
-    pairing,
     transversal,
 )
 
@@ -47,22 +48,24 @@ class FiberContext:
     normalization: float
     _phase: np.ndarray = field(init=False, repr=False)
     _coset_plus: np.ndarray = field(init=False, repr=False)
-    _gamma_index: dict = field(init=False, repr=False)
+    _gamma_keys: np.ndarray = field(init=False, repr=False)
     _zak_matrix: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        g = self.group
-        gamma_elts = self.gamma.elements
-        phase = np.array(
-            [[pairing(g, t, w) for t in gamma_elts] for w in self.omega.reps],
-            dtype=complex,
-        )
+        orders = self.group.orders
+        gamma = np.array(self.gamma.elements)
+        lcm = math.lcm(*orders)
+        # phase[w, t] = pairing(t, w) from the exact exponent table: one
+        # lookup into the lcm-th roots of unity per entry
+        roots = np.exp(2j * np.pi * np.arange(lcm) / lcm)
+        phase = roots[_exponents(orders, np.array(self.omega.reps), gamma)]
         # coset_plus[c, t] is the index of c + t
-        sums = np.array(self.c_section.reps)[:, None, :] + np.array(gamma_elts)[None, :, :]
-        coset_plus = np.ravel_multi_index(np.moveaxis(sums, -1, 0), g.orders, mode="wrap")
+        sums = np.array(self.c_section.reps)[:, None, :] + gamma[None, :, :]
+        coset_plus = np.ravel_multi_index(np.moveaxis(sums, -1, 0), orders, mode="wrap")
         object.__setattr__(self, "_phase", phase)
         object.__setattr__(self, "_coset_plus", coset_plus)
-        object.__setattr__(self, "_gamma_index", {t: i for i, t in enumerate(gamma_elts)})
+        # Gamma's elements are sorted, so their ravel indices are too
+        object.__setattr__(self, "_gamma_keys", np.ravel_multi_index(gamma.T, orders))
         object.__setattr__(self, "_zak_matrix", [None])
 
     @property
@@ -93,10 +96,11 @@ def fiber_context(g: GroupSpec, gamma: Subgroup) -> FiberContext:
     if omega.size != gamma.size or omega.size * c_section.size != g.size:
         raise RuntimeError("transversal sizes violate the quotient counting identity")
     # section property: restricting the |Gamma| chosen characters to Gamma must
-    # give all characters of Gamma exactly once, i.e. the rows of the phase
-    # table are orthogonal with squared norm |Gamma|.
-    gram = ctx._phase @ ctx._phase.conj().T
-    if not np.allclose(gram, gamma.size * np.eye(omega.size), atol=1e-9):
+    # give all characters of Gamma exactly once. A character of Gamma is fixed
+    # by its exact exponents on Gamma's basis rows, so no two omegas may share
+    # a row of exponents there.
+    on_basis = _exponents(g.orders, np.array(omega.reps), np.array(gamma.basis) % g.orders)
+    if len(set(map(tuple, on_basis.tolist()))) != omega.size:
         raise RuntimeError("omega transversal is not a section of the dual quotient")
     return ctx
 
@@ -166,4 +170,4 @@ def determining_function(ctx: FiberContext, gamma_elt) -> np.ndarray:
     t = ctx.group.validate(gamma_elt)
     if t not in ctx.gamma:
         raise ValueError(f"{t!r} is not a member of the translation subgroup")
-    return ctx._phase[:, ctx._gamma_index[t]].copy()
+    return ctx._phase[:, np.searchsorted(ctx._gamma_keys, ctx.group.index(t))].copy()

@@ -6,6 +6,8 @@ row-major, and group elements as integer arrays in enumeration order.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .fiberization import FiberContext, as_fibered
@@ -26,15 +28,25 @@ def pair_to_complex(pair) -> complex:
 
 
 def matrix_to_json(mat: np.ndarray) -> list:
-    return [[complex_to_pair(z) for z in row] for row in np.asarray(mat, dtype=complex)]
+    mat = np.asarray(mat, dtype=complex)
+    return np.stack([mat.real, mat.imag], axis=-1).tolist()
 
 
 def matrix_from_json(rows, shape=None) -> np.ndarray:
-    if not isinstance(rows, list):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("matrix must be a list of rows")
-    mat = np.array([[pair_to_complex(z) for z in row] for row in rows], dtype=complex)
-    if mat.ndim == 1:  # empty matrix edge: shape it explicitly
-        mat = mat.reshape(0, 0)
+    n_cols = len(rows[0]) if rows else 0
+    if any(len(row) != n_cols for row in rows):
+        raise ValueError("matrix rows differ in length")
+    pairs = list(chain.from_iterable(rows))
+    if not all(isinstance(z, list) and len(z) == 2 for z in pairs):
+        raise ValueError("matrix entries must be [re, im] pairs")
+    parts = np.array(list(chain.from_iterable(pairs)))
+    # anything but plain numbers (null, strings, nesting) leaves an
+    # object, string or wrongly shaped array
+    if parts.dtype.kind not in "iuf" or parts.shape != (2 * len(pairs),):
+        raise ValueError("matrix entries must be [re, im] pairs of numbers")
+    mat = parts.astype(float).view(complex).reshape(len(rows), n_cols)
     if shape is not None and mat.shape != tuple(shape):
         raise ValueError(f"matrix has shape {mat.shape}, expected {tuple(shape)}")
     return mat
@@ -53,12 +65,21 @@ def group_spec_from_json(obj) -> tuple[GroupSpec, Subgroup]:
         raise ValueError("group spec must be a JSON object")
     if "orders" not in obj:
         raise ValueError("group spec is missing 'orders'")
-    g = make_group(obj["orders"])
+    orders = obj["orders"]
+    if not _is_int_list(orders):
+        raise ValueError(f"'orders' must be a list of integers, got {orders!r}")
+    g = make_group(orders)
     gens = obj.get("gamma_generators", [])
-    if not isinstance(gens, list):
-        raise ValueError("'gamma_generators' must be a list of element arrays")
-    gamma = subgroup_from_generators(g, [tuple(t) for t in gens])
+    if not isinstance(gens, list) or not all(_is_int_list(t) for t in gens):
+        raise ValueError("'gamma_generators' must be a list of integer element arrays")
+    gamma = subgroup_from_generators(g, gens)
     return g, gamma
+
+
+def _is_int_list(value) -> bool:
+    # JSON integers only: bool is an int subclass, and floats and strings
+    # would otherwise be coerced by int()
+    return isinstance(value, list) and all(type(x) is int for x in value)
 
 
 def fibered_to_json(ctx: FiberContext, fibers) -> dict:
@@ -68,7 +89,7 @@ def fibered_to_json(ctx: FiberContext, fibers) -> dict:
     return {
         "omega_reps": [list(w) for w in ctx.omega.reps],
         "c_reps": [list(c) for c in ctx.c_section.reps],
-        "fibers": [[complex_to_pair(z) for z in row] for row in fibers],
+        "fibers": matrix_to_json(fibers),
     }
 
 
@@ -79,10 +100,7 @@ def fibered_from_json(ctx: FiberContext, obj) -> np.ndarray:
         raise ValueError("omega_reps do not match the context")
     if [tuple(c) for c in obj.get("c_reps", [])] != list(ctx.c_section.reps):
         raise ValueError("c_reps do not match the context")
-    fibers = np.array(
-        [[pair_to_complex(z) for z in row] for row in obj["fibers"]], dtype=complex
-    )
-    return as_fibered(ctx, fibers)
+    return as_fibered(ctx, matrix_from_json(obj["fibers"]))
 
 
 def range_function_to_json(rangefn: RangeFunction) -> dict:

@@ -256,7 +256,7 @@ def multiplication_preserving_check(
             diag = np.repeat(determining_function(ctx, t), nc)
             comm = uhat * diag[None, :] - diag[:, None] * uhat
             r = float(np.abs(comm).max())
-            if r > tol:
+            if not r <= tol:
                 return MultiplicationVerdict(False, mode, r, t)
             worst = max(worst, r)
         return MultiplicationVerdict(True, mode, worst)
@@ -266,7 +266,7 @@ def multiplication_preserving_check(
         np.fill_diagonal(blocks, 0.0)
         wi, wj = np.unravel_index(int(np.argmax(blocks)), blocks.shape)
         worst = float(blocks[wi, wj])
-        if worst > tol:
+        if not worst <= tol:
             return MultiplicationVerdict(False, mode, worst, (int(wi), int(wj)))
         return MultiplicationVerdict(True, mode, worst)
     raise ValueError(f"unknown mode {mode!r}; expected 'determining-set' or 'full'")

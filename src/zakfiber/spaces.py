@@ -141,7 +141,7 @@ def is_translation_invariant(ctx: FiberContext, basis, tol: float = INVARIANCE_T
     for t in probes:
         shifted = translate(ctx.group, basis, t)
         resid = np.abs(shifted - basis @ (basis.conj().T @ shifted)).max(axis=0)  # per column
-        over = np.flatnonzero(resid > tol)
+        over = np.flatnonzero(~(resid <= tol))  # NaN fails
         if over.size:
             j = int(over[0])
             return InvarianceVerdict(False, float(resid[j]), t, j)

@@ -66,6 +66,21 @@ class TestAnalyze:
     def test_missing_file_is_input_error(self, f1_spec):
         assert main(["analyze", f1_spec, "/nonexistent/op.json"]) == 2
 
+    def test_null_matrix_entry_is_input_error(self, tmp_path, f1_spec):
+        op = tmp_path / "null.json"
+        op.write_text(json.dumps({"matrix": [[[None, 0.0]] * 4] * 4}))
+        assert main(["analyze", f1_spec, str(op)]) == 2
+
+    def test_text_summary_stays_small(self, tmp_path, capsys):
+        # |C| = 32: the range field alone is ~100 kB of JSON
+        spec = tmp_path / "z64.json"
+        spec.write_text(json.dumps({"orders": [64], "gamma_generators": [[32]]}))
+        op = write_operator(tmp_path, "ident.json", np.eye(64))
+        assert main(["analyze", str(spec), op]) == 0
+        out = capsys.readouterr().out
+        assert len(out) < 4000
+        assert max(len(line) for line in out.splitlines()) < 200
+
 
 class TestDemoDiffop:
     def test_z8_step2_symbols(self, capsys):
@@ -101,6 +116,20 @@ class TestDemoDiffop:
 
 
 class TestCheck:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"orders": "8"},
+            {"orders": [8], "gamma_generators": [[2.9]]},
+            {"orders": [8], "gamma_generators": [None]},
+        ],
+        ids=["string-orders", "float-generator", "null-generator"],
+    )
+    def test_non_integer_group_spec_is_input_error(self, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["check", str(path)]) == 2
+
     def test_f1_passes(self, f1_spec, capsys):
         code = main(["check", f1_spec, "--json"])
         report = read_report(capsys)

@@ -1,8 +1,11 @@
 """Fiberization: isometry, intertwining, inversion, determining functions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from zakfiber import fiberization
 from zakfiber import (
     determining_function,
     fiber_context,
@@ -62,6 +65,27 @@ class TestFiberContext:
     def test_counting_identity(self, ctx):
         assert ctx.n_omega == ctx.gamma.size
         assert ctx.n_omega * ctx.n_c == ctx.group.size
+
+    def test_phase_table_matches_pairing(self, ctx):
+        g = ctx.group
+        expected = [[pairing(g, t, w) for t in ctx.gamma.elements] for w in ctx.omega.reps]
+        assert np.abs(ctx._phase - np.array(expected)).max() <= 1e-12
+
+    def test_broken_omega_transversal_is_rejected(self, monkeypatch):
+        g = make_group([8])
+        gamma = subgroup_from_generators(g, [(2,)])
+        real = fiberization.transversal
+
+        def broken(g, h):
+            tr = real(g, h)
+            if h == gamma:
+                return tr
+            # (4,) is in the annihilator coset of (0,): Gamma sees the same character twice
+            return dataclasses.replace(tr, reps=tr.reps[:-1] + ((4,),))
+
+        monkeypatch.setattr(fiberization, "transversal", broken)
+        with pytest.raises(RuntimeError, match="section"):
+            fiber_context(g, gamma)
 
 
 class TestZak:

@@ -1,5 +1,10 @@
 """Group arithmetic: enumeration, pairing, subgroups, annihilators, transversals."""
 
+import importlib.util
+import math
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,71 @@ from zakfiber import (
 from zakfiber.groups import pairing_is_one
 
 from conftest import BATTERY_ORDERS, delta, rand_signal
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads()
+SWEEP_UP_TO_16 = [o for o in WORKLOADS.SWEEP if math.prod(o) <= 16]
+
+
+def closure(g, gens):
+    """Close a generator list under addition, one element at a time."""
+    seen, frontier = {g.zero()}, [g.zero()]
+    while frontier:
+        new = []
+        for x in frontier:
+            for t in gens:
+                y = g.add(x, t)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return tuple(sorted(seen))
+
+
+def closure_subgroups(g):
+    """Reference enumeration: closures of every generator set of size <= rank."""
+    found = {closure(g, gens) for r in range(len(g.orders) + 1) for gens in combinations(g.elements(), r)}
+    return sorted(found)
+
+
+def lex_scan_reps(g, h):
+    """Reference transversal: scan G in lex order, mark each new coset."""
+    reps, covered = [], set()
+    for x in g.elements():
+        if x not in covered:
+            reps.append(x)
+            covered.update(g.add(x, t) for t in h.elements)
+    return tuple(reps)
+
+
+def brute_annihilator(g, h):
+    lcm = math.lcm(*g.orders)
+    return tuple(
+        k for k in g.elements()
+        if all(sum(a * b * (lcm // n) for a, b, n in zip(t, k, g.orders)) % lcm == 0 for t in h.elements)
+    )
+
+
+def bench_contexts():
+    """(group, subgroup) for every analyze, demo-diffop and sweep context of the benchmark."""
+    cases = [(o, [tuple(t) for t in gens]) for o, gens in WORKLOADS.BLOCKS + WORKLOADS.FIBERS]
+    cases += [([n], [(d % n,)]) for n, d in WORKLOADS.DIFFOPS]
+    out = []
+    for orders, gens in cases:
+        g = make_group(orders)
+        out.append((g, subgroup_from_generators(g, gens)))
+    for orders in WORKLOADS.SWEEP:
+        g = make_group(orders)
+        out.extend((g, sub) for sub in all_subgroups(g))
+    return out
 
 
 class TestMakeGroup:
@@ -133,6 +203,42 @@ class TestSubgroups:
         assert len(all_subgroups(make_group([12]))) == 6
 
 
+class TestLatticeSubgroups:
+    @pytest.mark.parametrize("orders", list(BATTERY_ORDERS) + SWEEP_UP_TO_16, ids=str)
+    def test_matches_closure_enumeration(self, orders):
+        g = make_group(orders)
+        assert [sub.elements for sub in all_subgroups(g)] == closure_subgroups(g)
+
+    @pytest.mark.parametrize(
+        "orders, count", [([2] * 5, 374), ([2] * 6, 2825), ([3, 3, 3], 28)], ids=["Z2^5", "Z2^6", "Z3^3"]
+    )
+    def test_elementary_abelian_counts(self, orders, count):
+        assert len(all_subgroups(make_group(orders))) == count
+
+    @pytest.mark.parametrize("orders", WORKLOADS.SWEEP, ids=str)
+    def test_hnf_invariants(self, orders):
+        g = make_group(orders)
+        for sub in all_subgroups(g):
+            for h in (sub, annihilator(g, sub)):
+                b = np.array(h.basis)
+                pivots = np.diag(b)
+                assert np.array_equal(b, np.triu(b))
+                assert all(n % d == 0 for d, n in zip(pivots, orders))
+                assert all(0 <= b[i, j] < pivots[j] for i in range(len(orders)) for j in range(i + 1, len(orders)))
+                assert math.prod(n // d for d, n in zip(pivots, orders)) == h.size
+                again = subgroup_from_generators(g, h.generators)
+                assert again.elements == h.elements and again.basis == h.basis
+
+    def test_generators_are_the_nonzero_hnf_rows(self):
+        g = make_group([4, 4])
+        sub = subgroup_from_generators(g, [(2, 2), (0, 2)])
+        assert sub.generators == ((2, 2), (0, 2))
+        assert sub.basis == ((2, 0), (0, 2))
+        (listed,) = [s for s in all_subgroups(g) if s == sub]
+        assert listed.generators == ((2, 0), (0, 2))
+        assert all_subgroups(g)[0].generators == ()
+
+
 class TestAnnihilator:
     def test_z4(self):
         g = make_group([4])
@@ -202,6 +308,29 @@ class TestTransversal:
                 coset = sorted(g.add(x, t) for t in sub.elements)
                 assert rep == coset[0]
                 assert g.sub(x, rep) in sub
+
+
+class TestLexConventions:
+    """Transversals and annihilators against one-element-at-a-time scans."""
+
+    @pytest.mark.parametrize("orders", BATTERY_ORDERS, ids=str)
+    def test_battery(self, orders):
+        g = make_group(orders)
+        for sub in all_subgroups(g):
+            self.check(g, sub)
+
+    def test_bench_contexts(self):
+        for g, sub in bench_contexts():
+            self.check(g, sub)
+
+    @staticmethod
+    def check(g, sub):
+        ann = annihilator(g, sub)
+        assert ann.elements == brute_annihilator(g, sub)
+        for h in (sub, ann):
+            tr = transversal(g, h)
+            assert tr.reps == lex_scan_reps(g, h)
+            assert [tr.coset_rep(x) for x in h.elements] == [g.zero()] * h.size
 
 
 class TestTranslate:

@@ -111,6 +111,37 @@ def test_operator_roundtrip(z8_ctx):
     assert np.array_equal(back, u)
 
 
+def test_matrix_codec_keeps_the_pair_lists():
+    # the per-entry encoding is the reference: the same lists, signed zeros included
+    rng = np.random.default_rng(73)
+    mat = rand_signal(rng, 12).reshape(3, 4)
+    mat[0, 0] = complex(-0.0, -0.0)
+    expected = [[jsonio.complex_to_pair(z) for z in row] for row in mat]
+    rows = jsonio.matrix_to_json(mat)
+    assert rows == expected
+    back = jsonio.matrix_from_json(rows)
+    assert np.array_equal(back, mat) and np.signbit(back[0, 0].real) and np.signbit(back[0, 0].imag)
+    assert jsonio.matrix_from_json([[], []]).shape == (2, 0)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]],
+        [[[1.0, 0.0, 0.0]]],
+        [[1.0]],
+        [[[None, 0.0]]],
+        [[["1", 0.0]]],
+        [[[[1.0], 0.0]]],
+        "nope",
+    ],
+    ids=["ragged", "triple", "scalar", "null", "string", "nested", "not-a-list"],
+)
+def test_matrix_from_json_rejects_malformed(rows):
+    with pytest.raises(ValueError):
+        jsonio.matrix_from_json(rows)
+
+
 def test_operator_rejects_wrong_shape(z8_ctx):
     with pytest.raises(ValueError):
         jsonio.operator_from_json(z8_ctx, {"matrix": [[[1.0, 0.0]]]})

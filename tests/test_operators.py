@@ -461,6 +461,10 @@ class TestMultiplicationPreserving:
             full = multiplication_preserving_check(ctx, uhat, mode="full")
             assert det.preserving == full.preserving
 
+    @pytest.mark.parametrize("mode", ["determining-set", "full"])
+    def test_nan_operator_fails(self, f1_ctx, mode):
+        assert not multiplication_preserving_check(f1_ctx, np.full((4, 4), np.nan, dtype=complex), mode=mode)
+
     def test_shape_and_mode_errors(self, f1_ctx):
         with pytest.raises(ValueError):
             multiplication_preserving_check(f1_ctx, np.eye(3))

@@ -130,6 +130,13 @@ class TestInvariance:
     def test_whole_space_is_invariant(self, ctx):
         assert is_translation_invariant(ctx, np.eye(ctx.group.size, dtype=complex))
 
+    def test_nan_basis_fails(self, f1_ctx):
+        basis = np.eye(4, dtype=complex)
+        basis[1, 1] = np.nan
+        verdict = is_translation_invariant(f1_ctx, basis)
+        assert not verdict
+        assert np.isnan(verdict.residual)
+
     def test_multiplicative_invariance_transfer(self, f1_ctx):
         # invariant direction: multiplying fibers by any character keeps membership
         rangefn = range_function(f1_ctx, [delta(f1_ctx.group, (0,))])
