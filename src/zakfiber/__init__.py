@@ -7,6 +7,7 @@ block-diagonal fields of fiber operators, with verification reports for the
 norm, Hilbert-Schmidt, trace, isometry and self-adjointness identities.
 """
 
+from .checks import Verdict
 from .fiberization import (
     FiberContext,
     determining_function,
@@ -29,8 +30,6 @@ from .groups import (
     transversal,
 )
 from .operators import (
-    CommutationVerdict,
-    MultiplicationVerdict,
     NotTranslationPreservingError,
     RangeOperatorField,
     RangeSolveError,
@@ -45,7 +44,6 @@ from .operators import (
     synthesize_operator,
 )
 from .spaces import (
-    InvarianceVerdict,
     NotTranslationInvariantError,
     RangeFunction,
     full_range_function,
@@ -59,11 +57,8 @@ from .spaces import (
 )
 
 __all__ = [
-    "CommutationVerdict",
     "FiberContext",
     "GroupSpec",
-    "InvarianceVerdict",
-    "MultiplicationVerdict",
     "NotTranslationInvariantError",
     "NotTranslationPreservingError",
     "RangeFunction",
@@ -72,6 +67,7 @@ __all__ = [
     "Subgroup",
     "Transversal",
     "VerificationReport",
+    "Verdict",
     "all_subgroups",
     "annihilator",
     "check_translation_preserving",

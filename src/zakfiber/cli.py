@@ -8,14 +8,16 @@ Exit codes: 0 all verifications pass, 1 a mathematical verification failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import jsonio
+from . import checks, jsonio
 from .fiberization import fiber_context, determining_function, zak, zak_inverse
 from .groups import make_group, pairing, subgroup_from_generators, translate, translation_matrix
 from .operators import (
@@ -49,8 +51,8 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name, value in (("tol-rel", self.tol_rel), ("tol-abs", self.tol_abs)):
-            if value is not None and not value > 0:
-                raise ValueError(f"--{name} must be positive, got {value}")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(f"--{name} must be finite and positive, got {value}")
 
     def rel_tol(self, default: float) -> float:
         return self.tol_rel if self.tol_rel is not None else default
@@ -115,31 +117,32 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, RangeOperatorField | 
     """
     rangefn = full_range_function(ctx)
     report: dict = {}
-    verdict = check_translation_preserving(ctx, u, tol=cfg.abs_tol(1e-10))
+    verdict = check_translation_preserving(ctx, u, tol=cfg.abs_tol(checks.COMMUTE))
+    witness_gamma, witness_entry = verdict.witness or (None, None)
     report["translation_preserving"] = {
-        "passed": bool(verdict),
+        "passed": verdict.passed,
         "residual": verdict.residual,
-        "witness_gamma": list(verdict.witness_gamma) if verdict.witness_gamma else None,
-        "witness_entry": list(verdict.witness_entry) if verdict.witness_entry else None,
+        "witness_gamma": list(witness_gamma) if witness_gamma else None,
+        "witness_entry": list(witness_entry) if witness_entry else None,
     }
     if not verdict:
         return report, False, None
     field, solve_residual = solve_range_field(ctx, u, rangefn)
-    if not solve_residual <= cfg.abs_tol(1e-8):
-        report["fiber_solve"] = {"passed": False, "residual": solve_residual}
+    solve = checks.gate(solve_residual, cfg.abs_tol(checks.SOLVE))
+    report["fiber_solve"] = {"passed": solve.passed, "residual": solve_residual}
+    if not solve:
         return report, False, None
-    report["fiber_solve"] = {"passed": True, "residual": solve_residual}
     report["range_field"] = jsonio.field_to_json(field, rangefn)
 
-    norm = norm_identity_report(ctx, u, field, rangefn, tol=cfg.rel_tol(1e-8))
+    norm = norm_identity_report(ctx, u, field, rangefn, tol=cfg.rel_tol(checks.NORM))
     report["norm_identity"] = norm.to_dict()
 
     generators = principal_decomposition(ctx, space_from_range(ctx, rangefn))
     frame = translate_parseval_frame(ctx, generators)
-    hs = hs_trace_report(ctx, u, field, rangefn, frame, tol=cfg.rel_tol(1e-8))
+    hs = hs_trace_report(ctx, u, field, rangefn, frame, tol=cfg.rel_tol(checks.HS))
     report["hs_trace"] = hs.to_dict()
 
-    structural = structural_flags(ctx, u, field, rangefn, tol=cfg.abs_tol(1e-9))
+    structural = structural_flags(ctx, u, field, rangefn, tol=cfg.abs_tol(checks.STRUCT))
     report["structural"] = structural.to_dict()
 
     ok = norm.passed and hs.passed and structural.passed
@@ -178,19 +181,14 @@ def cmd_demo_diffop(args) -> int:
 
     body, ok, field = _pipeline(ctx, u, cfg)
     expected = [1.0 - pairing(g, step, w) for w in ctx.omega.reps]
-    symbols = []
-    scalar_residual = 0.0
-    if field is not None:
-        for mat in field.matrices:
-            symbol = complex(mat[0, 0]) if ctx.n_c else 0.0
-            symbols.append(symbol)
-            scalar_residual = max(
-                scalar_residual, float(np.abs(mat - symbol * np.eye(ctx.n_c)).max())
-            )
-    symbol_residual = (
-        max(abs(s - e) for s, e in zip(symbols, expected)) if symbols else float("inf")
+    matrices = field.matrices if field is not None else ()
+    symbols = [complex(mat[0, 0]) if ctx.n_c else 0.0 for mat in matrices]
+    scalar_residual = checks.largest(
+        np.abs(mat - symbol * np.eye(ctx.n_c)).max() for mat, symbol in zip(matrices, symbols)
     )
-    symbols_ok = bool(symbols) and symbol_residual <= cfg.abs_tol(1e-10) and scalar_residual <= cfg.abs_tol(1e-10)
+    symbol_residual = checks.largest(abs(s - e) for s, e in zip(symbols, expected)) if symbols else math.inf
+    tol = cfg.abs_tol(checks.SYMBOL)
+    symbols_ok = bool(symbols) and checks.passes(symbol_residual, tol) and checks.passes(scalar_residual, tol)
     ok = ok and symbols_ok
 
     report = {
@@ -205,7 +203,7 @@ def cmd_demo_diffop(args) -> int:
         "symbol_scalar_residual": scalar_residual,
         "symbols_passed": symbols_ok,
         "operator_norm": body.get("norm_identity", {}).get("values", {}).get("operator_norm"),
-        "expected_norm": max(abs(e) for e in expected),
+        "expected_norm": checks.largest(abs(e) for e in expected),
         "seed": cfg.seed,
         "passed": ok,
     }
@@ -220,42 +218,40 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     suites: dict[str, dict] = {}
 
     def record(name: str, residual: float, tolerance: float) -> None:
-        suites[name] = {
-            "residual": float(residual),
-            "tolerance": float(tolerance),
-            "passed": bool(residual <= tolerance),
-        }
+        v = checks.gate(residual, tolerance)
+        suites[name] = {"residual": v.residual, "tolerance": v.tolerance, "passed": v.passed}
 
     signals = np.column_stack([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(20)])
     fibered = zak(ctx, signals)
 
     norms = np.linalg.norm(signals, axis=0)
     r_iso = (np.abs(np.linalg.norm(fibered, axis=(0, 1)) - norms) / norms).max()
-    record("zak_isometry", r_iso, cfg.rel_tol(1e-10))
+    record("zak_isometry", r_iso, cfg.rel_tol(checks.TRANSFORM))
 
     r_round = np.abs(zak_inverse(ctx, fibered) - signals).max()
-    record("zak_roundtrip", r_round, cfg.abs_tol(1e-10))
+    record("zak_roundtrip", r_round, cfg.abs_tol(checks.TRANSFORM))
 
-    r_inter = 0.0
-    for t in ctx.gamma.elements:
-        lhs = zak(ctx, translate(ctx.group, signals[:, :5], t))
-        rhs = determining_function(ctx, t)[:, None, None] * fibered[..., :5]
-        r_inter = max(r_inter, float(np.abs(lhs - rhs).max()))
-    record("zak_intertwining", r_inter, cfg.abs_tol(1e-10))
+    r_inter = checks.largest(
+        np.abs(
+            zak(ctx, translate(ctx.group, signals[:, :5], t))
+            - determining_function(ctx, t)[:, None, None] * fibered[..., :5]
+        ).max()
+        for t in ctx.gamma.elements
+    )
+    record("zak_intertwining", r_inter, cfg.abs_tol(checks.TRANSFORM))
 
     chars = np.column_stack([determining_function(ctx, t) for t in ctx.gamma.elements])
     r_det = np.abs(chars @ chars.conj().T / ctx.gamma.size - np.eye(ctx.n_omega)).max()
-    record("determining_set", r_det, cfg.abs_tol(1e-10))
+    record("determining_set", r_det, cfg.abs_tol(checks.TRANSFORM))
 
     delta0 = np.zeros(n, dtype=complex)
     delta0[0] = 1.0
-    r_range = 0.0
+    gaps = []
     for gens in ([delta0], [signals[:, 0], signals[:, 1]]):
         rangefn = range_function(ctx, gens)
         rangefn2 = range_function(ctx, space_from_range(ctx, rangefn).T)
-        for b1, b2 in zip(rangefn.bases, rangefn2.bases):
-            r_range = max(r_range, float(np.abs(b1 @ b1.conj().T - b2 @ b2.conj().T).max()))
-    record("range_roundtrip", r_range, cfg.abs_tol(1e-9))
+        gaps += [np.abs(rangefn.projection(wi) - rangefn2.projection(wi)).max() for wi in range(ctx.n_omega)]
+    record("range_roundtrip", checks.largest(gaps), cfg.abs_tol(checks.ROUNDTRIP))
 
     rangefn = full_range_function(ctx)
     mats = tuple(
@@ -265,10 +261,8 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     field = RangeOperatorField(mats)
     u = synthesize_operator(ctx, field, rangefn)
     recovered = extract_range_operator(ctx, u, rangefn)
-    r_bij = max(
-        float(np.abs(a - b).max()) for a, b in zip(recovered.matrices, field.matrices)
-    )
-    record("field_bijection", r_bij, cfg.abs_tol(1e-9))
+    r_bij = checks.largest(np.abs(a - b).max() for a, b in zip(recovered.matrices, field.matrices))
+    record("field_bijection", r_bij, cfg.abs_tol(checks.ROUNDTRIP))
 
     return suites
 
@@ -298,7 +292,10 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=str, default=None, help="write the JSON report to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="zakfiber",
         description="Fiberize signals on finite abelian groups and verify the "
@@ -310,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("group_spec", help="path to a group spec JSON file")
     analyze.add_argument("operator", help="path to an operator JSON file")
     _add_common_flags(analyze)
-    analyze.set_defaults(func=cmd_analyze)
 
     demo = commands.add_parser(
         "demo-diffop", help="analyze the difference operator I - T_d on Z_N"
@@ -318,27 +314,26 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("modulus", type=int, help="modulus N of the cyclic group")
     demo.add_argument("step", type=int, help="translation step d")
     _add_common_flags(demo)
-    demo.set_defaults(func=cmd_demo_diffop)
 
     check = commands.add_parser("check", help="run the invariant suites on a group spec")
     check.add_argument("group_spec", help="path to a group spec JSON file")
     _add_common_flags(check)
-    check.set_defaults(func=cmd_check)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (None, 0):
             return 0
         return 2
+    # looked up per call, so a command rebound on the module is the one run
+    commands = {"analyze": cmd_analyze, "demo-diffop": cmd_demo_diffop, "check": cmd_check}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -49,7 +49,6 @@ class FiberContext:
     _phase: np.ndarray = field(init=False, repr=False)
     _coset_plus: np.ndarray = field(init=False, repr=False)
     _gamma_keys: np.ndarray = field(init=False, repr=False)
-    _zak_matrix: list = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         orders = self.group.orders
@@ -66,7 +65,6 @@ class FiberContext:
         object.__setattr__(self, "_coset_plus", coset_plus)
         # Gamma's elements are sorted, so their ravel indices are too
         object.__setattr__(self, "_gamma_keys", np.ravel_multi_index(gamma.T, orders))
-        object.__setattr__(self, "_zak_matrix", [None])
 
     @property
     def n_omega(self) -> int:
@@ -147,18 +145,17 @@ def zak_inverse(ctx: FiberContext, fibers) -> np.ndarray:
 def zak_matrix(ctx: FiberContext) -> np.ndarray:
     """The unitary matrix of the fiberization, rows flattened as omega*|C| + c.
 
-    Cached on the context; do not mutate the returned array.
+    Built entry by entry from the phase table, as an oracle for the batched
+    transform.
     """
-    if ctx._zak_matrix[0] is None:
-        n = ctx.group.size
-        nc = ctx.n_c
-        mat = np.zeros((n, n), dtype=complex)
-        rows = np.arange(nc)[:, None]
-        for wi in range(ctx.n_omega):
-            block = mat[wi * nc : (wi + 1) * nc]
-            block[rows, ctx._coset_plus] = ctx.normalization * ctx._phase[wi][None, :]
-        ctx._zak_matrix[0] = mat
-    return ctx._zak_matrix[0]
+    n = ctx.group.size
+    nc = ctx.n_c
+    mat = np.zeros((n, n), dtype=complex)
+    rows = np.arange(nc)[:, None]
+    for wi in range(ctx.n_omega):
+        block = mat[wi * nc : (wi + 1) * nc]
+        block[rows, ctx._coset_plus] = ctx.normalization * ctx._phase[wi][None, :]
+    return mat
 
 
 def determining_function(ctx: FiberContext, gamma_elt) -> np.ndarray:

@@ -10,6 +10,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import checks
 from .fiberization import FiberContext, as_fibered
 from .groups import GroupSpec, Subgroup, make_group, subgroup_from_generators
 from .operators import RangeOperatorField, as_operator
@@ -46,6 +47,9 @@ def matrix_from_json(rows, shape=None) -> np.ndarray:
     # object, string or wrongly shaped array
     if parts.dtype.kind not in "iuf" or parts.shape != (2 * len(pairs),):
         raise ValueError("matrix entries must be [re, im] pairs of numbers")
+    # json.loads reads the NaN, Infinity and -Infinity tokens as floats
+    if not np.isfinite(parts).all():
+        raise ValueError("matrix entries must be finite")
     mat = parts.astype(float).view(complex).reshape(len(rows), n_cols)
     if shape is not None and mat.shape != tuple(shape):
         raise ValueError(f"matrix has shape {mat.shape}, expected {tuple(shape)}")
@@ -110,7 +114,7 @@ def range_function_to_json(rangefn: RangeFunction) -> dict:
     }
 
 
-def range_function_from_json(ctx: FiberContext, obj, ortho_tol: float = 1e-10) -> RangeFunction:
+def range_function_from_json(ctx: FiberContext, obj) -> RangeFunction:
     if not isinstance(obj, dict) or "bases" not in obj or "dims" not in obj:
         raise ValueError("range function JSON must contain 'dims' and 'bases'")
     dims = [int(d) for d in obj["dims"]]
@@ -123,7 +127,7 @@ def range_function_from_json(ctx: FiberContext, obj, ortho_tol: float = 1e-10) -
             mat = np.zeros((ctx.n_c, 0), dtype=complex)
         if mat.shape != (ctx.n_c, d):
             raise ValueError(f"fiber {wi} basis has shape {mat.shape}, expected ({ctx.n_c}, {d})")
-        if d and not np.abs(mat.conj().T @ mat - np.eye(d)).max() <= ortho_tol:
+        if d and not checks.passes(np.abs(mat.conj().T @ mat - np.eye(d)).max(), checks.ORTHO):
             raise ValueError(f"fiber {wi} basis columns are not orthonormal")
         bases.append(mat)
     return RangeFunction(tuple(bases))

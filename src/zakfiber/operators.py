@@ -11,31 +11,25 @@ self-adjointness and rank correspondences between the two pictures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import checks
 from .fiberization import FiberContext, determining_function, zak, zak_inverse
 from .groups import translate
 from .spaces import RangeFunction, numerical_rank, space_from_range
-
-COMMUTE_TOL = 1e-10
-SOLVE_TOL = 1e-8
-DOMAIN_TOL = 1e-10
-STRUCT_TOL = 1e-9
-NORM_TOL = 1e-8
-HS_TOL = 1e-8
-POSITIVITY_TOL = 1e-9
 
 
 class NotTranslationPreservingError(Exception):
     """The operator does not commute with the subgroup translations."""
 
-    def __init__(self, verdict: "CommutationVerdict"):
+    def __init__(self, verdict: checks.Verdict):
         self.verdict = verdict
+        t, entry = verdict.witness
         super().__init__(
-            f"operator does not commute with translation by {verdict.witness_gamma!r} "
-            f"(max commutator entry {verdict.residual:.3e} at {verdict.witness_entry})"
+            f"operator does not commute with translation by {t!r} "
+            f"(max commutator entry {verdict.residual:.3e} at {entry})"
         )
 
 
@@ -47,28 +41,6 @@ class RangeSolveError(Exception):
         super().__init__(f"fiber solve failed: off-fiber residual {residual:.3e}")
 
 
-@dataclass(frozen=True)
-class CommutationVerdict:
-    preserving: bool
-    residual: float
-    witness_gamma: tuple | None = None
-    witness_entry: tuple[int, int] | None = None
-
-    def __bool__(self) -> bool:
-        return self.preserving
-
-
-@dataclass(frozen=True)
-class MultiplicationVerdict:
-    preserving: bool
-    mode: str
-    residual: float
-    witness: object | None = None
-
-    def __bool__(self) -> bool:
-        return self.preserving
-
-
 @dataclass(frozen=True, eq=False)
 class RangeOperatorField:
     """One |C| x |C| matrix per omega, zero on the orthocomplement of its fiber."""
@@ -77,7 +49,7 @@ class RangeOperatorField:
 
     @property
     def sup_operator_norm(self) -> float:
-        return max((_opnorm(m) for m in self.matrices), default=0.0)
+        return checks.largest(_opnorm(m) for m in self.matrices)
 
 
 @dataclass
@@ -131,26 +103,27 @@ def as_operator(ctx: FiberContext, u) -> np.ndarray:
     return mat
 
 
-def check_translation_preserving(ctx: FiberContext, u, tol: float = COMMUTE_TOL) -> CommutationVerdict:
+def check_translation_preserving(ctx: FiberContext, u, tol: float = checks.COMMUTE) -> checks.Verdict:
     """Max-entry commutator test against the subgroup generators.
 
     Commuting with the generators implies commuting with every subgroup
-    element, so generators are the only probes needed.
+    element, so generators are the only probes needed. A failed verdict
+    stops at the first failing probe t, with witness ``(t, (i, j))`` at the
+    largest commutator entry.
     """
     u = as_operator(ctx, u)
     g = ctx.group
-    probes = ctx.gamma.generators or ctx.gamma.elements
-    worst = 0.0
-    for t in probes:
+    residuals = []
+    for t in ctx.gamma.generators or ctx.gamma.elements:
         # T_t u permutes the rows of u; u T_t = (T_{-t} u^T)^T permutes its
         # columns. Both are exact gathers, so no translation matrix is formed.
-        comm = translate(g, u.T, g.neg(t)).T - translate(g, u, t)
-        r = float(np.abs(comm).max())
-        if r > tol:
-            i, j = np.unravel_index(int(np.argmax(np.abs(comm))), comm.shape)
-            return CommutationVerdict(False, r, t, (int(i), int(j)))
-        worst = max(worst, r)
-    return CommutationVerdict(True, worst)
+        comm = np.abs(translate(g, u.T, g.neg(t)).T - translate(g, u, t))
+        residuals.append(comm.max())
+        verdict = checks.gate(residuals[-1], tol)
+        if not verdict:
+            i, j = np.unravel_index(int(np.argmax(comm)), comm.shape)
+            return replace(verdict, witness=(t, (int(i), int(j))))
+    return checks.gate(checks.largest(residuals), tol)
 
 
 def solve_range_field(ctx: FiberContext, u, rangefn: RangeFunction):
@@ -172,34 +145,23 @@ def solve_range_field(ctx: FiberContext, u, rangefn: RangeFunction):
     return RangeOperatorField(matrices), residual
 
 
-def extract_range_operator(
-    ctx: FiberContext,
-    u,
-    rangefn: RangeFunction,
-    tol: float = SOLVE_TOL,
-    commute_tol: float = COMMUTE_TOL,
-) -> RangeOperatorField:
+def extract_range_operator(ctx: FiberContext, u, rangefn: RangeFunction) -> RangeOperatorField:
     """The field R with zak(U f)(omega) = R(omega) zak(f)(omega) on the space.
 
     Raises :class:`NotTranslationPreservingError` (with the commutator
     witness) when u fails the commutation test, and :class:`RangeSolveError`
-    when the fiber solve leaves an off-fiber residual above tol.
+    when the fiber solve leaves an off-fiber residual above ``checks.SOLVE``.
     """
-    verdict = check_translation_preserving(ctx, u, tol=commute_tol)
+    verdict = check_translation_preserving(ctx, u)
     if not verdict:
         raise NotTranslationPreservingError(verdict)
     field, residual = solve_range_field(ctx, u, rangefn)
-    if not residual <= tol:
+    if not checks.passes(residual, checks.SOLVE):
         raise RangeSolveError(residual)
     return field
 
 
-def synthesize_operator(
-    ctx: FiberContext,
-    field: RangeOperatorField,
-    rangefn: RangeFunction,
-    domain_tol: float = DOMAIN_TOL,
-) -> np.ndarray:
+def synthesize_operator(ctx: FiberContext, field: RangeOperatorField, rangefn: RangeFunction) -> np.ndarray:
     """Conjugate the block-diagonal field back to an operator on signals.
 
     The result acts as the field on the space of the range function and as
@@ -222,7 +184,7 @@ def synthesize_operator(
             raise ValueError(f"fiber matrix {wi} has shape {mat.shape}, expected ({nc}, {nc})")
         proj = fiber_basis @ fiber_basis.conj().T
         leak = np.abs(mat @ (np.eye(nc) - proj)).max() if nc else 0.0
-        if not leak <= domain_tol:
+        if not checks.passes(leak, checks.DOMAIN):
             raise ValueError(
                 f"fiber matrix {wi} does not vanish on the fiber orthocomplement "
                 f"(residual {leak:.3e})"
@@ -232,18 +194,15 @@ def synthesize_operator(
     return zak_inverse(ctx, left.conj().T.reshape(shape)).conj().T
 
 
-def multiplication_preserving_check(
-    ctx: FiberContext,
-    uhat,
-    mode: str = "determining-set",
-    tol: float = COMMUTE_TOL,
-) -> MultiplicationVerdict:
+def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determining-set") -> checks.Verdict:
     """Commutation test for an operator on the flattened fiber space.
 
-    ``determining-set`` probes multiplication by every restricted character;
-    ``full`` probes every omega-indicator, which is the same as requiring the
-    matrix to be block diagonal over omega. The two modes agree on every
-    input away from the tolerance edge.
+    ``determining-set`` probes multiplication by every restricted character
+    and names the first failing element t of Gamma as its witness; ``full``
+    probes every omega-indicator, which is the same as requiring the matrix
+    to be block diagonal over omega, and names the largest off-diagonal
+    block ``(wi, wj)``. The two modes agree on every input away from the
+    tolerance edge.
     """
     n = ctx.group.size
     nc = ctx.n_c
@@ -251,24 +210,21 @@ def multiplication_preserving_check(
     if uhat.shape != (n, n):
         raise ValueError(f"fibered operator has shape {uhat.shape}, expected ({n}, {n})")
     if mode == "determining-set":
-        worst = 0.0
+        residuals = []
         for t in ctx.gamma.elements:
             diag = np.repeat(determining_function(ctx, t), nc)
-            comm = uhat * diag[None, :] - diag[:, None] * uhat
-            r = float(np.abs(comm).max())
-            if not r <= tol:
-                return MultiplicationVerdict(False, mode, r, t)
-            worst = max(worst, r)
-        return MultiplicationVerdict(True, mode, worst)
+            residuals.append(np.abs(uhat * diag[None, :] - diag[:, None] * uhat).max())
+            verdict = checks.gate(residuals[-1], checks.COMMUTE)
+            if not verdict:
+                return replace(verdict, witness=t)
+        return checks.gate(checks.largest(residuals), checks.COMMUTE)
     if mode == "full":
         # blocks[wi, wj] is the largest entry of the (wi, wj) block
         blocks = np.abs(uhat).reshape(ctx.n_omega, nc, ctx.n_omega, nc).max(axis=(1, 3))
         np.fill_diagonal(blocks, 0.0)
         wi, wj = np.unravel_index(int(np.argmax(blocks)), blocks.shape)
-        worst = float(blocks[wi, wj])
-        if not worst <= tol:
-            return MultiplicationVerdict(False, mode, worst, (int(wi), int(wj)))
-        return MultiplicationVerdict(True, mode, worst)
+        verdict = checks.gate(blocks[wi, wj], checks.COMMUTE)
+        return verdict if verdict else replace(verdict, witness=(int(wi), int(wj)))
     raise ValueError(f"unknown mode {mode!r}; expected 'determining-set' or 'full'")
 
 
@@ -277,17 +233,17 @@ def norm_identity_report(
     u,
     field: RangeOperatorField,
     rangefn: RangeFunction,
-    tol: float = NORM_TOL,
+    tol: float = checks.NORM,
 ) -> VerificationReport:
     """Operator norm on the space versus the largest fiber operator norm."""
     u = as_operator(ctx, u)
     basis = space_from_range(ctx, rangefn)
     op_norm = _opnorm(u @ basis)
     fiber_norms = [_opnorm(mat @ fb) for mat, fb in zip(field.matrices, rangefn.bases)]
-    fiber_max = max(fiber_norms, default=0.0)
+    fiber_max = checks.largest(fiber_norms)
     witness = int(np.argmax(fiber_norms)) if fiber_norms else None
     gap = abs(op_norm - fiber_max)
-    ok = gap <= tol * max(1.0, op_norm)
+    ok = checks.passes(gap, tol, op_norm)
     return VerificationReport(
         passed=ok,
         verdicts={"norm_identity": ok},
@@ -307,9 +263,7 @@ def hs_trace_report(
     field: RangeOperatorField,
     rangefn: RangeFunction,
     frame,
-    tol: float = HS_TOL,
-    frame_tol: float = 1e-9,
-    positivity_tol: float = POSITIVITY_TOL,
+    tol: float = checks.HS,
 ) -> VerificationReport:
     """Hilbert-Schmidt norm and trace computed three independent ways.
 
@@ -325,7 +279,7 @@ def hs_trace_report(
     vectors = [np.asarray(y, dtype=complex) for y in frame]
     frame = np.stack(vectors, axis=1) if vectors else np.zeros((ctx.group.size, 0), dtype=complex)
     frame_residual = float(np.abs(frame @ frame.conj().T - basis @ basis.conj().T).max())
-    if not frame_residual <= frame_tol:
+    if not checks.passes(frame_residual, checks.FRAME):
         raise ValueError(
             f"frame is not Parseval for the space (frame operator residual {frame_residual:.3e})"
         )
@@ -340,7 +294,7 @@ def hs_trace_report(
     hs_fiber = float(sum(hs_fiber_terms))
     hs_values = {"entrywise": hs_entry, "frame": hs_frame, "fiber": hs_fiber}
     hs_res = _pairwise_gap(hs_values.values())
-    hs_ok = hs_res <= tol * max(1.0, hs_entry)
+    hs_ok = checks.passes(hs_res, tol, hs_entry)
 
     verdicts = {"hs_agree": hs_ok}
     residuals = {"hs_pairwise_gap": hs_res, "frame_operator": frame_residual}
@@ -354,7 +308,9 @@ def hs_trace_report(
         if compressed.size
         else 0.0
     )
-    positive = herm_gap <= positivity_tol and lam_min >= -positivity_tol * max(1.0, _opnorm(restricted))
+    positive = checks.passes(herm_gap, checks.POSITIVITY) and checks.passes(
+        -lam_min, checks.POSITIVITY, _opnorm(restricted)
+    )
     values["positivity"] = {"hermitian_gap": herm_gap, "min_eigenvalue": lam_min, "positive": positive}
 
     if positive:
@@ -368,7 +324,7 @@ def hs_trace_report(
         tr_values = {"basis": tr_basis, "frame": tr_frame, "fiber": tr_fiber}
         values["trace_fiber_terms"] = tr_fiber_terms
         tr_res = _pairwise_gap(tr_values.values())
-        tr_ok = tr_res <= tol * max(1.0, abs(tr_basis))
+        tr_ok = checks.passes(tr_res, tol, abs(tr_basis))
         verdicts["trace_agree"] = tr_ok
         residuals["trace_pairwise_gap"] = tr_res
         values["trace"] = tr_values
@@ -386,10 +342,7 @@ def hs_trace_report(
 
 def _pairwise_gap(values) -> float:
     vals = list(values)
-    return max(
-        (abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1 :]),
-        default=0.0,
-    )
+    return checks.largest(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1 :])
 
 
 def structural_flags(
@@ -397,7 +350,7 @@ def structural_flags(
     u,
     field: RangeOperatorField,
     rangefn: RangeFunction,
-    tol: float = STRUCT_TOL,
+    tol: float = checks.STRUCT,
 ) -> VerificationReport:
     """Isometry, self-adjointness and rank compared between the two pictures.
 
@@ -410,28 +363,22 @@ def structural_flags(
     d = basis.shape[1]
     restricted = u @ basis
 
+    # fibers of dimension 0 have nothing to check
+    pairs = [(mat, fb) for mat, fb in zip(field.matrices, rangefn.bases) if fb.shape[1]]
+
     gram = restricted.conj().T @ restricted
     iso_res_op = float(np.abs(gram - np.eye(d)).max()) if d else 0.0
-    iso_fiber_res = 0.0
-    for mat, fb in zip(field.matrices, rangefn.bases):
-        dw = fb.shape[1]
-        if dw == 0:
-            continue
-        rb = mat @ fb
-        iso_fiber_res = max(iso_fiber_res, float(np.abs(rb.conj().T @ rb - np.eye(dw)).max()))
-    iso_op = iso_res_op <= tol
-    iso_fib = iso_fiber_res <= tol
+    images = [mat @ fb for mat, fb in pairs]
+    iso_fiber_res = checks.largest(np.abs(rb.conj().T @ rb - np.eye(rb.shape[1])).max() for rb in images)
+    iso_op = checks.passes(iso_res_op, tol)
+    iso_fib = checks.passes(iso_fiber_res, tol)
 
     compressed = basis.conj().T @ restricted
     sa_res_op = float(np.abs(compressed - compressed.conj().T).max()) if d else 0.0
-    sa_fiber_res = 0.0
-    for mat, fb in zip(field.matrices, rangefn.bases):
-        if fb.shape[1] == 0:
-            continue
-        block = fb.conj().T @ mat @ fb
-        sa_fiber_res = max(sa_fiber_res, float(np.abs(block - block.conj().T).max()))
-    sa_op = sa_res_op <= tol
-    sa_fib = sa_fiber_res <= tol
+    blocks = [fb.conj().T @ mat @ fb for mat, fb in pairs]
+    sa_fiber_res = checks.largest(np.abs(block - block.conj().T).max() for block in blocks)
+    sa_op = checks.passes(sa_res_op, tol)
+    sa_fib = checks.passes(sa_fiber_res, tol)
 
     rank_op = numerical_rank(restricted)
     fiber_ranks = [numerical_rank(mat @ fb) for mat, fb in zip(field.matrices, rangefn.bases)]

@@ -6,11 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .fiberization import FiberContext, zak, zak_inverse
 from .groups import as_signal, translate
-
-RANK_TOL = 1e-9
-INVARIANCE_TOL = 1e-9
 
 
 class NotTranslationInvariantError(ValueError):
@@ -46,32 +44,35 @@ class RangeFunction:
         return b @ b.conj().T
 
 
-def _rank_cut(s: np.ndarray, tol: float) -> int:
-    """Number of singular values above tol * max(1, sigma_max)."""
-    return int(np.sum(s > tol * max(1.0, float(s[0]))))
+def _rank_cut(s: np.ndarray) -> int:
+    """Number of singular values above checks.RANK * max(1, sigma_max)."""
+    return int(np.sum(s > checks.threshold(checks.RANK, s[0])))
 
 
-def numerical_rank(mat: np.ndarray, tol: float = RANK_TOL) -> int:
-    """Rank with the fixed threshold tol * max(1, sigma_max)."""
+def numerical_rank(mat: np.ndarray) -> int:
+    """Rank with the fixed threshold checks.RANK * max(1, sigma_max)."""
     if mat.size == 0:
         return 0
-    return _rank_cut(np.linalg.svd(mat, compute_uv=False), tol)
+    return _rank_cut(np.linalg.svd(mat, compute_uv=False))
 
 
-def _column_span(mat: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the numerical column span of mat.
+def _column_spans(stacked: np.ndarray) -> list[np.ndarray]:
+    """Orthonormal basis of the numerical column span of each stacked matrix.
 
-    The left singular directions above the rank cut, each rotated so its
-    largest-modulus entry is real positive; this keeps orthonormality and
-    makes the basis reproducible across LAPACK builds.
+    One SVD over the whole ``(|Omega|, |C|, k)`` stack; per matrix, the left
+    singular directions above its rank cut, each rotated so its
+    largest-modulus entry is real positive. The rotation keeps
+    orthonormality and makes the basis reproducible across LAPACK builds.
     """
-    u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    u = u[:, : _rank_cut(s, tol)]
-    pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    return u * (pivots.conj() / np.abs(pivots))
+    spans = []
+    for u, s in zip(*np.linalg.svd(stacked, full_matrices=False)[:2]):
+        u = u[:, : _rank_cut(s)]
+        pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+        spans.append(u * (pivots.conj() / np.abs(pivots)))
+    return spans
 
 
-def range_function(ctx: FiberContext, generators, rank_tol: float = RANK_TOL) -> RangeFunction:
+def range_function(ctx: FiberContext, generators) -> RangeFunction:
     """Per-omega orthonormalized span of the generator fibers.
 
     An empty generator list yields the zero range function.
@@ -81,7 +82,7 @@ def range_function(ctx: FiberContext, generators, rank_tol: float = RANK_TOL) ->
         return RangeFunction(tuple(np.zeros((ctx.n_c, 0), dtype=complex) for _ in range(ctx.n_omega)))
     # fibered[wi] stacks the omega-fibers of all generators as columns
     fibered = zak(ctx, np.stack(gens, axis=1))
-    return RangeFunction(tuple(_column_span(stacked, rank_tol) for stacked in fibered))
+    return RangeFunction(tuple(_column_spans(fibered)))
 
 
 def full_range_function(ctx: FiberContext) -> RangeFunction:
@@ -114,42 +115,31 @@ def project_via_fibers(ctx: FiberContext, rangefn: RangeFunction, f) -> np.ndarr
     return zak_inverse(ctx, out)
 
 
-@dataclass(frozen=True)
-class InvarianceVerdict:
-    invariant: bool
-    residual: float
-    witness_gamma: tuple | None = None
-    witness_column: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.invariant
-
-
-def is_translation_invariant(ctx: FiberContext, basis, tol: float = INVARIANCE_TOL) -> InvarianceVerdict:
+def is_translation_invariant(ctx: FiberContext, basis) -> checks.Verdict:
     """Check that translating every basis vector stays in the span.
 
     Checking the generators of the subgroup suffices by additivity; the full
-    element list is used when no generator list is stored.
+    element list is used when no generator list is stored. A failed verdict
+    names the first failing probe t and basis column j as ``(t, j)``.
     """
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim != 2 or basis.shape[0] != ctx.group.size:
         raise ValueError(f"basis has shape {basis.shape}, expected ({ctx.group.size}, d)")
     if basis.shape[1] == 0:
-        return InvarianceVerdict(True, 0.0)
-    probes = ctx.gamma.generators or ctx.gamma.elements
-    worst = 0.0
-    for t in probes:
+        return checks.gate(0.0, checks.INVARIANCE)
+    residuals = []
+    for t in ctx.gamma.generators or ctx.gamma.elements:
         shifted = translate(ctx.group, basis, t)
         resid = np.abs(shifted - basis @ (basis.conj().T @ shifted)).max(axis=0)  # per column
-        over = np.flatnonzero(~(resid <= tol))  # NaN fails
+        over = np.flatnonzero(~checks.passes(resid, checks.INVARIANCE))
         if over.size:
             j = int(over[0])
-            return InvarianceVerdict(False, float(resid[j]), t, j)
-        worst = max(worst, float(resid.max()))
-    return InvarianceVerdict(True, worst)
+            return checks.gate(resid[j], checks.INVARIANCE, witness=(t, j))
+        residuals.append(resid.max())
+    return checks.gate(checks.largest(residuals), checks.INVARIANCE)
 
 
-def principal_decomposition(ctx: FiberContext, basis, rank_tol: float = RANK_TOL):
+def principal_decomposition(ctx: FiberContext, basis):
     """Split an invariant space into singly generated orthogonal components.
 
     Returns generators phi_1..phi_N whose fibers are the left singular
@@ -162,11 +152,11 @@ def principal_decomposition(ctx: FiberContext, basis, rank_tol: float = RANK_TOL
     basis = np.asarray(basis, dtype=complex)
     verdict = is_translation_invariant(ctx, basis)
     if not verdict:
-        raise NotTranslationInvariantError(verdict.witness_gamma, verdict.witness_column, verdict.residual)
+        raise NotTranslationInvariantError(*verdict.witness, verdict.residual)
     if basis.shape[1] == 0:
         return []
     # per omega: |C| x rank matrix of singular directions
-    directions = [_column_span(stacked, rank_tol) for stacked in zak(ctx, basis)]
+    directions = _column_spans(zak(ctx, basis))
     n_generators = max(mat.shape[1] for mat in directions)
     fibers = np.zeros(ctx.fiber_shape() + (n_generators,), dtype=complex)
     for wi, mat in enumerate(directions):
@@ -174,16 +164,16 @@ def principal_decomposition(ctx: FiberContext, basis, rank_tol: float = RANK_TOL
     return list(zak_inverse(ctx, fibers).T)
 
 
-def parseval_fiber_check(ctx: FiberContext, phi, tol: float = 1e-9) -> bool:
-    """True when every fiber of phi has norm 0 or 1 (within tol).
+def parseval_fiber_check(ctx: FiberContext, phi) -> bool:
+    """True when every fiber of phi has norm 0 or 1 (within checks.PARSEVAL).
 
     Generators with this property produce translate families that are tight
     for their generated space once rescaled by |Gamma|^(-1/2); see
     :func:`translate_parseval_frame`.
     """
-    fibers = zak(ctx, phi)
-    norms = np.linalg.norm(fibers, axis=1)
-    return bool(np.all((norms <= tol) | (np.abs(norms - 1.0) <= tol)))
+    norms = np.linalg.norm(zak(ctx, phi), axis=1)
+    # distance of each norm from the nearer of 0 and 1
+    return bool(np.all(checks.passes(np.minimum(norms, np.abs(norms - 1.0)), checks.PARSEVAL)))
 
 
 def translate_parseval_frame(ctx: FiberContext, generators) -> list[np.ndarray]:

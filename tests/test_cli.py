@@ -71,6 +71,19 @@ class TestAnalyze:
         op.write_text(json.dumps({"matrix": [[[None, 0.0]] * 4] * 4}))
         assert main(["analyze", f1_spec, str(op)]) == 2
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, flag, value):
+        # a non-commuting operator fails at the default tolerances; an
+        # infinite or NaN tolerance must not turn that into a pass
+        spec = tmp_path / "z8.json"
+        spec.write_text(json.dumps({"orders": [8], "gamma_generators": [[2]]}))
+        rng = np.random.default_rng(3)
+        op = write_operator(tmp_path, "rand.json", rng.standard_normal((8, 8)))
+        assert main(["analyze", str(spec), op]) == 1
+        assert main(["analyze", str(spec), op, flag, value]) == 2
+        assert main(["analyze", str(spec), op, "--tol-abs", value, "--tol-rel", value]) == 2
+
     def test_text_summary_stays_small(self, tmp_path, capsys):
         # |C| = 32: the range field alone is ~100 kB of JSON
         spec = tmp_path / "z64.json"
@@ -154,6 +167,16 @@ class TestContract:
     def test_usage_error_exit_code(self):
         assert main([]) == 2
         assert main(["frobnicate"]) == 2
+
+    def test_parser_is_built_once(self, f1_spec):
+        assert cli.build_parser() is cli.build_parser()
+        assert main(["check", f1_spec]) == 0
+        assert main(["check", f1_spec, "--tol-abs", "1e-20"]) == 1
+        assert main(["check", f1_spec]) == 0
+
+    def test_commands_are_looked_up_per_call(self, f1_spec, monkeypatch):
+        monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+        assert main(["check", f1_spec]) == 7
 
     def test_module_entry_point_runs_the_cli(self):
         src = str(Path(cli.__file__).resolve().parents[1])

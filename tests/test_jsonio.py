@@ -1,5 +1,7 @@
 """Round trips and validation for the JSON wire formats."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,32 @@ def test_field_roundtrip(z8_ctx):
     assert back_rangefn.dims == rangefn.dims
     for a, b in zip(back_field.matrices, field.matrices):
         assert np.array_equal(a, b)
+
+
+def _reload(obj):
+    # json.dumps writes NaN and Infinity tokens, and json.loads reads them back
+    return json.loads(json.dumps(obj))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_matrix_from_json_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="finite"):
+        jsonio.matrix_from_json(_reload([[[1.0, value]]]))
+
+
+def test_fibered_rejects_nan(z8_ctx):
+    obj = jsonio.fibered_to_json(z8_ctx, zak(z8_ctx, delta(z8_ctx.group, (0,))))
+    obj["fibers"][0][0] = [float("nan"), 0.0]
+    with pytest.raises(ValueError, match="finite"):
+        jsonio.fibered_from_json(z8_ctx, _reload(obj))
+
+
+def test_field_rejects_nan(z8_ctx):
+    rangefn = full_range_function(z8_ctx)
+    obj = jsonio.field_to_json(rand_field(np.random.default_rng(74), z8_ctx, rangefn), rangefn)
+    obj["matrices"][0][0][0] = [float("nan"), 0.0]
+    with pytest.raises(ValueError, match="finite"):
+        jsonio.field_from_json(z8_ctx, _reload(obj))
 
 
 def test_field_requires_matrices(z8_ctx):

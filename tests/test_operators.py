@@ -45,7 +45,7 @@ class TestCheckTranslationPreserving:
         u = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         verdict = check_translation_preserving(f1_ctx, u)
         assert not verdict
-        assert verdict.witness_gamma == (2,)
+        assert verdict.witness[0] == (2,)
         # hand-sized oracle: the commutator with T_2 has unit entries
         t2 = translation_matrix(f1_ctx.group, (2,))
         comm = u @ t2 - t2 @ u
@@ -70,7 +70,7 @@ class TestCheckTranslationPreserving:
                     witness = (t, (int(i), int(j)))
                     break
             assert verdict.residual == worst
-            assert (verdict.witness_gamma, verdict.witness_entry) == witness
+            assert (verdict.witness or (None, None)) == witness
 
     def test_identity_commutes(self, ctx):
         assert check_translation_preserving(ctx, np.eye(ctx.group.size, dtype=complex))
@@ -119,17 +119,19 @@ class TestExtract:
         u = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         with pytest.raises(NotTranslationPreservingError) as excinfo:
             extract_range_operator(f1_ctx, u, full_range_function(f1_ctx))
-        assert excinfo.value.verdict.witness_gamma == (2,)
+        assert excinfo.value.verdict.witness[0] == (2,)
 
-    def test_off_fiber_leakage_is_a_hard_failure(self, f1_ctx):
+    def test_off_fiber_leakage_is_a_hard_failure(self, f1_ctx, monkeypatch):
         # skip the commutation gate to reach the solve residual detector
         rng = np.random.default_rng(51)
         u = rand_signal(rng, 16).reshape(4, 4)
         field, residual = solve_range_field(f1_ctx, u, full_range_function(f1_ctx))
         assert residual > 1e-3
+        passing = operators.checks.Verdict(True, 0.0, np.inf)
+        monkeypatch.setattr(operators, "check_translation_preserving", lambda *args: passing)
         with pytest.raises(RangeSolveError):
             extract_range_operator(
-                f1_ctx, u, full_range_function(f1_ctx), commute_tol=np.inf
+                f1_ctx, u, full_range_function(f1_ctx)
             )
 
 
@@ -321,6 +323,18 @@ class TestHsTrace:
         with pytest.raises(ValueError):
             hs_trace_report(f1_ctx, u, field, rangefn, [np.full(4, np.nan, dtype=complex)] * 4)
 
+    def test_nan_field_fails_hs_and_trace(self, f1_ctx):
+        # one NaN fiber entry makes the fiber routes NaN; the route comparison
+        # must fail rather than drop the NaN gap
+        rangefn = full_range_function(f1_ctx)
+        u = np.eye(4, dtype=complex)
+        mats = [mat.copy() for mat in extract_range_operator(f1_ctx, u, rangefn).matrices]
+        mats[0][0, 0] = np.nan
+        field = RangeOperatorField(tuple(mats))
+        hs = hs_trace_report(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx))
+        assert np.isnan(hs.values["hs_squared"]["fiber"]) and np.isnan(hs.values["trace"]["fiber"])
+        assert not hs.verdicts["hs_agree"] and not hs.verdicts["trace_agree"] and not hs.passed
+
     def test_frame_independence(self, ctx):
         # the HS sum agrees across an orthonormal basis, the scaled translate
         # frame, and a redundant random Parseval frame
@@ -459,7 +473,7 @@ class TestMultiplicationPreserving:
             uhat = rand_signal(rng, n * n).reshape(n, n)
             det = multiplication_preserving_check(ctx, uhat, mode="determining-set")
             full = multiplication_preserving_check(ctx, uhat, mode="full")
-            assert det.preserving == full.preserving
+            assert det.passed == full.passed
 
     @pytest.mark.parametrize("mode", ["determining-set", "full"])
     def test_nan_operator_fails(self, f1_ctx, mode):
