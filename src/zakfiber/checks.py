@@ -55,9 +55,9 @@ def passes(residual, tol: float, scale=0.0):
     return ok if ok.ndim else bool(ok)
 
 
-def gate(residual, tol: float, scale=0.0, witness=None) -> Verdict:
-    """The :class:`Verdict` of the gate rule on one residual."""
-    return Verdict(passes(residual, tol, scale), float(residual), float(tol), witness)
+def gate(residual, tol: float, witness=None) -> Verdict:
+    """The :class:`Verdict` of the absolute gate rule on one residual."""
+    return Verdict(passes(residual, tol), float(residual), float(tol), witness)
 
 
 def largest(values) -> float:

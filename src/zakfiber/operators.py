@@ -11,7 +11,7 @@ self-adjointness and rank correspondences between the two pictures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -118,11 +118,11 @@ def check_translation_preserving(ctx: FiberContext, u, tol: float = checks.COMMU
         # T_t u permutes the rows of u; u T_t = (T_{-t} u^T)^T permutes its
         # columns. Both are exact gathers, so no translation matrix is formed.
         comm = np.abs(translate(g, u.T, g.neg(t)).T - translate(g, u, t))
-        residuals.append(comm.max())
-        verdict = checks.gate(residuals[-1], tol)
-        if not verdict:
+        r = comm.max()
+        residuals.append(r)
+        if not checks.passes(r, tol):
             i, j = np.unravel_index(int(np.argmax(comm)), comm.shape)
-            return replace(verdict, witness=(t, (int(i), int(j))))
+            return checks.gate(r, tol, witness=(t, (int(i), int(j))))
     return checks.gate(checks.largest(residuals), tol)
 
 
@@ -213,18 +213,19 @@ def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determ
         residuals = []
         for t in ctx.gamma.elements:
             diag = np.repeat(determining_function(ctx, t), nc)
-            residuals.append(np.abs(uhat * diag[None, :] - diag[:, None] * uhat).max())
-            verdict = checks.gate(residuals[-1], checks.COMMUTE)
-            if not verdict:
-                return replace(verdict, witness=t)
+            r = np.abs(uhat * diag[None, :] - diag[:, None] * uhat).max()
+            residuals.append(r)
+            if not checks.passes(r, checks.COMMUTE):
+                return checks.gate(r, checks.COMMUTE, witness=t)
         return checks.gate(checks.largest(residuals), checks.COMMUTE)
     if mode == "full":
         # blocks[wi, wj] is the largest entry of the (wi, wj) block
         blocks = np.abs(uhat).reshape(ctx.n_omega, nc, ctx.n_omega, nc).max(axis=(1, 3))
         np.fill_diagonal(blocks, 0.0)
         wi, wj = np.unravel_index(int(np.argmax(blocks)), blocks.shape)
-        verdict = checks.gate(blocks[wi, wj], checks.COMMUTE)
-        return verdict if verdict else replace(verdict, witness=(int(wi), int(wj)))
+        r = blocks[wi, wj]
+        witness = None if checks.passes(r, checks.COMMUTE) else (int(wi), int(wj))
+        return checks.gate(r, checks.COMMUTE, witness=witness)
     raise ValueError(f"unknown mode {mode!r}; expected 'determining-set' or 'full'")
 
 

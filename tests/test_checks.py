@@ -47,15 +47,12 @@ class TestGate:
         assert type(verdict.residual) is float
 
     def test_passing_verdict_is_truthy(self):
-        verdict = checks.gate(0.5, 1e-8, scale=1e8)
+        verdict = checks.gate(1e-8, 1e-8)
         assert verdict and verdict.passed and verdict.witness is None
 
     def test_nan_residual_fails(self):
         verdict = checks.gate(NAN, 1e-8)
         assert not verdict and math.isnan(verdict.residual)
-
-    def test_nan_scale_fails(self):
-        assert not checks.gate(0.0, 1e-8, scale=NAN)
 
 
 class TestLargest:
