@@ -88,7 +88,7 @@ def _context_from_spec(path: str):
 
 
 def _emit(report: dict, cfg: RunConfig) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = jsonio.report_text(report)
     if cfg.out_path:
         Path(cfg.out_path).write_text(text + "\n", encoding="utf-8")
     if cfg.json_out:
@@ -171,6 +171,8 @@ def cmd_demo_diffop(args) -> int:
     n = args.modulus
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
+    if n > jsonio.MAX_GROUP_ORDER:
+        raise ValueError(f"modulus {n} exceeds the group order limit {jsonio.MAX_GROUP_ORDER}")
     if args.step < 0:
         raise ValueError(f"step must be non-negative, got {args.step}")
     g = make_group([n])

@@ -2,11 +2,15 @@
 
 Complex numbers are always serialized as ``[re, im]`` pairs, matrices
 row-major, and group elements as integer arrays in enumeration order.
+Reports are written by :func:`report_text`.
 """
 
 from __future__ import annotations
 
+import json
+import math
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -15,6 +19,10 @@ from .fiberization import FiberContext, as_fibered
 from .groups import GroupSpec, Subgroup, make_group, subgroup_from_generators
 from .operators import RangeOperatorField, as_operator
 from .spaces import RangeFunction
+
+# The largest group order accepted as input. Every command holds dense
+# |G| x |G| complex matrices, 16 |G|^2 bytes each: 4 GiB at this order.
+MAX_GROUP_ORDER = 2**14
 
 
 def complex_to_pair(z) -> list[float]:
@@ -72,6 +80,8 @@ def group_spec_from_json(obj) -> tuple[GroupSpec, Subgroup]:
     orders = obj["orders"]
     if not _is_int_list(orders):
         raise ValueError(f"'orders' must be a list of integers, got {orders!r}")
+    if math.prod(orders) > MAX_GROUP_ORDER:
+        raise ValueError(f"group order {math.prod(orders)} exceeds the limit {MAX_GROUP_ORDER}")
     g = make_group(orders)
     gens = obj.get("gamma_generators", [])
     if not isinstance(gens, list) or not all(_is_int_list(t) for t in gens):
@@ -117,11 +127,15 @@ def range_function_to_json(rangefn: RangeFunction) -> dict:
 def range_function_from_json(ctx: FiberContext, obj) -> RangeFunction:
     if not isinstance(obj, dict) or "bases" not in obj or "dims" not in obj:
         raise ValueError("range function JSON must contain 'dims' and 'bases'")
-    dims = [int(d) for d in obj["dims"]]
+    dims, fiber_rows = obj["dims"], obj["bases"]
+    if not _is_int_list(dims) or any(d < 0 for d in dims):
+        raise ValueError(f"'dims' must be a list of non-negative integers, got {dims!r}")
     if len(dims) != ctx.n_omega:
         raise ValueError(f"range function has {len(dims)} fibers, expected {ctx.n_omega}")
+    if not isinstance(fiber_rows, list) or len(fiber_rows) != len(dims):
+        raise ValueError(f"range function needs one basis per fiber, {len(dims)} in all")
     bases = []
-    for wi, (d, rows) in enumerate(zip(dims, obj["bases"])):
+    for wi, (d, rows) in enumerate(zip(dims, fiber_rows)):
         mat = matrix_from_json(rows)
         if mat.size == 0:
             mat = np.zeros((ctx.n_c, 0), dtype=complex)
@@ -162,3 +176,76 @@ def field_from_json(ctx: FiberContext, obj) -> tuple[RangeOperatorField, RangeFu
     if len(mats) != ctx.n_omega:
         raise ValueError(f"field has {len(mats)} fibers, expected {ctx.n_omega}")
     return RangeOperatorField(tuple(mats)), rangefn
+
+
+def report_text(report) -> str:
+    """The stdlib's ``json.dumps`` of the report with two-space indents and
+    sorted keys, byte for byte.
+
+    With an indent the stdlib encoder runs in pure Python, one generator
+    step per token. Here containers are joined as strings, and a nested list
+    of one box shape whose leaves are all plain floats (the field matrices
+    and bases) is written in one pass: one ``float.__repr__`` per leaf and
+    one template for the brackets and indentation.
+    """
+    return _encode(report, "\n")
+
+
+def _encode(obj, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{encode_basestring_ascii(_key(k))}: {_encode(v, inner)}" for k, v in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        box = np.array(obj, dtype=object)
+        leaves = box.ravel().tolist()
+        if leaves and set(map(type, leaves)) == {float}:
+            return _float_box(box.shape, leaves, newline)
+        return "[" + inner + ("," + inner).join(_encode(v, inner) for v in obj) + newline + "]"
+    return _scalar(obj)
+
+
+def _float_box(shape, leaves: list, newline: str) -> str:
+    template = "{}"
+    for depth in range(len(shape), 0, -1):
+        inner = newline + "  " * depth
+        template = "[" + inner + ("," + inner).join([template] * shape[depth - 1]) + inner[:-2] + "]"
+    text = template.format(*map(float.__repr__, leaves))
+    # repr spells the non-finite floats nan, inf and -inf; no other float
+    # repr, and nothing in the template, contains an "n"
+    if "n" in text:
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+def _scalar(obj) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    return json.dumps(obj)
+
+
+def _key(key) -> str:
+    # the stdlib writes int, float, bool and None keys as their JSON text
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return _scalar(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

@@ -11,6 +11,7 @@ self-adjointness and rank correspondences between the two pictures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,11 @@ def _jsonable(obj):
 
 
 def _opnorm(mat: np.ndarray) -> float:
+    """Spectral norm; NaN for a non-finite matrix, where the SVD would not converge."""
     if mat.size == 0:
         return 0.0
+    if not np.isfinite(mat).all():
+        return math.nan
     return float(np.linalg.norm(mat, 2))
 
 
@@ -366,11 +370,16 @@ def structural_flags(
 
     # fibers of dimension 0 have nothing to check
     pairs = [(mat, fb) for mat, fb in zip(field.matrices, rangefn.bases) if fb.shape[1]]
+    images = [mat @ fb for mat, fb in zip(field.matrices, rangefn.bases)]
+    # a non-finite field or basis leaves the comparison undefined: no verdict
+    # that compares the two sides passes, and no rank is taken
+    finite = bool(np.isfinite(restricted).all()) and all(np.isfinite(rb).all() for rb in images)
 
     gram = restricted.conj().T @ restricted
     iso_res_op = float(np.abs(gram - np.eye(d)).max()) if d else 0.0
-    images = [mat @ fb for mat, fb in pairs]
-    iso_fiber_res = checks.largest(np.abs(rb.conj().T @ rb - np.eye(rb.shape[1])).max() for rb in images)
+    iso_fiber_res = checks.largest(
+        np.abs(rb.conj().T @ rb - np.eye(rb.shape[1])).max() for rb in images if rb.shape[1]
+    )
     iso_op = checks.passes(iso_res_op, tol)
     iso_fib = checks.passes(iso_fiber_res, tol)
 
@@ -381,18 +390,18 @@ def structural_flags(
     sa_op = checks.passes(sa_res_op, tol)
     sa_fib = checks.passes(sa_fiber_res, tol)
 
-    rank_op = numerical_rank(restricted)
-    fiber_ranks = [numerical_rank(mat @ fb) for mat, fb in zip(field.matrices, rangefn.bases)]
-    rank_fib = int(sum(fiber_ranks))
+    rank_op = numerical_rank(restricted) if finite else None
+    fiber_ranks = [numerical_rank(rb) for rb in images] if finite else None
+    rank_fib = int(sum(fiber_ranks)) if finite else None
 
     verdicts = {
         "isometry_operator": iso_op,
         "isometry_fibers": iso_fib,
-        "isometry_agree": iso_op == iso_fib,
+        "isometry_agree": finite and iso_op == iso_fib,
         "selfadjoint_operator": sa_op,
         "selfadjoint_fibers": sa_fib,
-        "selfadjoint_agree": sa_op == sa_fib,
-        "rank_agree": rank_op == rank_fib,
+        "selfadjoint_agree": finite and sa_op == sa_fib,
+        "rank_agree": finite and rank_op == rank_fib,
     }
     return VerificationReport(
         passed=verdicts["isometry_agree"] and verdicts["selfadjoint_agree"] and verdicts["rank_agree"],

@@ -30,6 +30,17 @@ def _build_battery():
     return entries
 
 
+def pytest_configure(config):
+    # hypothesis caches the constants it reads from the sources under test in
+    # ./.hypothesis unless told otherwise; keep them in pytest's own cache
+    try:
+        from hypothesis import configuration
+    except ImportError:  # only the property tests need hypothesis
+        return
+    if hasattr(config, "cache"):
+        configuration.set_hypothesis_home_dir(config.cache.mkdir("hypothesis"))
+
+
 _BATTERY = _build_battery()
 _CONTEXTS = [(label, fiber_context(g, sub)) for label, g, sub in _BATTERY]
 

@@ -127,6 +127,11 @@ class TestDemoDiffop:
     def test_negative_step_is_input_error(self):
         assert main(["demo-diffop", "8", "-3"]) == 2
 
+    def test_oversized_modulus_is_input_error(self, capsys):
+        # 2**40 would fail fast in numpy's allocator if the limit were missing
+        assert main(["demo-diffop", str(2**40), "1"]) == 2
+        assert "limit" in capsys.readouterr().err
+
 
 class TestCheck:
     @pytest.mark.parametrize(
@@ -142,6 +147,13 @@ class TestCheck:
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         assert main(["check", str(path)]) == 2
+
+    @pytest.mark.parametrize("orders", [[2**40], [2**20, 2**20], [jsonio.MAX_GROUP_ORDER, 2]])
+    def test_oversized_group_is_input_error(self, tmp_path, capsys, orders):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"orders": orders}))
+        assert main(["check", str(path)]) == 2
+        assert "exceeds the limit" in capsys.readouterr().err
 
     def test_f1_passes(self, f1_spec, capsys):
         code = main(["check", f1_spec, "--json"])

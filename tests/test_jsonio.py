@@ -192,3 +192,28 @@ def test_field_requires_matrices(z8_ctx):
     obj = jsonio.range_function_to_json(full_range_function(z8_ctx))
     with pytest.raises(ValueError):
         jsonio.field_from_json(z8_ctx, obj)
+
+
+@pytest.mark.parametrize("dims", [[2.9, 1], [True, 1], [2, -1], "21"], ids=["float", "bool", "negative", "string"])
+def test_range_function_dims_must_be_json_integers(z8_ctx, dims):
+    # 2.9 and true once read as 2 and 1 through int()
+    obj = jsonio.range_function_to_json(full_range_function(z8_ctx))
+    obj["dims"] = dims
+    with pytest.raises(ValueError, match="dims"):
+        jsonio.range_function_from_json(z8_ctx, obj)
+
+
+def test_range_function_needs_a_basis_per_fiber(z8_ctx):
+    # zip() once dropped the fibers past the end of a short 'bases'
+    obj = jsonio.range_function_to_json(full_range_function(z8_ctx))
+    obj["bases"] = obj["bases"][:1]
+    with pytest.raises(ValueError, match="basis per fiber"):
+        jsonio.range_function_from_json(z8_ctx, obj)
+
+
+def test_group_spec_rejects_an_oversized_group():
+    # 2**40 fails fast in numpy's allocator should the limit go missing
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        jsonio.group_spec_from_json({"orders": [2**40]})
+    g, _ = jsonio.group_spec_from_json({"orders": [jsonio.MAX_GROUP_ORDER]})
+    assert g.size == jsonio.MAX_GROUP_ORDER

@@ -5,6 +5,7 @@ import pytest
 
 from zakfiber import (
     NotTranslationPreservingError,
+    RangeFunction,
     RangeOperatorField,
     RangeSolveError,
     check_translation_preserving,
@@ -206,7 +207,24 @@ class TestSynthesize:
             assert np.abs(resynth @ basis - u @ basis).max() <= 1e-9
 
 
+def nan_field(ctx, u, rangefn):
+    """The field of u with one NaN entry in its first fiber."""
+    mats = [mat.copy() for mat in extract_range_operator(ctx, u, rangefn).matrices]
+    mats[0][0, 0] = np.nan
+    return RangeOperatorField(tuple(mats))
+
+
 class TestNormIdentity:
+    def test_nan_field_fails(self, f1_ctx):
+        # the SVD behind the fiber norm does not converge on NaN; the report
+        # must fail with a NaN fiber norm instead of raising
+        rangefn = full_range_function(f1_ctx)
+        u = np.eye(4, dtype=complex)
+        report = norm_identity_report(f1_ctx, u, nan_field(f1_ctx, u, rangefn), rangefn)
+        assert not report.passed and not report.verdicts["norm_identity"]
+        assert np.isnan(report.values["fiber_norms"][0]) and np.isnan(report.residuals["norm_gap"])
+        assert report.witness == 0
+
     def test_identity(self, f1_ctx):
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
@@ -365,6 +383,29 @@ class TestHsTrace:
 
 
 class TestStructuralFlags:
+    def test_nan_field_fails_even_where_both_sides_fail(self, f1_ctx):
+        # 2I is no isometry and a NaN fiber fails its isometry gate too, so
+        # the two sides "agree"; a non-finite field must still fail the
+        # report, and it has no fiber rank
+        rangefn = full_range_function(f1_ctx)
+        u = 2 * np.eye(4, dtype=complex)
+        report = structural_flags(f1_ctx, u, nan_field(f1_ctx, u, rangefn), rangefn)
+        assert not report.verdicts["isometry_operator"] and not report.verdicts["isometry_fibers"]
+        assert not report.verdicts["isometry_agree"] and not report.verdicts["rank_agree"]
+        assert not report.passed
+        assert report.values["fiber_ranks"] is None and report.values["rank_fiber_sum"] is None
+        assert np.isnan(report.residuals["isometry_fibers"])
+
+    def test_nan_basis_fails(self, f1_ctx):
+        rangefn = full_range_function(f1_ctx)
+        u = np.eye(4, dtype=complex)
+        field = extract_range_operator(f1_ctx, u, rangefn)
+        bases = [fb.copy() for fb in rangefn.bases]
+        bases[0][0, 0] = np.nan
+        report = structural_flags(f1_ctx, u, field, RangeFunction(tuple(bases)))
+        assert not report.passed and not report.verdicts["rank_agree"]
+        assert report.values["rank_operator"] is None
+
     def test_translation_is_isometry_with_unimodular_fibers(self, f1_ctx):
         rangefn = full_range_function(f1_ctx)
         u = translation_matrix(f1_ctx.group, (2,)).astype(complex)

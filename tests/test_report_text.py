@@ -1,0 +1,104 @@
+"""The report encoder against its oracle, ``json.dumps(x, indent=2, sort_keys=True)``."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
+
+from zakfiber import cli, jsonio
+
+from conftest import battery_contexts, rand_tp_operator
+
+
+def oracle(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 0.1]
+floats = st.floats() | st.sampled_from(EDGE_FLOATS)
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**100), max_value=2**100)
+    | floats
+    | floats.map(np.float64)
+    | st.text()
+)
+# box-shaped float lists of 1-4 dims, zero-length axes included ([[], []])
+float_boxes = arrays(
+    np.float64, array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3), elements=floats
+).map(np.ndarray.tolist)
+# lists that must not take the float-box path: mixed leaf types and ragged rows
+mixed_lists = st.lists(st.one_of(floats, st.integers(-3, 3), st.booleans()), max_size=4)
+ragged = st.lists(st.lists(floats, max_size=3), min_size=2, max_size=3)
+json_values = st.recursive(
+    scalars | float_boxes | mixed_lists | ragged,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(json_values)
+def test_matches_the_stdlib_encoder(obj):
+    assert jsonio.report_text(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[], []],
+        [1, 2.0],
+        [True, 1.0],
+        [[1.0, 2.0], (3.0, 4.0)],
+        [[1.0], 2.0],
+        [[[math.nan, math.inf]], [[-math.inf, -0.0]]],
+        [np.float64(0.5), 1.5],
+        {"é": "☃ 😀", "b": [2**64, -(2**70)], "a": None},
+        {2: "int", 1.5: "float"},
+        {None: "null"},
+        {True: 1, False: 0},
+    ],
+    ids=repr,
+)
+def test_edge_cases(obj):
+    assert jsonio.report_text(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [{(1, 2): 0}, {"a": np.int64(1)}, [object()]])
+def test_non_json_values_raise_like_the_stdlib(obj):
+    with pytest.raises(TypeError):
+        oracle(obj)
+    with pytest.raises(TypeError):
+        jsonio.report_text(obj)
+
+
+def test_reports_of_the_battery_encode_like_the_stdlib():
+    # the report bodies of analyze (a commuting and a perturbed operator) and
+    # check on every battery context
+    rng = np.random.default_rng(7)
+    cfg = cli.RunConfig()
+    for _, ctx in battery_contexts():
+        u = rand_tp_operator(rng, ctx)
+        bad = u + 1e-3 * rng.standard_normal(u.shape)
+        for op in (u, bad):
+            body = cli._pipeline(ctx, op, cfg)[0]
+            assert jsonio.report_text(body) == oracle(body)
+        suites = cli._check_suites(ctx, cfg)
+        assert jsonio.report_text(suites) == oracle(suites)
+
+
+def test_demo_report_encodes_like_the_stdlib(tmp_path, monkeypatch):
+    reports = []
+    encode = jsonio.report_text
+    monkeypatch.setattr(jsonio, "report_text", lambda report: reports.append(report) or encode(report))
+    out = tmp_path / "demo.json"
+    assert cli.main(["demo-diffop", "8", "2", "--out", str(out)]) == 0
+    (report,) = reports
+    assert out.read_text(encoding="utf-8") == oracle(report) + "\n"
