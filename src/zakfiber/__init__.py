@@ -36,9 +36,11 @@ from .operators import (
     VerificationReport,
     check_translation_preserving,
     extract_range_operator,
+    fiber_summary,
     hs_trace_report,
     multiplication_preserving_check,
     norm_identity_report,
+    operator_summary,
     solve_range_field,
     structural_flags,
     synthesize_operator,
@@ -74,12 +76,14 @@ __all__ = [
     "determining_function",
     "extract_range_operator",
     "fiber_context",
+    "fiber_summary",
     "full_range_function",
     "hs_trace_report",
     "is_translation_invariant",
     "make_group",
     "multiplication_preserving_check",
     "norm_identity_report",
+    "operator_summary",
     "pairing",
     "parseval_fiber_check",
     "principal_decomposition",

@@ -24,8 +24,10 @@ from .operators import (
     RangeOperatorField,
     check_translation_preserving,
     extract_range_operator,
+    fiber_summary,
     hs_trace_report,
     norm_identity_report,
+    operator_summary,
     solve_range_field,
     structural_flags,
     synthesize_operator,
@@ -134,19 +136,17 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, RangeOperatorField | 
         return report, False, None
     report["range_field"] = jsonio.field_to_json(field, rangefn)
 
-    norm = norm_identity_report(ctx, u, field, rangefn, tol=cfg.rel_tol(checks.NORM))
-    report["norm_identity"] = norm.to_dict()
-
-    generators = principal_decomposition(ctx, space_from_range(ctx, rangefn))
-    frame = translate_parseval_frame(ctx, generators)
-    hs = hs_trace_report(ctx, u, field, rangefn, frame, tol=cfg.rel_tol(checks.HS))
-    report["hs_trace"] = hs.to_dict()
-
-    structural = structural_flags(ctx, u, field, rangefn, tol=cfg.abs_tol(checks.STRUCT))
-    report["structural"] = structural.to_dict()
-
-    ok = norm.passed and hs.passed and structural.passed
-    return report, ok, field
+    basis = space_from_range(ctx, rangefn)
+    frame = translate_parseval_frame(ctx, principal_decomposition(ctx, basis))
+    op = operator_summary(ctx, u, basis, frame)
+    fib = fiber_summary(field, rangefn)
+    comparisons = {
+        "norm_identity": norm_identity_report(op, fib, tol=cfg.rel_tol(checks.NORM)),
+        "hs_trace": hs_trace_report(op, fib, tol=cfg.rel_tol(checks.HS)),
+        "structural": structural_flags(op, fib, tol=cfg.abs_tol(checks.STRUCT)),
+    }
+    report.update((name, comparison.to_dict()) for name, comparison in comparisons.items())
+    return report, all(comparison.passed for comparison in comparisons.values()), field
 
 
 def cmd_analyze(args) -> int:

@@ -44,12 +44,6 @@ class GroupSpec:
     def zero(self) -> Element:
         return (0,) * len(self.orders)
 
-    def reduce(self, x) -> Element:
-        coords = tuple(int(c) % n for c, n in zip(x, self.orders))
-        if len(coords) != len(self.orders):
-            raise ValueError(f"element {x!r} has {len(tuple(x))} coordinates, expected {len(self.orders)}")
-        return coords
-
     def validate(self, x) -> Element:
         coords = tuple(int(c) for c in x)
         if len(coords) != len(self.orders):

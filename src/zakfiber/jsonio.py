@@ -30,12 +30,6 @@ def complex_to_pair(z) -> list[float]:
     return [z.real, z.imag]
 
 
-def pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"expected a [re, im] pair, got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
-
-
 def matrix_to_json(mat: np.ndarray) -> list:
     mat = np.asarray(mat, dtype=complex)
     return np.stack([mat.real, mat.imag], axis=-1).tolist()
@@ -90,6 +84,14 @@ def group_spec_from_json(obj) -> tuple[GroupSpec, Subgroup]:
     return g, gamma
 
 
+def _list_of_lists(obj: dict, key: str) -> list:
+    """``obj[key]`` (an empty list when absent), which must be a list of lists."""
+    value = obj.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
+        raise ValueError(f"'{key}' must be a list of lists")
+    return value
+
+
 def _is_int_list(value) -> bool:
     # JSON integers only: bool is an int subclass, and floats and strings
     # would otherwise be coerced by int()
@@ -110,10 +112,9 @@ def fibered_to_json(ctx: FiberContext, fibers) -> dict:
 def fibered_from_json(ctx: FiberContext, obj) -> np.ndarray:
     if not isinstance(obj, dict) or "fibers" not in obj:
         raise ValueError("fibered vector JSON must contain 'fibers'")
-    if [tuple(w) for w in obj.get("omega_reps", [])] != list(ctx.omega.reps):
-        raise ValueError("omega_reps do not match the context")
-    if [tuple(c) for c in obj.get("c_reps", [])] != list(ctx.c_section.reps):
-        raise ValueError("c_reps do not match the context")
+    for key, reps in (("omega_reps", ctx.omega.reps), ("c_reps", ctx.c_section.reps)):
+        if [tuple(x) for x in _list_of_lists(obj, key)] != list(reps):
+            raise ValueError(f"{key} do not match the context")
     return as_fibered(ctx, matrix_from_json(obj["fibers"]))
 
 
@@ -169,10 +170,7 @@ def field_from_json(ctx: FiberContext, obj) -> tuple[RangeOperatorField, RangeFu
     rangefn = range_function_from_json(ctx, obj)
     if "matrices" not in obj:
         raise ValueError("field JSON must contain 'matrices'")
-    mats = []
-    for wi, rows in enumerate(obj["matrices"]):
-        mat = matrix_from_json(rows, shape=(ctx.n_c, ctx.n_c))
-        mats.append(mat)
+    mats = [matrix_from_json(rows, shape=(ctx.n_c, ctx.n_c)) for rows in _list_of_lists(obj, "matrices")]
     if len(mats) != ctx.n_omega:
         raise ValueError(f"field has {len(mats)} fibers, expected {ctx.n_omega}")
     return RangeOperatorField(tuple(mats)), rangefn

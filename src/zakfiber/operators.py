@@ -19,7 +19,7 @@ import numpy as np
 from . import checks
 from .fiberization import FiberContext, determining_function, zak, zak_inverse
 from .groups import translate
-from .spaces import RangeFunction, numerical_rank, space_from_range
+from .spaces import RangeFunction, _rank_cut, space_from_range
 
 
 class NotTranslationPreservingError(Exception):
@@ -47,10 +47,6 @@ class RangeOperatorField:
     """One |C| x |C| matrix per omega, zero on the orthocomplement of its fiber."""
 
     matrices: tuple[np.ndarray, ...]
-
-    @property
-    def sup_operator_norm(self) -> float:
-        return checks.largest(_opnorm(m) for m in self.matrices)
 
 
 @dataclass
@@ -85,15 +81,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     return obj
-
-
-def _opnorm(mat: np.ndarray) -> float:
-    """Spectral norm; NaN for a non-finite matrix, where the SVD would not converge."""
-    if mat.size == 0:
-        return 0.0
-    if not np.isfinite(mat).all():
-        return math.nan
-    return float(np.linalg.norm(mat, 2))
 
 
 def as_operator(ctx: FiberContext, u) -> np.ndarray:
@@ -233,115 +220,157 @@ def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determ
     raise ValueError(f"unknown mode {mode!r}; expected 'determining-set' or 'full'")
 
 
+@dataclass(frozen=True, eq=False)
+class OperatorSummary:
+    """What the reports read of U restricted to the space V, built from U,
+    an orthonormal basis of V and a Parseval frame for V, never from a field.
+
+    ``norm`` is NaN exactly when U|_V has a non-finite entry.
+    """
+
+    norm: float
+    rank: int
+    hs_entrywise: float
+    hs_frame: float
+    trace_basis: float
+    trace_frame: float
+    hermitian_gap: float  # largest entry of C - C^H, with C = basis^H U basis
+    min_eigenvalue: float  # of the Hermitian part of C
+    isometry_residual: float  # largest entry of (U|_V)^H U|_V - I
+    frame_residual: float  # largest entry of the frame operator minus the projection onto V
+
+
+@dataclass(frozen=True, eq=False)
+class FiberSummary:
+    """What the reports read of a field on a range function, one entry per
+    fiber, never from the operator.
+
+    A fiber norm is NaN exactly when that fiber image R(omega) B(omega) has a
+    non-finite entry.
+    """
+
+    norms: list[float]
+    ranks: list[int]
+    hs_terms: list[float]
+    trace_terms: list[float]
+    isometry_residual: float  # largest entry of R^H R - I, over the fiber images R = R(omega) B(omega)
+    selfadjoint_residual: float  # largest entry of C - C^H, over the blocks C = B(omega)^H R(omega) B(omega)
+
+
+def _max_entry(mat: np.ndarray) -> float:
+    """Largest entry modulus; 0.0 for an empty matrix, NaN if any entry is NaN."""
+    return float(np.abs(mat).max(initial=0.0))
+
+
+def _singular_values(mat: np.ndarray) -> np.ndarray:
+    """Singular values, descending; NaN for a non-finite matrix, where the SVD would not converge."""
+    if not np.isfinite(mat).all():
+        return np.full(1, math.nan)
+    return np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
+
+
+def operator_summary(ctx: FiberContext, u, basis, frame) -> OperatorSummary:
+    """Summarize u on the space spanned by the orthonormal basis columns.
+
+    The frame must have frame operator equal to the projection onto the space
+    (checked; this is what Parseval means here). Each dense product is formed
+    once, and one SVD and one Hermitian eigensolve are taken.
+    """
+    u = as_operator(ctx, u)
+    basis = np.asarray(basis, dtype=complex)
+    vectors = [np.asarray(y, dtype=complex) for y in frame]
+    frame = np.stack(vectors, axis=1) if vectors else np.zeros((ctx.group.size, 0), dtype=complex)
+    frame_residual = _max_entry(frame @ frame.conj().T - basis @ basis.conj().T)
+    if not checks.passes(frame_residual, checks.FRAME):
+        raise ValueError(f"frame is not Parseval for the space (residual {frame_residual:.3e})")
+    d = basis.shape[1]
+    restricted = u @ basis
+    u_frame = u @ frame
+    compressed = basis.conj().T @ restricted
+    adjoint = compressed.conj().T
+    s = _singular_values(restricted)
+    return OperatorSummary(
+        norm=checks.largest(s),
+        rank=_rank_cut(s),
+        hs_entrywise=float(np.linalg.norm(restricted) ** 2),
+        hs_frame=float(np.linalg.norm(u_frame) ** 2),
+        trace_basis=float(np.trace(compressed).real),
+        trace_frame=float(np.vdot(frame, u_frame).real),
+        hermitian_gap=_max_entry(compressed - adjoint),
+        min_eigenvalue=float(np.linalg.eigvalsh((compressed + adjoint) / 2.0).min()) if d else 0.0,
+        isometry_residual=_max_entry(restricted.conj().T @ restricted - np.eye(d)),
+        frame_residual=frame_residual,
+    )
+
+
+def fiber_summary(field: RangeOperatorField, rangefn: RangeFunction) -> FiberSummary:
+    """Summarize the field on the range function, one fiber image and one SVD per fiber."""
+    images = [mat @ fb for mat, fb in zip(field.matrices, rangefn.bases)]
+    # (B^H R) B, the association the trace and self-adjointness terms share
+    blocks = [fb.conj().T @ mat @ fb for mat, fb in zip(field.matrices, rangefn.bases)]
+    spectra = [_singular_values(rb) for rb in images]
+    return FiberSummary(
+        norms=[checks.largest(s) for s in spectra],
+        ranks=[_rank_cut(s) for s in spectra],
+        hs_terms=[float(np.linalg.norm(rb) ** 2) for rb in images],
+        trace_terms=[float(np.trace(block).real) for block in blocks],
+        isometry_residual=checks.largest(_max_entry(rb.conj().T @ rb - np.eye(rb.shape[1])) for rb in images),
+        selfadjoint_residual=checks.largest(_max_entry(block - block.conj().T) for block in blocks),
+    )
+
+
 def norm_identity_report(
-    ctx: FiberContext,
-    u,
-    field: RangeOperatorField,
-    rangefn: RangeFunction,
-    tol: float = checks.NORM,
+    op: OperatorSummary, fib: FiberSummary, tol: float = checks.NORM
 ) -> VerificationReport:
     """Operator norm on the space versus the largest fiber operator norm."""
-    u = as_operator(ctx, u)
-    basis = space_from_range(ctx, rangefn)
-    op_norm = _opnorm(u @ basis)
-    fiber_norms = [_opnorm(mat @ fb) for mat, fb in zip(field.matrices, rangefn.bases)]
-    fiber_max = checks.largest(fiber_norms)
-    witness = int(np.argmax(fiber_norms)) if fiber_norms else None
-    gap = abs(op_norm - fiber_max)
-    ok = checks.passes(gap, tol, op_norm)
+    fiber_max = checks.largest(fib.norms)
+    gap = abs(op.norm - fiber_max)
+    ok = checks.passes(gap, tol, op.norm)
     return VerificationReport(
         passed=ok,
         verdicts={"norm_identity": ok},
         residuals={"norm_gap": gap},
-        values={
-            "operator_norm": op_norm,
-            "max_fiber_norm": fiber_max,
-            "fiber_norms": fiber_norms,
-        },
-        witness=witness,
+        values={"operator_norm": op.norm, "max_fiber_norm": fiber_max, "fiber_norms": fib.norms},
+        witness=int(np.argmax(fib.norms)) if fib.norms else None,
     )
 
 
-def hs_trace_report(
-    ctx: FiberContext,
-    u,
-    field: RangeOperatorField,
-    rangefn: RangeFunction,
-    frame,
-    tol: float = checks.HS,
-) -> VerificationReport:
+def hs_trace_report(op: OperatorSummary, fib: FiberSummary, tol: float = checks.HS) -> VerificationReport:
     """Hilbert-Schmidt norm and trace computed three independent ways.
 
-    The squared HS norm of u restricted to the space is computed entrywise,
-    as a sum over the supplied Parseval frame, and as a sum of fiber HS norms.
-    When u restricted to the space passes the positivity gate the trace is
-    compared the same three ways; otherwise the trace clause is skipped and
-    flagged. The frame must have frame operator equal to the projection onto
-    the space (checked; this is what Parseval means here).
+    The squared HS norm of u restricted to the space is compared entrywise,
+    as a sum over the Parseval frame, and as a sum of fiber HS norms. When u
+    restricted to the space passes the positivity gate the trace is compared
+    the same three ways; otherwise the trace clause is skipped and flagged.
     """
-    u = as_operator(ctx, u)
-    basis = space_from_range(ctx, rangefn)
-    vectors = [np.asarray(y, dtype=complex) for y in frame]
-    frame = np.stack(vectors, axis=1) if vectors else np.zeros((ctx.group.size, 0), dtype=complex)
-    frame_residual = float(np.abs(frame @ frame.conj().T - basis @ basis.conj().T).max())
-    if not checks.passes(frame_residual, checks.FRAME):
-        raise ValueError(
-            f"frame is not Parseval for the space (frame operator residual {frame_residual:.3e})"
-        )
-
-    restricted = u @ basis
-    u_frame = u @ frame
-    hs_entry = float(np.linalg.norm(restricted) ** 2)
-    hs_frame = float(np.linalg.norm(u_frame) ** 2)
-    hs_fiber_terms = [
-        float(np.linalg.norm(mat @ fb) ** 2) for mat, fb in zip(field.matrices, rangefn.bases)
-    ]
-    hs_fiber = float(sum(hs_fiber_terms))
-    hs_values = {"entrywise": hs_entry, "frame": hs_frame, "fiber": hs_fiber}
+    hs_values = {"entrywise": op.hs_entrywise, "frame": op.hs_frame, "fiber": float(sum(fib.hs_terms))}
     hs_res = _pairwise_gap(hs_values.values())
-    hs_ok = checks.passes(hs_res, tol, hs_entry)
+    hs_ok = checks.passes(hs_res, tol, op.hs_entrywise)
 
     verdicts = {"hs_agree": hs_ok}
-    residuals = {"hs_pairwise_gap": hs_res, "frame_operator": frame_residual}
-    values: dict = {"hs_squared": hs_values, "hs_fiber_terms": hs_fiber_terms}
-    skipped: tuple[str, ...] = ()
+    residuals = {"hs_pairwise_gap": hs_res, "frame_operator": op.frame_residual}
+    values: dict = {"hs_squared": hs_values, "hs_fiber_terms": fib.hs_terms}
 
-    compressed = basis.conj().T @ restricted
-    herm_gap = float(np.abs(compressed - compressed.conj().T).max()) if compressed.size else 0.0
-    lam_min = (
-        float(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2.0).min())
-        if compressed.size
-        else 0.0
+    positive = checks.passes(op.hermitian_gap, checks.POSITIVITY) and checks.passes(
+        -op.min_eigenvalue, checks.POSITIVITY, op.norm
     )
-    positive = checks.passes(herm_gap, checks.POSITIVITY) and checks.passes(
-        -lam_min, checks.POSITIVITY, _opnorm(restricted)
-    )
-    values["positivity"] = {"hermitian_gap": herm_gap, "min_eigenvalue": lam_min, "positive": positive}
-
+    values["positivity"] = {
+        "hermitian_gap": op.hermitian_gap, "min_eigenvalue": op.min_eigenvalue, "positive": positive
+    }
     if positive:
-        tr_basis = float(np.trace(compressed).real)
-        tr_frame = float(np.vdot(frame, u_frame).real)
-        tr_fiber_terms = [
-            float(np.trace(fb.conj().T @ mat @ fb).real)
-            for mat, fb in zip(field.matrices, rangefn.bases)
-        ]
-        tr_fiber = float(sum(tr_fiber_terms))
-        tr_values = {"basis": tr_basis, "frame": tr_frame, "fiber": tr_fiber}
-        values["trace_fiber_terms"] = tr_fiber_terms
+        tr_values = {"basis": op.trace_basis, "frame": op.trace_frame, "fiber": float(sum(fib.trace_terms))}
+        values["trace_fiber_terms"] = fib.trace_terms
         tr_res = _pairwise_gap(tr_values.values())
-        tr_ok = checks.passes(tr_res, tol, abs(tr_basis))
+        tr_ok = checks.passes(tr_res, tol, abs(op.trace_basis))
         verdicts["trace_agree"] = tr_ok
         residuals["trace_pairwise_gap"] = tr_res
         values["trace"] = tr_values
-    else:
-        skipped = ("trace",)
-
     return VerificationReport(
         passed=all(verdicts.values()),
         verdicts=verdicts,
         residuals=residuals,
         values=values,
-        skipped=skipped,
+        skipped=() if positive else ("trace",),
     )
 
 
@@ -351,11 +380,7 @@ def _pairwise_gap(values) -> float:
 
 
 def structural_flags(
-    ctx: FiberContext,
-    u,
-    field: RangeOperatorField,
-    rangefn: RangeFunction,
-    tol: float = checks.STRUCT,
+    op: OperatorSummary, fib: FiberSummary, tol: float = checks.STRUCT
 ) -> VerificationReport:
     """Isometry, self-adjointness and rank compared between the two pictures.
 
@@ -363,35 +388,15 @@ def structural_flags(
     (both ways of each biconditional) and the rank on the space equals the
     sum of the fiber ranks.
     """
-    u = as_operator(ctx, u)
-    basis = space_from_range(ctx, rangefn)
-    d = basis.shape[1]
-    restricted = u @ basis
-
-    # fibers of dimension 0 have nothing to check
-    pairs = [(mat, fb) for mat, fb in zip(field.matrices, rangefn.bases) if fb.shape[1]]
-    images = [mat @ fb for mat, fb in zip(field.matrices, rangefn.bases)]
     # a non-finite field or basis leaves the comparison undefined: no verdict
-    # that compares the two sides passes, and no rank is taken
-    finite = bool(np.isfinite(restricted).all()) and all(np.isfinite(rb).all() for rb in images)
-
-    gram = restricted.conj().T @ restricted
-    iso_res_op = float(np.abs(gram - np.eye(d)).max()) if d else 0.0
-    iso_fiber_res = checks.largest(
-        np.abs(rb.conj().T @ rb - np.eye(rb.shape[1])).max() for rb in images if rb.shape[1]
-    )
-    iso_op = checks.passes(iso_res_op, tol)
-    iso_fib = checks.passes(iso_fiber_res, tol)
-
-    compressed = basis.conj().T @ restricted
-    sa_res_op = float(np.abs(compressed - compressed.conj().T).max()) if d else 0.0
-    blocks = [fb.conj().T @ mat @ fb for mat, fb in pairs]
-    sa_fiber_res = checks.largest(np.abs(block - block.conj().T).max() for block in blocks)
-    sa_op = checks.passes(sa_res_op, tol)
-    sa_fib = checks.passes(sa_fiber_res, tol)
-
-    rank_op = numerical_rank(restricted) if finite else None
-    fiber_ranks = [numerical_rank(rb) for rb in images] if finite else None
+    # that compares the two sides passes, and no rank is reported
+    finite = bool(np.isfinite([op.norm, *fib.norms]).all())
+    iso_op = checks.passes(op.isometry_residual, tol)
+    iso_fib = checks.passes(fib.isometry_residual, tol)
+    sa_op = checks.passes(op.hermitian_gap, tol)
+    sa_fib = checks.passes(fib.selfadjoint_residual, tol)
+    rank_op = op.rank if finite else None
+    fiber_ranks = fib.ranks if finite else None
     rank_fib = int(sum(fiber_ranks)) if finite else None
 
     verdicts = {
@@ -407,10 +412,10 @@ def structural_flags(
         passed=verdicts["isometry_agree"] and verdicts["selfadjoint_agree"] and verdicts["rank_agree"],
         verdicts=verdicts,
         residuals={
-            "isometry_operator": iso_res_op,
-            "isometry_fibers": iso_fiber_res,
-            "selfadjoint_operator": sa_res_op,
-            "selfadjoint_fibers": sa_fiber_res,
+            "isometry_operator": op.isometry_residual,
+            "isometry_fibers": fib.isometry_residual,
+            "selfadjoint_operator": op.hermitian_gap,
+            "selfadjoint_fibers": fib.selfadjoint_residual,
         },
         values={"rank_operator": rank_op, "rank_fiber_sum": rank_fib, "fiber_ranks": fiber_ranks},
     )

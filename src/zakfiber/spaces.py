@@ -45,15 +45,8 @@ class RangeFunction:
 
 
 def _rank_cut(s: np.ndarray) -> int:
-    """Number of singular values above checks.RANK * max(1, sigma_max)."""
-    return int(np.sum(s > checks.threshold(checks.RANK, s[0])))
-
-
-def numerical_rank(mat: np.ndarray) -> int:
-    """Rank with the fixed threshold checks.RANK * max(1, sigma_max)."""
-    if mat.size == 0:
-        return 0
-    return _rank_cut(np.linalg.svd(mat, compute_uv=False))
+    """Number of singular values (sorted descending) above checks.RANK * max(1, sigma_max)."""
+    return int(np.sum(s > checks.threshold(checks.RANK, s[0]))) if s.size else 0
 
 
 def _column_spans(stacked: np.ndarray) -> list[np.ndarray]:

@@ -9,10 +9,15 @@ from zakfiber import (
     RangeOperatorField,
     all_subgroups,
     fiber_context,
+    fiber_summary,
     full_range_function,
     make_group,
+    operator_summary,
+    principal_decomposition,
+    space_from_range,
     subgroup_from_generators,
     synthesize_operator,
+    translate_parseval_frame,
 )
 
 # Orders 4, 8, 12 and 16, with one non-cyclic group; every subgroup of each.
@@ -92,3 +97,13 @@ def rand_tp_operator(rng, context):
     """Random translation-commuting operator, synthesized from a dense field."""
     rangefn = full_range_function(context)
     return synthesize_operator(context, rand_field(rng, context, rangefn), rangefn)
+
+
+def summaries(context, u, field, rangefn, frame=None):
+    """The operator and fiber summaries of u and its field on the range
+    function. The frame defaults to the scaled translates of the principal
+    generators of the space."""
+    basis = space_from_range(context, rangefn)
+    if frame is None:
+        frame = translate_parseval_frame(context, principal_decomposition(context, basis))
+    return operator_summary(context, u, basis, frame), fiber_summary(field, rangefn)

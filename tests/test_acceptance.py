@@ -37,7 +37,7 @@ from zakfiber import (
 )
 from zakfiber.cli import main
 
-from conftest import battery_contexts, delta, rand_field, rand_signal
+from conftest import battery_contexts, delta, rand_field, rand_signal, summaries
 
 BATTERY = battery_contexts()
 
@@ -151,7 +151,7 @@ def test_norm_formula(tp_samples):
     worst = 0.0
     for label, ctx, rangefn, fields, ops in tp_samples:
         for field, u in zip(fields, ops):
-            report = norm_identity_report(ctx, u, field, rangefn)
+            report = norm_identity_report(*summaries(ctx, u, field, rangefn))
             scale = max(1.0, report.values["operator_norm"])
             worst = max(worst, report.residuals["norm_gap"] / scale)
     ok_samples = worst <= 1e-8
@@ -161,7 +161,7 @@ def test_norm_formula(tp_samples):
     u = np.eye(8, dtype=complex) - translation_matrix(g, (2,))
     rangefn8 = full_range_function(ctx8)
     field8 = extract_range_operator(ctx8, u, rangefn8)
-    report8 = norm_identity_report(ctx8, u, field8, rangefn8)
+    report8 = norm_identity_report(*summaries(ctx8, u, field8, rangefn8))
     expected = max(abs(1 - pairing(g, (2,), w)) for w in ctx8.omega.reps)
     ok_demo = (
         abs(report8.values["operator_norm"] - 2.0) <= 1e-10
@@ -190,7 +190,7 @@ def test_hs_norm_and_trace_routes():
             w = synthesize_operator(ctx, rand_field(rng, ctx, rangefn), rangefn)
             u = w.conj().T @ w  # positive by construction
             field = extract_range_operator(ctx, u, rangefn)
-            report = hs_trace_report(ctx, u, field, rangefn, frame)
+            report = hs_trace_report(*summaries(ctx, u, field, rangefn, frame))
             assert "trace" not in report.skipped
             routes = dict(report.values["hs_squared"])
             q, _ = np.linalg.qr(rand_signal(rng, n * n).reshape(n, n))
@@ -260,7 +260,7 @@ def test_structural_biconditionals_and_rank():
         for kind, field_in in fields:
             u = synthesize_operator(ctx, field_in, rangefn)
             field = extract_range_operator(ctx, u, rangefn)
-            report = structural_flags(ctx, u, field, rangefn)
+            report = structural_flags(*summaries(ctx, u, field, rangefn))
             cases += 1
             if not report.passed:
                 failures += 1

@@ -24,15 +24,6 @@ def z8_ctx():
     return fiber_context(g, subgroup_from_generators(g, [(2,)]))
 
 
-def test_complex_pairs_roundtrip():
-    z = 1.25 - 3.5j
-    assert jsonio.pair_to_complex(jsonio.complex_to_pair(z)) == z
-    with pytest.raises(ValueError):
-        jsonio.pair_to_complex([1.0])
-    with pytest.raises(ValueError):
-        jsonio.pair_to_complex("1+2j")
-
-
 def test_group_spec_roundtrip():
     g = make_group([8])
     gamma = subgroup_from_generators(g, [(2,)])
@@ -186,6 +177,19 @@ def test_field_rejects_nan(z8_ctx):
     obj["matrices"][0][0][0] = [float("nan"), 0.0]
     with pytest.raises(ValueError, match="finite"):
         jsonio.field_from_json(z8_ctx, _reload(obj))
+
+
+@pytest.mark.parametrize("key", ["matrices", "omega_reps", "c_reps"])
+def test_readers_reject_a_non_list_of_lists(z8_ctx, key):
+    # each key once raised TypeError from iterating an int
+    rangefn = full_range_function(z8_ctx)
+    field = jsonio.field_to_json(rand_field(np.random.default_rng(75), z8_ctx, rangefn), rangefn)
+    fibered = jsonio.fibered_to_json(z8_ctx, zak(z8_ctx, delta(z8_ctx.group, (0,))))
+    obj, reader = (field, jsonio.field_from_json) if key == "matrices" else (fibered, jsonio.fibered_from_json)
+    for bad in (5, [5]):
+        obj[key] = bad
+        with pytest.raises(ValueError, match=key):
+            reader(z8_ctx, obj)
 
 
 def test_field_requires_matrices(z8_ctx):

@@ -1,5 +1,8 @@
 """Operator/field correspondence: extraction, synthesis, and the identity reports."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -10,16 +13,21 @@ from zakfiber import (
     RangeSolveError,
     check_translation_preserving,
     extract_range_operator,
+    fiber_context,
+    fiber_summary,
     full_range_function,
     hs_trace_report,
+    make_group,
     multiplication_preserving_check,
     norm_identity_report,
+    operator_summary,
     pairing,
     principal_decomposition,
     range_function,
     solve_range_field,
     space_from_range,
     structural_flags,
+    subgroup_from_generators,
     synthesize_operator,
     translate_parseval_frame,
     translation_matrix,
@@ -27,9 +35,9 @@ from zakfiber import (
     zak_matrix,
 )
 
-from zakfiber import operators
+from zakfiber import cli, operators
 
-from conftest import delta, rand_field, rand_signal, rand_tp_operator
+from conftest import delta, rand_field, rand_signal, rand_tp_operator, summaries
 
 
 def diff_operator(ctx, step):
@@ -220,7 +228,7 @@ class TestNormIdentity:
         # must fail with a NaN fiber norm instead of raising
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
-        report = norm_identity_report(f1_ctx, u, nan_field(f1_ctx, u, rangefn), rangefn)
+        report = norm_identity_report(*summaries(f1_ctx, u, nan_field(f1_ctx, u, rangefn), rangefn))
         assert not report.passed and not report.verdicts["norm_identity"]
         assert np.isnan(report.values["fiber_norms"][0]) and np.isnan(report.residuals["norm_gap"])
         assert report.witness == 0
@@ -229,7 +237,7 @@ class TestNormIdentity:
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = norm_identity_report(f1_ctx, u, field, rangefn)
+        report = norm_identity_report(*summaries(f1_ctx, u, field, rangefn))
         assert report.passed
         assert report.values["operator_norm"] == pytest.approx(1.0, abs=1e-12)
         assert report.values["max_fiber_norm"] == pytest.approx(1.0, abs=1e-12)
@@ -238,7 +246,7 @@ class TestNormIdentity:
         rangefn = full_range_function(f2_ctx)
         u = diff_operator(f2_ctx, (2,))
         field = extract_range_operator(f2_ctx, u, rangefn)
-        report = norm_identity_report(f2_ctx, u, field, rangefn)
+        report = norm_identity_report(*summaries(f2_ctx, u, field, rangefn))
         assert report.passed
         assert report.values["operator_norm"] == pytest.approx(2.0, abs=1e-10)
         # attained where the character value is -1
@@ -249,7 +257,7 @@ class TestNormIdentity:
         rangefn = full_range_function(f1_ctx)
         u = 3.0 * translation_matrix(f1_ctx.group, (2,))
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = norm_identity_report(f1_ctx, u, field, rangefn)
+        report = norm_identity_report(*summaries(f1_ctx, u, field, rangefn))
         assert report.passed
         assert report.values["operator_norm"] == pytest.approx(3.0, abs=1e-10)
 
@@ -259,7 +267,7 @@ class TestNormIdentity:
         for _ in range(5):
             u = rand_tp_operator(rng, ctx)
             field = extract_range_operator(ctx, u, rangefn)
-            assert norm_identity_report(ctx, u, field, rangefn).passed
+            assert norm_identity_report(*summaries(ctx, u, field, rangefn)).passed
 
 
 def full_space_frame(ctx):
@@ -272,7 +280,7 @@ class TestHsTrace:
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = hs_trace_report(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx))
+        report = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
         assert report.passed
         assert report.values["hs_squared"]["entrywise"] == pytest.approx(4.0, abs=1e-9)
         assert report.values["hs_fiber_terms"] == pytest.approx([2.0, 2.0], abs=1e-9)
@@ -281,7 +289,7 @@ class TestHsTrace:
         rangefn = full_range_function(f1_ctx)
         u = 2.0 * np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = hs_trace_report(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx))
+        report = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
         assert report.passed and "trace" not in report.skipped
         assert report.values["trace"]["basis"] == pytest.approx(8.0, abs=1e-9)
         assert report.values["trace_fiber_terms"] == pytest.approx([4.0, 4.0], abs=1e-9)
@@ -292,7 +300,7 @@ class TestHsTrace:
         # entrywise oracle on the 4x4 matrix
         assert np.sum(np.abs(u) ** 2) == pytest.approx(8.0)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = hs_trace_report(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx))
+        report = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
         assert report.passed
         assert report.values["hs_squared"]["entrywise"] == pytest.approx(8.0, abs=1e-9)
         assert report.values["hs_fiber_terms"] == pytest.approx([0.0, 8.0], abs=1e-9)
@@ -305,7 +313,7 @@ class TestHsTrace:
         rangefn = full_range_function(f1_ctx)
         u = diff_operator(f1_ctx, (1,))  # adjoint is I - T_3, not equal
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = hs_trace_report(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx))
+        report = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
         assert report.skipped == ("trace",)
         assert "trace" not in report.values
 
@@ -319,7 +327,7 @@ class TestHsTrace:
             for t in f1_ctx.gamma.elements:
                 unscaled.append(translation_matrix(f1_ctx.group, t) @ phi)
         with pytest.raises(ValueError):
-            hs_trace_report(f1_ctx, u, field, rangefn, unscaled)
+            hs_trace_report(*summaries(f1_ctx, u, field, rangefn, unscaled))
 
     def test_routes_disagree_on_a_mismatched_field(self, f1_ctx):
         # the operator routes read only u and the fiber routes only the field,
@@ -327,19 +335,19 @@ class TestHsTrace:
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, 2 * u, rangefn)
-        norm = norm_identity_report(f1_ctx, u, field, rangefn)
-        hs = hs_trace_report(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx))
+        norm = norm_identity_report(*summaries(f1_ctx, u, field, rangefn))
+        hs = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
         assert not norm.passed and not hs.verdicts["hs_agree"] and not hs.verdicts["trace_agree"]
         assert hs.values["hs_squared"]["frame"] == pytest.approx(hs.values["hs_squared"]["entrywise"])
         assert hs.values["hs_squared"]["fiber"] == pytest.approx(16.0)
-        assert not structural_flags(f1_ctx, u, field, rangefn).passed
+        assert not structural_flags(*summaries(f1_ctx, u, field, rangefn)).passed
 
     def test_rejects_nan_frame(self, f1_ctx):
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, u, rangefn)
         with pytest.raises(ValueError):
-            hs_trace_report(f1_ctx, u, field, rangefn, [np.full(4, np.nan, dtype=complex)] * 4)
+            hs_trace_report(*summaries(f1_ctx, u, field, rangefn, [np.full(4, np.nan, dtype=complex)] * 4))
 
     def test_nan_field_fails_hs_and_trace(self, f1_ctx):
         # one NaN fiber entry makes the fiber routes NaN; the route comparison
@@ -349,7 +357,7 @@ class TestHsTrace:
         mats = [mat.copy() for mat in extract_range_operator(f1_ctx, u, rangefn).matrices]
         mats[0][0, 0] = np.nan
         field = RangeOperatorField(tuple(mats))
-        hs = hs_trace_report(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx))
+        hs = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
         assert np.isnan(hs.values["hs_squared"]["fiber"]) and np.isnan(hs.values["trace"]["fiber"])
         assert not hs.verdicts["hs_agree"] and not hs.verdicts["trace_agree"] and not hs.passed
 
@@ -377,7 +385,7 @@ class TestHsTrace:
         u = w.conj().T @ w
         rangefn = full_range_function(ctx)
         field = extract_range_operator(ctx, u, rangefn)
-        report = hs_trace_report(ctx, u, field, rangefn, full_space_frame(ctx))
+        report = hs_trace_report(*summaries(ctx, u, field, rangefn, full_space_frame(ctx)))
         assert report.passed
         assert "trace" not in report.skipped
 
@@ -389,7 +397,7 @@ class TestStructuralFlags:
         # report, and it has no fiber rank
         rangefn = full_range_function(f1_ctx)
         u = 2 * np.eye(4, dtype=complex)
-        report = structural_flags(f1_ctx, u, nan_field(f1_ctx, u, rangefn), rangefn)
+        report = structural_flags(*summaries(f1_ctx, u, nan_field(f1_ctx, u, rangefn), rangefn))
         assert not report.verdicts["isometry_operator"] and not report.verdicts["isometry_fibers"]
         assert not report.verdicts["isometry_agree"] and not report.verdicts["rank_agree"]
         assert not report.passed
@@ -402,7 +410,12 @@ class TestStructuralFlags:
         field = extract_range_operator(f1_ctx, u, rangefn)
         bases = [fb.copy() for fb in rangefn.bases]
         bases[0][0, 0] = np.nan
-        report = structural_flags(f1_ctx, u, field, RangeFunction(tuple(bases)))
+        nan_rangefn = RangeFunction(tuple(bases))
+        # the operator side fails closed on the NaN basis: its frame check cannot pass
+        with pytest.raises(ValueError, match="Parseval"):
+            operator_summary(f1_ctx, u, space_from_range(f1_ctx, nan_rangefn), full_space_frame(f1_ctx))
+        op, _ = summaries(f1_ctx, u, field, rangefn)
+        report = structural_flags(op, fiber_summary(field, nan_rangefn))
         assert not report.passed and not report.verdicts["rank_agree"]
         assert report.values["rank_operator"] is None
 
@@ -410,7 +423,7 @@ class TestStructuralFlags:
         rangefn = full_range_function(f1_ctx)
         u = translation_matrix(f1_ctx.group, (2,)).astype(complex)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = structural_flags(f1_ctx, u, field, rangefn)
+        report = structural_flags(*summaries(f1_ctx, u, field, rangefn))
         assert report.passed
         assert report.verdicts["isometry_operator"] and report.verdicts["isometry_fibers"]
 
@@ -420,7 +433,7 @@ class TestStructuralFlags:
         assert np.abs(u - u.conj().T).max() == 0.0
         rangefn = full_range_function(f1_ctx)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = structural_flags(f1_ctx, u, field, rangefn)
+        report = structural_flags(*summaries(f1_ctx, u, field, rangefn))
         assert report.passed
         assert report.verdicts["selfadjoint_operator"] and report.verdicts["selfadjoint_fibers"]
 
@@ -430,7 +443,7 @@ class TestStructuralFlags:
         u = basis @ basis.conj().T
         rangefn = full_range_function(f1_ctx)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = structural_flags(f1_ctx, u, field, rangefn)
+        report = structural_flags(*summaries(f1_ctx, u, field, rangefn))
         assert report.values["rank_operator"] == 2
         assert report.values["fiber_ranks"] == [1, 1]
         assert report.verdicts["rank_agree"]
@@ -449,7 +462,7 @@ class TestStructuralFlags:
         for field_in, expected in ((good, True), (bad, False)):
             u = synthesize_operator(f2_ctx, field_in, rangefn)
             field = extract_range_operator(f2_ctx, u, rangefn)
-            report = structural_flags(f2_ctx, u, field, rangefn)
+            report = structural_flags(*summaries(f2_ctx, u, field, rangefn))
             assert report.verdicts["isometry_operator"] is expected
             assert report.verdicts["isometry_fibers"] is expected
             assert report.verdicts["isometry_agree"]
@@ -478,6 +491,77 @@ class TestStructuralFlags:
         adj_field = extract_range_operator(ctx, u.conj().T, sub)
         for a, b in zip(adj_field.matrices, field.matrices):
             assert np.abs(a - b.conj().T).max() <= 1e-9
+
+
+def same_summary(a, b) -> bool:
+    """Every field of two summaries equal, NaN matching NaN."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name), equal_nan=True) for f in dataclasses.fields(a)
+    )
+
+
+class TestSummaries:
+    def test_each_summary_reads_only_its_own_side(self, f2_ctx):
+        # the signatures keep the two routes apart: no field reaches the
+        # operator summary and no operator reaches the fiber summary
+        assert list(inspect.signature(operator_summary).parameters) == ["ctx", "u", "basis", "frame"]
+        assert list(inspect.signature(fiber_summary).parameters) == ["field", "rangefn"]
+        rng = np.random.default_rng(63)
+        rangefn = full_range_function(f2_ctx)
+        u = rand_tp_operator(rng, f2_ctx)
+        field = extract_range_operator(f2_ctx, u, rangefn)
+        basis = space_from_range(f2_ctx, rangefn)
+        frame = full_space_frame(f2_ctx)
+        op, fib = operator_summary(f2_ctx, u, basis, frame), fiber_summary(field, rangefn)
+
+        mats = [mat.copy() for mat in field.matrices]
+        mats[1][0, 1] += 1.0
+        corrupted = fiber_summary(RangeOperatorField(tuple(mats)), rangefn)
+        assert not same_summary(corrupted, fib)
+        assert corrupted.norms[0] == fib.norms[0] and corrupted.norms[1] != fib.norms[1]
+        assert same_summary(operator_summary(f2_ctx, u, basis, frame), op)
+        assert not norm_identity_report(op, corrupted).passed
+
+        moved = operator_summary(f2_ctx, u + np.eye(f2_ctx.group.size), basis, frame)
+        assert not same_summary(moved, op)
+        assert same_summary(fiber_summary(field, rangefn), fib)
+        assert not hs_trace_report(moved, fib).passed
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["general", "hermitian-psd"])
+    def test_pipeline_takes_each_dense_kernel_once(self, monkeypatch, hermitian):
+        g = make_group([64])
+        ctx = fiber_context(g, subgroup_from_generators(g, [(8,)]))
+        n = g.size
+        w = rand_tp_operator(np.random.default_rng(64), ctx)
+        u = w.conj().T @ w if hermitian else w
+        shapes, eigvalsh_calls, basis_builds = [], [], []
+        svd, norm, eigvalsh = np.linalg.svd, np.linalg.norm, np.linalg.eigvalsh
+
+        def counting_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def counting_norm(x, ord=None, *args, **kwargs):
+            if ord == 2:  # the spectral norm is an SVD numpy makes internally
+                shapes.append(np.shape(x))
+            return norm(x, ord, *args, **kwargs)
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            eigvalsh_calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "norm", counting_norm)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        for module in (cli, operators):
+            build = module.space_from_range
+            monkeypatch.setattr(module, "space_from_range", lambda *a, build=build: basis_builds.append(1) or build(*a))
+
+        body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
+        assert ok and (body["hs_trace"]["skipped"] == []) is hermitian
+        assert shapes.count((n, n)) == 1
+        assert eigvalsh_calls == [(n, n)]
+        assert len(basis_builds) <= 2
 
 
 class TestMultiplicationPreserving:
