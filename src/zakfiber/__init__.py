@@ -50,9 +50,7 @@ from .spaces import (
     RangeFunction,
     full_range_function,
     is_translation_invariant,
-    parseval_fiber_check,
     principal_decomposition,
-    project_via_fibers,
     range_function,
     space_from_range,
     translate_parseval_frame,
@@ -85,9 +83,7 @@ __all__ = [
     "norm_identity_report",
     "operator_summary",
     "pairing",
-    "parseval_fiber_check",
     "principal_decomposition",
-    "project_via_fibers",
     "range_function",
     "solve_range_field",
     "space_from_range",

@@ -23,8 +23,6 @@ FRAME = 1e-9  # frame operator of a Parseval frame against the projection onto i
 POSITIVITY = 1e-9  # Hermitian gap and (relative) smallest eigenvalue admitting the trace clause
 RANK = 1e-9  # rank cut: singular values above RANK * max(1, sigma_max) count
 INVARIANCE = 1e-9  # distance of a translated basis vector from the span
-PARSEVAL = 1e-9  # distance of each fiber norm from 0 or 1
-ORTHO = 1e-10  # orthonormality of a range-function basis read from JSON
 SYMBOL = 1e-10  # demo-diffop: fiber symbols against 1 - pairing(d, w), and their scalar form
 TRANSFORM = 1e-10  # check suites: transform isometry (relative), round trip, intertwining, determining set
 ROUNDTRIP = 1e-9  # check suites: range-function and field round trips

@@ -26,6 +26,7 @@ from .operators import (
     extract_range_operator,
     fiber_summary,
     hs_trace_report,
+    multiplication_preserving_check,
     norm_identity_report,
     operator_summary,
     solve_range_field,
@@ -82,6 +83,8 @@ def _load_json(path: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path} nests too deeply to parse") from exc
 
 
 def _context_from_spec(path: str):
@@ -265,6 +268,14 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     recovered = extract_range_operator(ctx, u, rangefn)
     r_bij = checks.largest(np.abs(a - b).max() for a, b in zip(recovered.matrices, field.matrices))
     record("field_bijection", r_bij, cfg.abs_tol(checks.ROUNDTRIP))
+
+    # Z U Z*, the fibered form of u: it commutes with multiplication by the
+    # characters of Gamma, probed both through the determining set and blockwise
+    uhat = zak(ctx, zak(ctx, u).reshape(n, n).conj().T).reshape(n, n).conj().T
+    r_mult = checks.largest(
+        multiplication_preserving_check(ctx, uhat, mode).residual for mode in ("determining-set", "full")
+    )
+    record("multiplication_preserving", r_mult, cfg.abs_tol(checks.COMMUTE))
 
     return suites
 

@@ -72,9 +72,10 @@ class GroupSpec:
 
 def make_group(orders) -> GroupSpec:
     """Build the group Z_{n_1} x ... x Z_{n_m} from a list of positive orders."""
-    if orders is None or len(list(orders)) == 0:
+    orders = () if orders is None else tuple(int(n) for n in orders)
+    if not orders:
         raise ValueError("orders list must be non-empty")
-    return GroupSpec(tuple(int(n) for n in orders))
+    return GroupSpec(orders)
 
 
 def _coords(shape) -> np.ndarray:
@@ -112,11 +113,6 @@ def pairing(g: GroupSpec, x, k) -> complex:
     """
     exp = _exponents(g.orders, np.array([g.validate(x)]), np.array([g.validate(k)]))[0, 0]
     return complex(np.exp(2j * np.pi * exp / math.lcm(*g.orders)))
-
-
-def pairing_is_one(g: GroupSpec, x, k) -> bool:
-    """Exact integer test for pairing(g, x, k) == 1."""
-    return not _exponents(g.orders, np.array([g.validate(x)]), np.array([g.validate(k)]))[0, 0]
 
 
 @dataclass(frozen=True)
@@ -237,18 +233,10 @@ class Transversal:
 
     subgroup: Subgroup
     reps: tuple[Element, ...]
-    _coset: np.ndarray = field(repr=False, compare=False)  # coset index of each element of G
 
     @property
     def size(self) -> int:
         return len(self.reps)
-
-    def coset_index(self, x) -> int:
-        g = self.subgroup.ambient
-        return int(self._coset[g.index(g.validate(x))])
-
-    def coset_rep(self, x) -> Element:
-        return self.reps[self.coset_index(x)]
 
 
 def transversal(g: GroupSpec, h: Subgroup) -> Transversal:
@@ -257,9 +245,7 @@ def transversal(g: GroupSpec, h: Subgroup) -> Transversal:
     # index of each element's coset representative; the representatives are
     # the elements that index themselves, already in lex order
     rep_of = np.ravel_multi_index(_reduce(np.array(h.basis, dtype=np.int64), coords).T, g.orders)
-    is_rep = rep_of == np.arange(g.size)
-    coset = (np.cumsum(is_rep) - 1)[rep_of]
-    return Transversal(h, tuple(_as_elements(coords[is_rep])), coset)
+    return Transversal(h, tuple(_as_elements(coords[rep_of == np.arange(g.size)])))
 
 
 def translate(g: GroupSpec, f, t) -> np.ndarray:

@@ -14,8 +14,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import checks
-from .fiberization import FiberContext, as_fibered
+from .fiberization import FiberContext
 from .groups import GroupSpec, Subgroup, make_group, subgroup_from_generators
 from .operators import RangeOperatorField, as_operator
 from .spaces import RangeFunction
@@ -23,6 +22,10 @@ from .spaces import RangeFunction
 # The largest group order accepted as input. Every command holds dense
 # |G| x |G| complex matrices, 16 |G|^2 bytes each: 4 GiB at this order.
 MAX_GROUP_ORDER = 2**14
+# Every factor of order 2 or more at least doubles |G|, so no group within
+# the order limit needs more factors than this; order-1 factors would only
+# add work that grows with the factor count.
+MAX_FACTORS = MAX_GROUP_ORDER.bit_length() - 1
 
 
 def complex_to_pair(z) -> list[float]:
@@ -74,6 +77,8 @@ def group_spec_from_json(obj) -> tuple[GroupSpec, Subgroup]:
     orders = obj["orders"]
     if not _is_int_list(orders):
         raise ValueError(f"'orders' must be a list of integers, got {orders!r}")
+    if len(orders) > MAX_FACTORS:
+        raise ValueError(f"group spec has {len(orders)} cyclic factors, more than the limit {MAX_FACTORS}")
     if math.prod(orders) > MAX_GROUP_ORDER:
         raise ValueError(f"group order {math.prod(orders)} exceeds the limit {MAX_GROUP_ORDER}")
     g = make_group(orders)
@@ -84,72 +89,10 @@ def group_spec_from_json(obj) -> tuple[GroupSpec, Subgroup]:
     return g, gamma
 
 
-def _list_of_lists(obj: dict, key: str) -> list:
-    """``obj[key]`` (an empty list when absent), which must be a list of lists."""
-    value = obj.get(key, [])
-    if not isinstance(value, list) or not all(isinstance(v, list) for v in value):
-        raise ValueError(f"'{key}' must be a list of lists")
-    return value
-
-
 def _is_int_list(value) -> bool:
     # JSON integers only: bool is an int subclass, and floats and strings
     # would otherwise be coerced by int()
     return isinstance(value, list) and all(type(x) is int for x in value)
-
-
-def fibered_to_json(ctx: FiberContext, fibers) -> dict:
-    fibers = as_fibered(ctx, fibers)
-    if fibers.ndim != 2:
-        raise ValueError(f"expected one fibered vector of shape {ctx.fiber_shape()}, got {fibers.shape}")
-    return {
-        "omega_reps": [list(w) for w in ctx.omega.reps],
-        "c_reps": [list(c) for c in ctx.c_section.reps],
-        "fibers": matrix_to_json(fibers),
-    }
-
-
-def fibered_from_json(ctx: FiberContext, obj) -> np.ndarray:
-    if not isinstance(obj, dict) or "fibers" not in obj:
-        raise ValueError("fibered vector JSON must contain 'fibers'")
-    for key, reps in (("omega_reps", ctx.omega.reps), ("c_reps", ctx.c_section.reps)):
-        if [tuple(x) for x in _list_of_lists(obj, key)] != list(reps):
-            raise ValueError(f"{key} do not match the context")
-    return as_fibered(ctx, matrix_from_json(obj["fibers"]))
-
-
-def range_function_to_json(rangefn: RangeFunction) -> dict:
-    return {
-        "dims": list(rangefn.dims),
-        "bases": [matrix_to_json(b) for b in rangefn.bases],
-    }
-
-
-def range_function_from_json(ctx: FiberContext, obj) -> RangeFunction:
-    if not isinstance(obj, dict) or "bases" not in obj or "dims" not in obj:
-        raise ValueError("range function JSON must contain 'dims' and 'bases'")
-    dims, fiber_rows = obj["dims"], obj["bases"]
-    if not _is_int_list(dims) or any(d < 0 for d in dims):
-        raise ValueError(f"'dims' must be a list of non-negative integers, got {dims!r}")
-    if len(dims) != ctx.n_omega:
-        raise ValueError(f"range function has {len(dims)} fibers, expected {ctx.n_omega}")
-    if not isinstance(fiber_rows, list) or len(fiber_rows) != len(dims):
-        raise ValueError(f"range function needs one basis per fiber, {len(dims)} in all")
-    bases = []
-    for wi, (d, rows) in enumerate(zip(dims, fiber_rows)):
-        mat = matrix_from_json(rows)
-        if mat.size == 0:
-            mat = np.zeros((ctx.n_c, 0), dtype=complex)
-        if mat.shape != (ctx.n_c, d):
-            raise ValueError(f"fiber {wi} basis has shape {mat.shape}, expected ({ctx.n_c}, {d})")
-        if d and not checks.passes(np.abs(mat.conj().T @ mat - np.eye(d)).max(), checks.ORTHO):
-            raise ValueError(f"fiber {wi} basis columns are not orthonormal")
-        bases.append(mat)
-    return RangeFunction(tuple(bases))
-
-
-def operator_to_json(mat) -> dict:
-    return {"matrix": matrix_to_json(np.asarray(mat, dtype=complex))}
 
 
 def operator_from_json(ctx: FiberContext, obj) -> np.ndarray:
@@ -159,21 +102,13 @@ def operator_from_json(ctx: FiberContext, obj) -> np.ndarray:
 
 
 def field_to_json(field: RangeOperatorField, rangefn: RangeFunction) -> dict:
-    """Field serialization mirrors the range function layout and adds the
-    per-omega matrices."""
-    out = range_function_to_json(rangefn)
-    out["matrices"] = [matrix_to_json(m) for m in field.matrices]
-    return out
-
-
-def field_from_json(ctx: FiberContext, obj) -> tuple[RangeOperatorField, RangeFunction]:
-    rangefn = range_function_from_json(ctx, obj)
-    if "matrices" not in obj:
-        raise ValueError("field JSON must contain 'matrices'")
-    mats = [matrix_from_json(rows, shape=(ctx.n_c, ctx.n_c)) for rows in _list_of_lists(obj, "matrices")]
-    if len(mats) != ctx.n_omega:
-        raise ValueError(f"field has {len(mats)} fibers, expected {ctx.n_omega}")
-    return RangeOperatorField(tuple(mats)), rangefn
+    """The range function as ``dims`` and ``bases`` and the field as
+    ``matrices``, one entry per omega."""
+    return {
+        "dims": list(rangefn.dims),
+        "bases": [matrix_to_json(b) for b in rangefn.bases],
+        "matrices": [matrix_to_json(m) for m in field.matrices],
+    }
 
 
 def report_text(report) -> str:

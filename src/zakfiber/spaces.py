@@ -99,15 +99,6 @@ def space_from_range(ctx: FiberContext, rangefn: RangeFunction) -> np.ndarray:
     return zak_inverse(ctx, fibers)
 
 
-def project_via_fibers(ctx: FiberContext, rangefn: RangeFunction, f) -> np.ndarray:
-    """Orthogonal projection computed fiber by fiber."""
-    fibers = zak(ctx, f)
-    out = np.zeros_like(fibers)
-    for wi, basis in enumerate(rangefn.bases):
-        out[wi] = basis @ (basis.conj().T @ fibers[wi])
-    return zak_inverse(ctx, out)
-
-
 def is_translation_invariant(ctx: FiberContext, basis) -> checks.Verdict:
     """Check that translating every basis vector stays in the span.
 
@@ -155,18 +146,6 @@ def principal_decomposition(ctx: FiberContext, basis):
     for wi, mat in enumerate(directions):
         fibers[wi, :, : mat.shape[1]] = mat
     return list(zak_inverse(ctx, fibers).T)
-
-
-def parseval_fiber_check(ctx: FiberContext, phi) -> bool:
-    """True when every fiber of phi has norm 0 or 1 (within checks.PARSEVAL).
-
-    Generators with this property produce translate families that are tight
-    for their generated space once rescaled by |Gamma|^(-1/2); see
-    :func:`translate_parseval_frame`.
-    """
-    norms = np.linalg.norm(zak(ctx, phi), axis=1)
-    # distance of each norm from the nearer of 0 and 1
-    return bool(np.all(checks.passes(np.minimum(norms, np.abs(norms - 1.0)), checks.PARSEVAL)))
 
 
 def translate_parseval_frame(ctx: FiberContext, generators) -> list[np.ndarray]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ def f1_spec(tmp_path):
 
 def write_operator(tmp_path, name, matrix):
     path = tmp_path / name
-    path.write_text(json.dumps(jsonio.operator_to_json(np.asarray(matrix, dtype=complex))))
+    path.write_text(json.dumps({"matrix": jsonio.matrix_to_json(matrix)}))
     return str(path)
 
 
@@ -65,6 +66,13 @@ class TestAnalyze:
 
     def test_missing_file_is_input_error(self, f1_spec):
         assert main(["analyze", f1_spec, "/nonexistent/op.json"]) == 2
+
+    def test_deeply_nested_operator_is_input_error(self, tmp_path, f1_spec, capsys):
+        # json.loads raises RecursionError, not JSONDecodeError, on deep nesting
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["analyze", f1_spec, str(deep)]) == 2
+        assert "deep.json" in capsys.readouterr().err
 
     def test_null_matrix_entry_is_input_error(self, tmp_path, f1_spec):
         op = tmp_path / "null.json"
@@ -154,6 +162,41 @@ class TestCheck:
         path.write_text(json.dumps({"orders": orders}))
         assert main(["check", str(path)]) == 2
         assert "exceeds the limit" in capsys.readouterr().err
+
+    def test_deeply_nested_group_spec_is_input_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["check", str(deep)]) == 2
+        assert "deep.json" in capsys.readouterr().err
+
+    def test_many_trivial_factors_are_input_error(self, tmp_path, capsys):
+        # |G| = 1, but the work before any allocation grows with the factor count
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"orders": [1] * 2000}))
+        start = time.perf_counter()
+        assert main(["check", str(path)]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "cyclic factors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"orders": [12], "gamma_generators": [[3]]},
+            {"orders": [2, 4], "gamma_generators": [[1, 2]]},
+            {"orders": [6], "gamma_generators": [[1]]},
+            {"orders": [5]},
+        ],
+        ids=["z12-index3", "z2xz4", "gamma-is-g", "trivial-gamma"],
+    )
+    def test_multiplication_preserving_suite(self, tmp_path, capsys, spec):
+        # the fibered form Z U Z* of a synthesized operator is block diagonal
+        # over omega and commutes with every character of Gamma
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["check", str(path), "--json"]) == 0
+        entry = read_report(capsys)["suites"]["multiplication_preserving"]
+        assert entry["passed"] is True and entry["residual"] < 1e-12
+        assert entry["tolerance"] == 1e-10
 
     def test_f1_passes(self, f1_spec, capsys):
         code = main(["check", f1_spec, "--json"])

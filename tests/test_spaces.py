@@ -8,9 +8,8 @@ from zakfiber import (
     determining_function,
     is_translation_invariant,
     full_range_function,
-    parseval_fiber_check,
+    operator_summary,
     principal_decomposition,
-    project_via_fibers,
     range_function,
     space_from_range,
     translate,
@@ -24,6 +23,13 @@ from conftest import delta, rand_signal
 
 def projection_of(basis):
     return basis @ basis.conj().T
+
+
+def project_via_fibers(ctx, rangefn, f):
+    """Z* P Z f with P the range function's projection on each fiber: the
+    fiber-side route to the projection onto the space of the range function."""
+    fibers = zak(ctx, f)
+    return zak_inverse(ctx, np.stack([rangefn.projection(wi) @ fiber for wi, fiber in enumerate(fibers)]))
 
 
 class TestRangeFunction:
@@ -263,7 +269,7 @@ class TestParseval:
     def test_unit_fiber_generator_passes_and_is_tight(self, f1_ctx):
         generators = principal_decomposition(f1_ctx, np.eye(4, dtype=complex))
         phi = generators[0]
-        assert parseval_fiber_check(f1_ctx, phi)
+        assert np.allclose(np.linalg.norm(zak(f1_ctx, phi), axis=1), 1.0)
         # brute-force tightness of the scaled translate family on S(phi)
         rng = np.random.default_rng(46)
         comp_basis = space_from_range(f1_ctx, range_function(f1_ctx, [phi]))
@@ -275,13 +281,13 @@ class TestParseval:
             assert total == pytest.approx(np.linalg.norm(proj @ f) ** 2, abs=1e-9)
 
     def test_delta_fails_fiber_norm_gate(self, f1_ctx):
-        # fiber norms are 1/sqrt(2), not 1
-        fibers = zak(f1_ctx, delta(f1_ctx.group, (0,)))
-        assert np.allclose(np.linalg.norm(fibers, axis=1), 1 / np.sqrt(2))
-        assert not parseval_fiber_check(f1_ctx, delta(f1_ctx.group, (0,)))
-
-    def test_zero_signal_passes(self, f1_ctx):
-        assert parseval_fiber_check(f1_ctx, np.zeros(4))
+        # fiber norms are 1/sqrt(2), not 1, so the scaled translates of the
+        # delta fall short of a Parseval frame and the operator summary refuses them
+        phi = delta(f1_ctx.group, (0,))
+        assert np.allclose(np.linalg.norm(zak(f1_ctx, phi), axis=1), 1 / np.sqrt(2))
+        basis = space_from_range(f1_ctx, range_function(f1_ctx, [phi]))
+        with pytest.raises(ValueError, match="not Parseval"):
+            operator_summary(f1_ctx, np.eye(4), basis, translate_parseval_frame(f1_ctx, [phi]))
 
     def test_frame_operator_is_projection(self, ctx):
         rng = np.random.default_rng(47)
