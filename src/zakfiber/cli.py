@@ -8,7 +8,9 @@ Exit codes: 0 all verifications pass, 1 a mathematical verification failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import sys
@@ -93,12 +95,16 @@ def _context_from_spec(path: str):
 
 
 def _emit(report: dict, cfg: RunConfig) -> None:
-    text = jsonio.report_text(report)
-    if cfg.out_path:
-        Path(cfg.out_path).write_text(text + "\n", encoding="utf-8")
-    if cfg.json_out:
-        print(text)
-    else:
+    """Write the JSON report to the --out file and, under --json, to stdout,
+    in one pass over the encoder's chunks; otherwise print the summary."""
+    with contextlib.ExitStack() as stack:
+        sinks = [stack.enter_context(open(cfg.out_path, "w", encoding="utf-8"))] if cfg.out_path else []
+        if cfg.json_out:
+            sinks.append(sys.stdout)
+        for chunk in itertools.chain(jsonio.report_chunks(report), "\n") if sinks else ():
+            for sink in sinks:
+                sink.write(chunk)
+    if not cfg.json_out:
         _print_summary(report)
 
 
@@ -108,7 +114,7 @@ def _print_summary(report: dict, indent: str = "") -> None:
         if isinstance(value, dict):
             print(f"{indent}{key}:")
             _print_summary(value, indent + "  ")
-        elif isinstance(value, list) and (len(value) > 8 or any(isinstance(v, list) for v in value)):
+        elif isinstance(value, list) and (len(value) > 8 or any(isinstance(v, (list, np.ndarray)) for v in value)):
             print(f"{indent}{key}: [{len(value)} entries]")
         else:
             print(f"{indent}{key}: {value}")
@@ -132,14 +138,15 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, RangeOperatorField | 
     }
     if not verdict:
         return report, False, None
-    field, solve_residual = solve_range_field(ctx, u, rangefn)
+    # one basis serves the solve and the operator side
+    basis = space_from_range(ctx, rangefn)
+    field, solve_residual = solve_range_field(ctx, u, rangefn, basis)
     solve = checks.gate(solve_residual, cfg.abs_tol(checks.SOLVE))
     report["fiber_solve"] = {"passed": solve.passed, "residual": solve_residual}
     if not solve:
         return report, False, None
     report["range_field"] = jsonio.field_to_json(field, rangefn)
 
-    basis = space_from_range(ctx, rangefn)
     frame = translate_parseval_frame(ctx, principal_decomposition(ctx, basis))
     op = operator_summary(ctx, u, basis, frame)
     fib = fiber_summary(field, rangefn)

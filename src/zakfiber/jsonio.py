@@ -2,7 +2,7 @@
 
 Complex numbers are always serialized as ``[re, im]`` pairs, matrices
 row-major, and group elements as integer arrays in enumeration order.
-Reports are written by :func:`report_text`.
+Reports are written by :func:`report_chunks`.
 """
 
 from __future__ import annotations
@@ -33,9 +33,11 @@ def complex_to_pair(z) -> list[float]:
     return [z.real, z.imag]
 
 
-def matrix_to_json(mat: np.ndarray) -> list:
+def matrix_to_json(mat: np.ndarray) -> np.ndarray:
+    """The ``(rows, cols, 2)`` float array of ``[re, im]`` pairs; the report
+    encoder writes it as the nested list ``matrix_from_json`` reads."""
     mat = np.asarray(mat, dtype=complex)
-    return np.stack([mat.real, mat.imag], axis=-1).tolist()
+    return np.stack([mat.real, mat.imag], axis=-1)
 
 
 def matrix_from_json(rows, shape=None) -> np.ndarray:
@@ -111,42 +113,91 @@ def field_to_json(field: RangeOperatorField, rangefn: RangeFunction) -> dict:
     }
 
 
-def report_text(report) -> str:
-    """The stdlib's ``json.dumps`` of the report with two-space indents and
-    sorted keys, byte for byte.
+def report_chunks(report):
+    """Yield the report text in pieces whose concatenation is, byte for byte,
+    ``json.dumps(report, indent=2, sort_keys=True, default=np.ndarray.tolist)``.
 
-    With an indent the stdlib encoder runs in pure Python, one generator
-    step per token. Here containers are joined as strings, and a nested list
-    of one box shape whose leaves are all plain floats (the field matrices
-    and bases) is written in one pass: one ``float.__repr__`` per leaf and
-    one template for the brackets and indentation.
+    A float64 array with three or more axes is written one leading index at
+    a time, so no more than one such slice of the report is held as text at
+    once. A smaller float array, and a nested list of one box shape whose
+    leaves are all plain floats, is one piece: one ``float.__repr__`` per leaf
+    and one template for the brackets and indentation. Any other array is
+    written as its ``tolist()``.
     """
-    return _encode(report, "\n")
+    yield from _chunks(report, "\n")
 
 
-def _encode(obj, newline: str) -> str:
+def report_text(report) -> str:
+    """The report text of :func:`report_chunks` as one string."""
+    return "".join(report_chunks(report))
+
+
+def _chunks(obj, newline: str):
     inner = newline + "  "
+    if isinstance(obj, np.ndarray):
+        # other dtypes and subclasses (np.matrix, masked arrays) go the way
+        # the default= hook hands them to the stdlib
+        if type(obj) is not np.ndarray or obj.dtype != np.float64 or not obj.size:
+            yield from _chunks(obj.tolist(), newline)
+        elif obj.ndim < 3:
+            yield _float_box(_template(obj.shape, newline), obj.ravel().tolist())
+        else:
+            template = _template(obj.shape[1:], inner)
+            for i, row in enumerate(obj):
+                yield ("," if i else "[") + inner + _float_box(template, row.ravel().tolist())
+            yield newline + "]"
+        return
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = (f"{encode_basestring_ascii(_key(k))}: {_encode(v, inner)}" for k, v in sorted(obj.items()))
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        box = np.array(obj, dtype=object)
-        leaves = box.ravel().tolist()
-        if leaves and set(map(type, leaves)) == {float}:
-            return _float_box(box.shape, leaves, newline)
-        return "[" + inner + ("," + inner).join(_encode(v, inner) for v in obj) + newline + "]"
-    return _scalar(obj)
+        brackets = "{}"
+        items = [(encode_basestring_ascii(_key(k)) + ": ", v) for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        box = _float_leaves(obj)
+        if box is not None:
+            yield _float_box(_template(box[0], newline), box[1])
+            return
+        brackets = "[]"
+        items = [("", v) for v in obj]
+    else:
+        yield _scalar(obj)
+        return
+    if not items:
+        yield brackets
+        return
+    sep = brackets[0] + inner
+    for head, v in items:
+        if isinstance(v, (dict, list, tuple, np.ndarray)):
+            yield sep + head
+            yield from _chunks(v, inner)
+        else:
+            yield sep + head + _scalar(v)
+        sep = "," + inner
+    yield newline + brackets[1]
 
 
-def _float_box(shape, leaves: list, newline: str) -> str:
+def _float_leaves(obj):
+    """``(shape, leaves)`` of a nested list or tuple of one box shape, no axis
+    of length zero, whose leaves are all plain floats; else None."""
+    shape = []
+    level = [obj]
+    while isinstance(level[0], (list, tuple)):
+        n = len(level[0])
+        if not n or not all(isinstance(x, (list, tuple)) and len(x) == n for x in level):
+            return None
+        shape.append(n)
+        level = list(chain.from_iterable(level))
+    return (shape, level) if all(type(x) is float for x in level) else None
+
+
+def _template(shape, newline: str) -> str:
+    """The brackets and indentation of a box of the given shape, one ``{}`` per leaf."""
     template = "{}"
     for depth in range(len(shape), 0, -1):
         inner = newline + "  " * depth
         template = "[" + inner + ("," + inner).join([template] * shape[depth - 1]) + inner[:-2] + "]"
+    return template
+
+
+def _float_box(template: str, leaves: list) -> str:
     text = template.format(*map(float.__repr__, leaves))
     # repr spells the non-finite floats nan, inf and -inf; no other float
     # repr, and nothing in the template, contains an "n"

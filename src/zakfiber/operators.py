@@ -117,16 +117,25 @@ def check_translation_preserving(ctx: FiberContext, u, tol: float = checks.COMMU
     return checks.gate(checks.largest(residuals), tol)
 
 
-def solve_range_field(ctx: FiberContext, u, rangefn: RangeFunction):
+def solve_range_field(ctx: FiberContext, u, rangefn: RangeFunction, basis=None):
     """Fiberwise solve for the field of u on the given range function.
 
     Returns ``(field, residual)`` where residual is the largest off-fiber
     leakage of u applied to the fiber-supported canonical basis. A residual
     at rounding scale certifies that the field reproduces u on the space;
     a large residual means no field exists.
+
+    ``basis`` is that canonical basis, ``space_from_range(ctx, rangefn)``,
+    for a caller that has already built it; it is built here when omitted.
     """
     u = as_operator(ctx, u)
-    images = zak(ctx, u @ space_from_range(ctx, rangefn))  # (|Omega|, |C|, dim)
+    if basis is None:
+        basis = space_from_range(ctx, rangefn)
+    elif np.shape(basis) != (ctx.group.size, rangefn.dim_total):
+        raise ValueError(
+            f"basis has shape {np.shape(basis)}, expected ({ctx.group.size}, {rangefn.dim_total})"
+        )
+    images = zak(ctx, u @ basis)  # (|Omega|, |C|, dim)
     owner = np.repeat(np.arange(ctx.n_omega), rangefn.dims)  # the fiber of each basis column
     own = np.arange(ctx.n_omega)[:, None] == owner[None, :]
     residual = float(np.where(own, 0.0, np.abs(images).max(axis=1)).max(initial=0.0))
@@ -188,12 +197,14 @@ def synthesize_operator(ctx: FiberContext, field: RangeOperatorField, rangefn: R
 def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determining-set") -> checks.Verdict:
     """Commutation test for an operator on the flattened fiber space.
 
-    ``determining-set`` probes multiplication by every restricted character
-    and names the first failing element t of Gamma as its witness; ``full``
-    probes every omega-indicator, which is the same as requiring the matrix
-    to be block diagonal over omega, and names the largest off-diagonal
-    block ``(wi, wj)``. The two modes agree on every input away from the
-    tolerance edge.
+    ``determining-set`` probes multiplication by the restricted characters
+    of Gamma's generators (of its one element when Gamma is trivial) and
+    names the first failing generator t as its witness. The characters
+    multiply, so commuting with the generators' characters implies
+    commuting with every element's. ``full`` probes every omega-indicator,
+    which is the same as requiring the matrix to be block diagonal over
+    omega, and names the largest off-diagonal block ``(wi, wj)``. The two
+    modes agree on every input away from the tolerance edge.
     """
     n = ctx.group.size
     nc = ctx.n_c
@@ -202,7 +213,7 @@ def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determ
         raise ValueError(f"fibered operator has shape {uhat.shape}, expected ({n}, {n})")
     if mode == "determining-set":
         residuals = []
-        for t in ctx.gamma.elements:
+        for t in ctx.gamma.generators or ctx.gamma.elements:
             diag = np.repeat(determining_function(ctx, t), nc)
             r = np.abs(uhat * diag[None, :] - diag[:, None] * uhat).max()
             residuals.append(r)

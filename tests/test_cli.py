@@ -1,17 +1,21 @@
 """Exit-code contract, report content and determinism of the command line."""
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from zakfiber import cli, jsonio
+from zakfiber import cli, fiber_context, full_range_function, jsonio, make_group, subgroup_from_generators
 from zakfiber.cli import main
+
+from conftest import rand_field
 
 
 @pytest.fixture
@@ -23,7 +27,7 @@ def f1_spec(tmp_path):
 
 def write_operator(tmp_path, name, matrix):
     path = tmp_path / name
-    path.write_text(json.dumps({"matrix": jsonio.matrix_to_json(matrix)}))
+    path.write_text(json.dumps({"matrix": jsonio.matrix_to_json(matrix)}, default=np.ndarray.tolist))
     return str(path)
 
 
@@ -260,3 +264,39 @@ class TestContract:
         main(["check", f1_spec, "--json", "--out", str(out)])
         printed = capsys.readouterr().out
         assert out.read_text().strip() == printed.strip()
+
+
+class TestStreamedReport:
+    def test_analyze_report_matches_the_stdlib_in_both_sinks(self, tmp_path, capsys, monkeypatch):
+        # |C| = 64: the range field is written one matrix row at a time
+        spec = tmp_path / "z128.json"
+        spec.write_text(json.dumps({"orders": [128], "gamma_generators": [[64]]}))
+        op = write_operator(tmp_path, "ident.json", np.eye(128))
+        reports = []
+        encode = jsonio.report_chunks
+        monkeypatch.setattr(jsonio, "report_chunks", lambda report: reports.append(report) or encode(report))
+        out = tmp_path / "r.json"
+        assert main(["analyze", str(spec), op, "--json", "--out", str(out)]) == 0
+        (report,) = reports
+        assert report["sizes"]["c"] == 64
+        expected = json.dumps(report, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
+        assert out.read_text(encoding="utf-8") == capsys.readouterr().out == expected
+
+    def test_emit_holds_no_copy_of_the_field(self, tmp_path):
+        # two fibers of |C| = 128; the report text is about 4.6x the field's bytes
+        g = make_group([256])
+        ctx = fiber_context(g, subgroup_from_generators(g, [(128,)]))
+        assert (ctx.n_omega, ctx.n_c) == (2, 128)
+        rangefn = full_range_function(ctx)
+        field = rand_field(np.random.default_rng(5), ctx, rangefn)
+        field_bytes = sum(m.nbytes for m in (*field.matrices, *rangefn.bases))
+        cfg = cli.RunConfig(json_out=True, out_path=str(tmp_path / "r.json"))
+        with open(tmp_path / "stdout.json", "w", encoding="utf-8") as stdout, contextlib.redirect_stdout(stdout):
+            tracemalloc.start()
+            try:
+                cli._emit({"command": "analyze", "range_field": jsonio.field_to_json(field, rangefn)}, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "r.json").stat().st_size > 4 * field_bytes
+        assert peak < 3 * field_bytes

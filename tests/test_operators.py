@@ -144,6 +144,19 @@ class TestExtract:
             )
 
 
+    def test_solve_takes_the_callers_basis(self, ctx):
+        rangefn = range_function(ctx, [delta(ctx.group, (0,) * len(ctx.group.orders))])
+        u = rand_tp_operator(np.random.default_rng(52), ctx)
+        basis = space_from_range(ctx, rangefn)
+        field, residual = solve_range_field(ctx, u, rangefn)
+        given, given_residual = solve_range_field(ctx, u, rangefn, basis)
+        assert given_residual == residual
+        assert all(np.array_equal(a, b) for a, b in zip(given.matrices, field.matrices))
+        for wrong in (basis[:, 1:], basis[1:], basis.T):
+            if wrong.shape != basis.shape:
+                with pytest.raises(ValueError, match="basis has shape"):
+                    solve_range_field(ctx, u, rangefn, wrong)
+
     def test_nan_solve_residual_is_a_failure(self, f1_ctx, monkeypatch):
         rangefn = full_range_function(f1_ctx)
         field, _ = solve_range_field(f1_ctx, np.eye(4, dtype=complex), rangefn)
@@ -599,6 +612,16 @@ class TestMultiplicationPreserving:
             det = multiplication_preserving_check(ctx, uhat, mode="determining-set")
             full = multiplication_preserving_check(ctx, uhat, mode="full")
             assert det.passed == full.passed
+
+    def test_determining_set_probes_the_generators(self, monkeypatch):
+        # Gamma = Z_8 has one generator: one character probe, not eight
+        g = make_group([8])
+        ctx = fiber_context(g, subgroup_from_generators(g, [(1,)]))
+        probes = []
+        character = operators.determining_function
+        monkeypatch.setattr(operators, "determining_function", lambda c, t: probes.append(t) or character(c, t))
+        assert multiplication_preserving_check(ctx, np.eye(8), mode="determining-set")
+        assert probes == [(1,)]
 
     @pytest.mark.parametrize("mode", ["determining-set", "full"])
     def test_nan_operator_fails(self, f1_ctx, mode):

@@ -1,4 +1,5 @@
-"""The report encoder against its oracle, ``json.dumps(x, indent=2, sort_keys=True)``."""
+"""The report encoder against its oracle,
+``json.dumps(x, indent=2, sort_keys=True, default=np.ndarray.tolist)``."""
 
 import json
 import math
@@ -15,7 +16,7 @@ from conftest import battery_contexts, rand_tp_operator
 
 
 def oracle(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True, default=np.ndarray.tolist)
 
 
 EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-7, 0.1]
@@ -28,15 +29,15 @@ scalars = (
     | floats.map(np.float64)
     | st.text()
 )
-# box-shaped float lists of 1-4 dims, zero-length axes included ([[], []])
-float_boxes = arrays(
-    np.float64, array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3), elements=floats
-).map(np.ndarray.tolist)
+# float arrays of 1-4 dims, zero-length axes included, and the same boxes as
+# nested lists ([[], []])
+float_arrays = arrays(np.float64, array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3), elements=floats)
+float_boxes = float_arrays.map(np.ndarray.tolist)
 # lists that must not take the float-box path: mixed leaf types and ragged rows
 mixed_lists = st.lists(st.one_of(floats, st.integers(-3, 3), st.booleans()), max_size=4)
 ragged = st.lists(st.lists(floats, max_size=3), min_size=2, max_size=3)
 json_values = st.recursive(
-    scalars | float_boxes | mixed_lists | ragged,
+    scalars | float_arrays | float_boxes | mixed_lists | ragged,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.dictionaries(st.text(), children, max_size=4),
@@ -64,6 +65,14 @@ def test_matches_the_stdlib_encoder(obj):
         {2: "int", 1.5: "float"},
         {None: "null"},
         {True: 1, False: 0},
+        np.array(1.5),
+        np.zeros((2, 0, 3)),
+        np.array([[[math.nan, -0.0]], [[math.inf, -math.inf]]]),
+        np.arange(24.0).reshape(2, 3, 4)[:, ::2, ::-1],
+        np.asfortranarray(np.arange(8.0).reshape(2, 2, 2)),
+        np.arange(6, dtype=np.float32).reshape(1, 2, 3) / 3,
+        np.arange(4).reshape(2, 2),
+        [np.ones((2, 1, 2)), {"a": np.zeros(2)}],
     ],
     ids=repr,
 )
@@ -71,7 +80,7 @@ def test_edge_cases(obj):
     assert jsonio.report_text(obj) == oracle(obj)
 
 
-@pytest.mark.parametrize("obj", [{(1, 2): 0}, {"a": np.int64(1)}, [object()]])
+@pytest.mark.parametrize("obj", [{(1, 2): 0}, {"a": np.int64(1)}, [object()], np.array([[1j]])])
 def test_non_json_values_raise_like_the_stdlib(obj):
     with pytest.raises(TypeError):
         oracle(obj)
@@ -96,8 +105,8 @@ def test_reports_of_the_battery_encode_like_the_stdlib():
 
 def test_demo_report_encodes_like_the_stdlib(tmp_path, monkeypatch):
     reports = []
-    encode = jsonio.report_text
-    monkeypatch.setattr(jsonio, "report_text", lambda report: reports.append(report) or encode(report))
+    encode = jsonio.report_chunks
+    monkeypatch.setattr(jsonio, "report_chunks", lambda report: reports.append(report) or encode(report))
     out = tmp_path / "demo.json"
     assert cli.main(["demo-diffop", "8", "2", "--out", str(out)]) == 0
     (report,) = reports
