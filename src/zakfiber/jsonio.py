@@ -49,10 +49,13 @@ def matrix_from_json(rows, shape=None) -> np.ndarray:
     pairs = list(chain.from_iterable(rows))
     if not all(isinstance(z, list) and len(z) == 2 for z in pairs):
         raise ValueError("matrix entries must be [re, im] pairs")
-    parts = np.array(list(chain.from_iterable(pairs)))
-    # anything but plain numbers (null, strings, nesting) leaves an
-    # object, string or wrongly shaped array
-    if parts.dtype.kind not in "iuf" or parts.shape != (2 * len(pairs),):
+    flat = list(chain.from_iterable(pairs))
+    # JSON numbers only: bool is an int subclass that numpy would read as 1.0
+    # or 0.0, and an integer beyond 64 bits leaves an object array
+    if not set(map(type, flat)) <= {int, float}:
+        raise ValueError("matrix entries must be [re, im] pairs of numbers")
+    parts = np.array(flat)
+    if parts.dtype.kind not in "iuf":
         raise ValueError("matrix entries must be [re, im] pairs of numbers")
     # json.loads reads the NaN, Infinity and -Infinity tokens as floats
     if not np.isfinite(parts).all():

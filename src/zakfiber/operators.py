@@ -65,22 +65,10 @@ class VerificationReport:
             "passed": bool(self.passed),
             "verdicts": {k: bool(v) for k, v in self.verdicts.items()},
             "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "values": _jsonable(self.values),
-            "witness": _jsonable(self.witness),
+            "values": self.values,
+            "witness": self.witness,
             "skipped": list(self.skipped),
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
 
 
 def as_operator(ctx: FiberContext, u) -> np.ndarray:

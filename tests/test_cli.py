@@ -83,6 +83,13 @@ class TestAnalyze:
         op.write_text(json.dumps({"matrix": [[[None, 0.0]] * 4] * 4}))
         assert main(["analyze", f1_spec, str(op)]) == 2
 
+    def test_boolean_matrix_entry_is_input_error(self, tmp_path, f1_spec, capsys):
+        # true would otherwise be read as 1.0, and the all-ones matrix commutes
+        op = tmp_path / "bool.json"
+        op.write_text(json.dumps({"matrix": [[[True, 0.0]] * 4] * 4}))
+        assert main(["analyze", f1_spec, str(op)]) == 2
+        assert "pairs of numbers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
     def test_non_finite_tolerance_is_usage_error(self, tmp_path, flag, value):
@@ -213,6 +220,16 @@ class TestCheck:
         spec.write_text(json.dumps({"orders": [12], "gamma_generators": [[3]]}))
         assert main(["check", str(spec), "--json"]) == 0
         assert read_report(capsys)["passed"] is True
+
+    def test_intertwining_probes_the_generators(self, monkeypatch):
+        # Gamma = Z_8 has one generator: one translated zak, not eight
+        g = make_group([8])
+        ctx = fiber_context(g, subgroup_from_generators(g, [(1,)]))
+        probes = []
+        shift = cli.translate
+        monkeypatch.setattr(cli, "translate", lambda group, f, t: probes.append(t) or shift(group, f, t))
+        assert cli._check_suites(ctx, cli.RunConfig())["zak_intertwining"]["passed"]
+        assert probes == [(1,)]
 
     def test_tolerance_gate_below_machine_epsilon(self, f1_spec):
         # float limits make every suite fail at 1e-20

@@ -100,8 +100,10 @@ def test_matrix_codec_keeps_the_pair_lists():
         [[["1", 0.0]]],
         [[[[1.0], 0.0]]],
         "nope",
+        [[[True, 0.0]]],
+        [[[True, False], [1.0, 0.0]]],
     ],
-    ids=["ragged", "triple", "scalar", "null", "string", "nested", "not-a-list"],
+    ids=["ragged", "triple", "scalar", "null", "string", "nested", "not-a-list", "bool", "bool-pair-among-floats"],
 )
 def test_matrix_from_json_rejects_malformed(rows):
     with pytest.raises(ValueError):

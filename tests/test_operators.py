@@ -35,9 +35,9 @@ from zakfiber import (
     zak_matrix,
 )
 
-from zakfiber import cli, operators
+from zakfiber import cli, operators, spaces
 
-from conftest import delta, rand_field, rand_signal, rand_tp_operator, summaries
+from conftest import battery_contexts, delta, rand_field, rand_signal, rand_tp_operator, summaries
 
 
 def diff_operator(ctx, step):
@@ -575,6 +575,24 @@ class TestSummaries:
         assert shapes.count((n, n)) == 1
         assert eigvalsh_calls == [(n, n)]
         assert len(basis_builds) <= 2
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["commuting", "hermitian-psd"])
+    def test_pipeline_takes_the_full_space_frame_in_closed_form(self, monkeypatch, hermitian):
+        # analyze certifies the full space, whose Parseval frame is the
+        # standard basis: nothing decomposes the space to find it
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline decomposed the full space")
+
+        for name in ("principal_decomposition", "is_translation_invariant", "translate_parseval_frame"):
+            monkeypatch.setattr(spaces, name, refuse)
+            monkeypatch.setattr(cli, name, refuse, raising=False)
+        rng = np.random.default_rng(65)
+        for label, ctx in battery_contexts():
+            w = rand_tp_operator(rng, ctx)
+            u = w.conj().T @ w if hermitian else w
+            body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
+            assert ok, label
+            assert ("trace" in body["hs_trace"]["values"]) is hermitian, label
 
 
 class TestMultiplicationPreserving:

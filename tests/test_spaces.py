@@ -18,7 +18,7 @@ from zakfiber import (
     zak_inverse,
 )
 
-from conftest import delta, rand_signal
+from conftest import delta, rand_signal, rand_tp_operator
 
 
 def projection_of(basis):
@@ -297,3 +297,30 @@ class TestParseval:
         frame = translate_parseval_frame(ctx, generators)
         frame_op = sum(np.outer(y, y.conj()) for y in frame)
         assert np.abs(frame_op - projection_of(basis)).max() <= 1e-9
+
+
+class TestFullSpaceFrame:
+    """On the full space the principal generators may be taken as
+    sqrt|Gamma| delta_c, c in C: the closed form the CLI uses, checked
+    against the general construction."""
+
+    def test_closed_form_fibers_and_translates(self, ctx):
+        g = ctx.group
+        generators = np.sqrt(ctx.gamma.size) * np.column_stack([delta(g, c) for c in ctx.c_section.reps])
+        # every fiber of the c-th generator is e_c
+        assert np.abs(zak(ctx, generators) - np.eye(ctx.n_c)).max() <= 1e-15
+        frame = np.column_stack(translate_parseval_frame(ctx, list(generators.T)))
+        assert np.abs(frame - np.eye(g.size)[:, ctx._coset_plus.ravel()]).max() <= 1e-15
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["commuting", "hermitian-psd"])
+    def test_standard_basis_gives_the_computed_frame_values(self, ctx, hermitian):
+        # the computed frame may be a rotation of the closed form where fiber
+        # singular values are degenerate, so the values are compared, not the frames
+        w = rand_tp_operator(np.random.default_rng(48), ctx)
+        u = w.conj().T @ w if hermitian else w
+        basis = space_from_range(ctx, full_range_function(ctx))
+        computed = translate_parseval_frame(ctx, principal_decomposition(ctx, basis))
+        closed = operator_summary(ctx, u, basis, list(np.eye(ctx.group.size, dtype=complex)))
+        oracle = operator_summary(ctx, u, basis, computed)
+        assert closed.hs_frame == pytest.approx(oracle.hs_frame, rel=1e-12, abs=0)
+        assert closed.trace_frame == pytest.approx(oracle.trace_frame, rel=1e-12, abs=0)
