@@ -31,7 +31,6 @@ from .groups import (
 )
 from .operators import (
     NotTranslationPreservingError,
-    RangeOperatorField,
     RangeSolveError,
     VerificationReport,
     check_translation_preserving,
@@ -62,7 +61,6 @@ __all__ = [
     "NotTranslationInvariantError",
     "NotTranslationPreservingError",
     "RangeFunction",
-    "RangeOperatorField",
     "RangeSolveError",
     "Subgroup",
     "Transversal",

@@ -23,7 +23,6 @@ from . import checks, jsonio
 from .fiberization import fiber_context, determining_function, zak, zak_inverse
 from .groups import make_group, pairing, subgroup_from_generators, translate, translation_matrix
 from .operators import (
-    RangeOperatorField,
     check_translation_preserving,
     extract_range_operator,
     fiber_summary,
@@ -114,7 +113,7 @@ def _print_summary(report: dict, indent: str = "") -> None:
             print(f"{indent}{key}: {value}")
 
 
-def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, RangeOperatorField | None]:
+def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
     """check -> extract -> norm/HS/trace/structural on the full signal space.
 
     Returns the report body, the verdict and the extracted field (None when
@@ -143,8 +142,7 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, RangeOperatorField | 
 
     # the full space's principal generators are sqrt|Gamma| delta_c, c in C,
     # and their |Gamma|^(-1/2)-scaled translates are the standard basis
-    frame = list(np.eye(ctx.group.size, dtype=complex))
-    op = operator_summary(ctx, u, basis, frame)
+    op = operator_summary(ctx, u, basis, np.eye(ctx.group.size, dtype=complex))
     fib = fiber_summary(field, rangefn)
     comparisons = {
         "norm_identity": norm_identity_report(op, fib, tol=cfg.rel_tol(checks.NORM)),
@@ -189,14 +187,13 @@ def cmd_demo_diffop(args) -> int:
 
     body, ok, field = _pipeline(ctx, u, cfg)
     expected = [1.0 - pairing(g, step, w) for w in ctx.omega.reps]
-    matrices = field.matrices if field is not None else ()
-    symbols = [complex(mat[0, 0]) if ctx.n_c else 0.0 for mat in matrices]
-    scalar_residual = checks.largest(
-        np.abs(mat - symbol * np.eye(ctx.n_c)).max() for mat, symbol in zip(matrices, symbols)
-    )
-    symbol_residual = checks.largest(abs(s - e) for s, e in zip(symbols, expected)) if symbols else math.inf
+    if field is None:
+        field = np.zeros((0, ctx.n_c, ctx.n_c), dtype=complex)
+    symbols = field[:, 0, 0]
+    scalar_residual = checks.largest(np.abs(field - symbols[:, None, None] * np.eye(ctx.n_c)).max(axis=(1, 2)))
+    symbol_residual = checks.largest(abs(s - e) for s, e in zip(symbols, expected)) if symbols.size else math.inf
     tol = cfg.abs_tol(checks.SYMBOL)
-    symbols_ok = bool(symbols) and checks.passes(symbol_residual, tol) and checks.passes(scalar_residual, tol)
+    symbols_ok = bool(symbols.size) and checks.passes(symbol_residual, tol) and checks.passes(scalar_residual, tol)
     ok = ok and symbols_ok
 
     report = {
@@ -207,7 +204,7 @@ def cmd_demo_diffop(args) -> int:
         "omega_reps": [list(w) for w in ctx.omega.reps],
         "fiber_symbols": [jsonio.complex_to_pair(s) for s in symbols],
         "expected_symbols": [jsonio.complex_to_pair(e) for e in expected],
-        "symbol_residual": symbol_residual if symbols else None,
+        "symbol_residual": symbol_residual if symbols.size else None,
         "symbol_scalar_residual": scalar_residual,
         "symbols_passed": symbols_ok,
         "operator_norm": body.get("norm_identity", {}).get("values", {}).get("operator_norm"),
@@ -256,21 +253,19 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     delta0 = np.zeros(n, dtype=complex)
     delta0[0] = 1.0
     gaps = []
-    for gens in ([delta0], [signals[:, 0], signals[:, 1]]):
+    for gens in (delta0[:, None], signals[:, :2]):
         rangefn = range_function(ctx, gens)
-        rangefn2 = range_function(ctx, space_from_range(ctx, rangefn).T)
+        rangefn2 = range_function(ctx, space_from_range(ctx, rangefn))
         gaps += [np.abs(rangefn.projection(wi) - rangefn2.projection(wi)).max() for wi in range(ctx.n_omega)]
     record("range_roundtrip", checks.largest(gaps), cfg.abs_tol(checks.ROUNDTRIP))
 
     rangefn = full_range_function(ctx)
-    mats = tuple(
+    field = np.stack([
         rng.standard_normal((ctx.n_c, ctx.n_c)) + 1j * rng.standard_normal((ctx.n_c, ctx.n_c))
         for _ in range(ctx.n_omega)
-    )
-    field = RangeOperatorField(mats)
+    ])
     u = synthesize_operator(ctx, field, rangefn)
-    recovered = extract_range_operator(ctx, u, rangefn)
-    r_bij = checks.largest(np.abs(a - b).max() for a, b in zip(recovered.matrices, field.matrices))
+    r_bij = np.abs(extract_range_operator(ctx, u, rangefn) - field).max()
     record("field_bijection", r_bij, cfg.abs_tol(checks.ROUNDTRIP))
 
     # Z U Z*, the fibered form of u: it commutes with multiplication by the

@@ -16,7 +16,7 @@ import numpy as np
 
 from .fiberization import FiberContext
 from .groups import GroupSpec, Subgroup, make_group, subgroup_from_generators
-from .operators import RangeOperatorField, as_operator
+from .operators import as_operator
 from .spaces import RangeFunction
 
 # The largest group order accepted as input. Every command holds dense
@@ -40,7 +40,7 @@ def matrix_to_json(mat: np.ndarray) -> np.ndarray:
     return np.stack([mat.real, mat.imag], axis=-1)
 
 
-def matrix_from_json(rows, shape=None) -> np.ndarray:
+def matrix_from_json(rows) -> np.ndarray:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("matrix must be a list of rows")
     n_cols = len(rows[0]) if rows else 0
@@ -60,10 +60,7 @@ def matrix_from_json(rows, shape=None) -> np.ndarray:
     # json.loads reads the NaN, Infinity and -Infinity tokens as floats
     if not np.isfinite(parts).all():
         raise ValueError("matrix entries must be finite")
-    mat = parts.astype(float).view(complex).reshape(len(rows), n_cols)
-    if shape is not None and mat.shape != tuple(shape):
-        raise ValueError(f"matrix has shape {mat.shape}, expected {tuple(shape)}")
-    return mat
+    return parts.astype(float).view(complex).reshape(len(rows), n_cols)
 
 
 def group_spec_to_json(g: GroupSpec, gamma: Subgroup) -> dict:
@@ -106,13 +103,16 @@ def operator_from_json(ctx: FiberContext, obj) -> np.ndarray:
     return as_operator(ctx, matrix_from_json(obj["matrix"]))
 
 
-def field_to_json(field: RangeOperatorField, rangefn: RangeFunction) -> dict:
+def field_to_json(field: np.ndarray, rangefn: RangeFunction) -> dict:
     """The range function as ``dims`` and ``bases`` and the field as
-    ``matrices``, one entry per omega."""
+    ``matrices``, one entry per omega.
+
+    Each fiber matrix is its own entry, so the report encoder streams the
+    field one row of a fiber at a time rather than a whole fiber at once."""
     return {
         "dims": list(rangefn.dims),
         "bases": [matrix_to_json(b) for b in rangefn.bases],
-        "matrices": [matrix_to_json(m) for m in field.matrices],
+        "matrices": [matrix_to_json(m) for m in field],
     }
 
 

@@ -2,8 +2,9 @@
 
 An operator on signals commutes with all translations by the subgroup
 exactly when its conjugate under the fiberization is block diagonal over
-omega. The block family (one |C| x |C| matrix per omega, stored extended by
-zero off the fiber subspace) is the range operator field; the functions here
+omega. The block family, one |C| x |C| matrix per omega extended by zero off
+the fiber subspace, is the range operator field, held as one complex
+``(|Omega|, |C|, |C|)`` array; the functions here
 detect the commutation property, extract and apply fields, synthesize
 operators from fields, and verify the norm, Hilbert-Schmidt, trace, isometry,
 self-adjointness and rank correspondences between the two pictures.
@@ -19,7 +20,7 @@ import numpy as np
 from . import checks
 from .fiberization import FiberContext, determining_function, zak, zak_inverse
 from .groups import translate
-from .spaces import RangeFunction, _rank_cut, space_from_range
+from .spaces import RangeFunction, _rank_cut, _signal_family, space_from_range
 
 
 class NotTranslationPreservingError(Exception):
@@ -40,13 +41,6 @@ class RangeSolveError(Exception):
     def __init__(self, residual: float):
         self.residual = residual
         super().__init__(f"fiber solve failed: off-fiber residual {residual:.3e}")
-
-
-@dataclass(frozen=True, eq=False)
-class RangeOperatorField:
-    """One |C| x |C| matrix per omega, zero on the orthocomplement of its fiber."""
-
-    matrices: tuple[np.ndarray, ...]
 
 
 @dataclass
@@ -108,10 +102,10 @@ def check_translation_preserving(ctx: FiberContext, u, tol: float = checks.COMMU
 def solve_range_field(ctx: FiberContext, u, rangefn: RangeFunction, basis=None):
     """Fiberwise solve for the field of u on the given range function.
 
-    Returns ``(field, residual)`` where residual is the largest off-fiber
-    leakage of u applied to the fiber-supported canonical basis. A residual
-    at rounding scale certifies that the field reproduces u on the space;
-    a large residual means no field exists.
+    Returns ``(field, residual)``: the ``(|Omega|, |C|, |C|)`` field, and
+    the largest off-fiber leakage of u applied to the fiber-supported
+    canonical basis. A residual at rounding scale certifies that the field
+    reproduces u on the space; a large residual means no field exists.
 
     ``basis`` is that canonical basis, ``space_from_range(ctx, rangefn)``,
     for a caller that has already built it; it is built here when omitted.
@@ -127,14 +121,15 @@ def solve_range_field(ctx: FiberContext, u, rangefn: RangeFunction, basis=None):
     owner = np.repeat(np.arange(ctx.n_omega), rangefn.dims)  # the fiber of each basis column
     own = np.arange(ctx.n_omega)[:, None] == owner[None, :]
     residual = float(np.where(own, 0.0, np.abs(images).max(axis=1)).max(initial=0.0))
-    matrices = tuple(
-        images[wi][:, owner == wi] @ fiber_basis.conj().T for wi, fiber_basis in enumerate(rangefn.bases)
+    field = np.stack(
+        [images[wi][:, owner == wi] @ fiber_basis.conj().T for wi, fiber_basis in enumerate(rangefn.bases)]
     )
-    return RangeOperatorField(matrices), residual
+    return field, residual
 
 
-def extract_range_operator(ctx: FiberContext, u, rangefn: RangeFunction) -> RangeOperatorField:
-    """The field R with zak(U f)(omega) = R(omega) zak(f)(omega) on the space.
+def extract_range_operator(ctx: FiberContext, u, rangefn: RangeFunction) -> np.ndarray:
+    """The ``(|Omega|, |C|, |C|)`` field R with zak(U f)(omega) = R(omega) zak(f)(omega)
+    on the space.
 
     Raises :class:`NotTranslationPreservingError` (with the commutator
     witness) when u fails the commutation test, and :class:`RangeSolveError`
@@ -149,7 +144,12 @@ def extract_range_operator(ctx: FiberContext, u, rangefn: RangeFunction) -> Rang
     return field
 
 
-def synthesize_operator(ctx: FiberContext, field: RangeOperatorField, rangefn: RangeFunction) -> np.ndarray:
+def _check_fiber_count(field: np.ndarray, rangefn: RangeFunction) -> None:
+    if len(rangefn.bases) != field.shape[0]:
+        raise ValueError(f"field has {field.shape[0]} fibers, the range function {len(rangefn.bases)}")
+
+
+def synthesize_operator(ctx: FiberContext, field, rangefn: RangeFunction) -> np.ndarray:
     """Conjugate the block-diagonal field back to an operator on signals.
 
     The result acts as the field on the space of the range function and as
@@ -160,25 +160,24 @@ def synthesize_operator(ctx: FiberContext, field: RangeOperatorField, rangefn: R
     computed as ``zak_inverse(zak_inverse(B)^H)^H`` over columns, since
     ``zak_inverse`` applies Z* to each column.
     """
-    n = ctx.group.size
-    nc = ctx.n_c
-    shape = ctx.fiber_shape() + (n,)
-    if len(field.matrices) != ctx.n_omega:
-        raise ValueError(f"field has {len(field.matrices)} fibers, expected {ctx.n_omega}")
-    big = np.zeros((n, n), dtype=complex)
-    for wi, (mat, fiber_basis) in enumerate(zip(field.matrices, rangefn.bases)):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (nc, nc):
-            raise ValueError(f"fiber matrix {wi} has shape {mat.shape}, expected ({nc}, {nc})")
-        proj = fiber_basis @ fiber_basis.conj().T
-        leak = np.abs(mat @ (np.eye(nc) - proj)).max() if nc else 0.0
-        if not checks.passes(leak, checks.DOMAIN):
-            raise ValueError(
-                f"fiber matrix {wi} does not vanish on the fiber orthocomplement "
-                f"(residual {leak:.3e})"
-            )
-        big[wi * nc : (wi + 1) * nc, wi * nc : (wi + 1) * nc] = mat
-    left = zak_inverse(ctx, big.reshape(shape))  # Z* B
+    n_omega, nc = ctx.fiber_shape()
+    field = np.asarray(field, dtype=complex)
+    if field.shape != (n_omega, nc, nc):
+        raise ValueError(f"field has shape {field.shape}, expected ({n_omega}, {nc}, {nc})")
+    _check_fiber_count(field, rangefn)
+    projections = np.stack([fiber_basis @ fiber_basis.conj().T for fiber_basis in rangefn.bases])
+    leaks = np.abs(field @ (np.eye(nc) - projections)).max(axis=(1, 2))
+    over = np.flatnonzero(~checks.passes(leaks, checks.DOMAIN))
+    if over.size:
+        wi = int(over[0])
+        raise ValueError(
+            f"fiber matrix {wi} does not vanish on the fiber orthocomplement "
+            f"(residual {leaks[wi]:.3e})"
+        )
+    blocks = np.zeros((n_omega, nc, n_omega, nc), dtype=complex)
+    blocks[np.arange(n_omega), :, np.arange(n_omega), :] = field
+    shape = (n_omega, nc, ctx.group.size)
+    left = zak_inverse(ctx, blocks.reshape(shape))  # Z* B
     return zak_inverse(ctx, left.conj().T.reshape(shape)).conj().T
 
 
@@ -271,14 +270,14 @@ def _singular_values(mat: np.ndarray) -> np.ndarray:
 def operator_summary(ctx: FiberContext, u, basis, frame) -> OperatorSummary:
     """Summarize u on the space spanned by the orthonormal basis columns.
 
-    The frame must have frame operator equal to the projection onto the space
-    (checked; this is what Parseval means here). Each dense product is formed
+    The frame, a ``(|G|, k)`` matrix of one frame vector per column, must
+    have frame operator equal to the projection onto the space (checked;
+    this is what Parseval means here). Each dense product is formed
     once, and one SVD and one Hermitian eigensolve are taken.
     """
     u = as_operator(ctx, u)
-    basis = np.asarray(basis, dtype=complex)
-    vectors = [np.asarray(y, dtype=complex) for y in frame]
-    frame = np.stack(vectors, axis=1) if vectors else np.zeros((ctx.group.size, 0), dtype=complex)
+    basis = _signal_family(ctx, basis)
+    frame = _signal_family(ctx, frame)
     frame_residual = _max_entry(frame @ frame.conj().T - basis @ basis.conj().T)
     if not checks.passes(frame_residual, checks.FRAME):
         raise ValueError(f"frame is not Parseval for the space (residual {frame_residual:.3e})")
@@ -302,11 +301,12 @@ def operator_summary(ctx: FiberContext, u, basis, frame) -> OperatorSummary:
     )
 
 
-def fiber_summary(field: RangeOperatorField, rangefn: RangeFunction) -> FiberSummary:
+def fiber_summary(field: np.ndarray, rangefn: RangeFunction) -> FiberSummary:
     """Summarize the field on the range function, one fiber image and one SVD per fiber."""
-    images = [mat @ fb for mat, fb in zip(field.matrices, rangefn.bases)]
+    _check_fiber_count(field, rangefn)
+    images = [mat @ fb for mat, fb in zip(field, rangefn.bases)]
     # (B^H R) B, the association the trace and self-adjointness terms share
-    blocks = [fb.conj().T @ mat @ fb for mat, fb in zip(field.matrices, rangefn.bases)]
+    blocks = [fb.conj().T @ mat @ fb for mat, fb in zip(field, rangefn.bases)]
     spectra = [_singular_values(rb) for rb in images]
     return FiberSummary(
         norms=[checks.largest(s) for s in spectra],

@@ -1,4 +1,9 @@
-"""Translation-invariant subspaces represented fiberwise by range functions."""
+"""Translation-invariant subspaces represented fiberwise by range functions.
+
+A family of signals (generators, bases, frames) is one ``(|G|, k)`` matrix
+with one signal per column. A range function keeps a tuple of per-omega
+bases, because their widths differ from fiber to fiber.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +13,7 @@ import numpy as np
 
 from . import checks
 from .fiberization import FiberContext, zak, zak_inverse
-from .groups import as_signal, translate
+from .groups import translate
 
 
 class NotTranslationInvariantError(ValueError):
@@ -65,17 +70,20 @@ def _column_spans(stacked: np.ndarray) -> list[np.ndarray]:
     return spans
 
 
-def range_function(ctx: FiberContext, generators) -> RangeFunction:
-    """Per-omega orthonormalized span of the generator fibers.
+def _signal_family(ctx: FiberContext, f) -> np.ndarray:
+    """The complex ``(|G|, k)`` matrix of a family of k signals, one per column."""
+    n = ctx.group.size
+    if not (isinstance(f, np.ndarray) and f.ndim == 2 and f.shape[0] == n):
+        got = f"shape {f.shape}" if isinstance(f, np.ndarray) else f"a {type(f).__name__}"
+        raise ValueError(f"signal family must be a ({n}, k) array, got {got}")
+    return f.astype(complex, copy=False)
 
-    An empty generator list yields the zero range function.
-    """
-    gens = [as_signal(ctx.group, f) for f in generators]
-    if not gens:
-        return RangeFunction(tuple(np.zeros((ctx.n_c, 0), dtype=complex) for _ in range(ctx.n_omega)))
-    # fibered[wi] stacks the omega-fibers of all generators as columns
-    fibered = zak(ctx, np.stack(gens, axis=1))
-    return RangeFunction(tuple(_column_spans(fibered)))
+
+def range_function(ctx: FiberContext, generators) -> RangeFunction:
+    """Per-omega orthonormalized span of the fibers of the generators, the
+    columns of a ``(|G|, k)`` matrix; k = 0 yields the zero range function."""
+    # zak(...)[wi] holds the omega-fibers of all generators as columns
+    return RangeFunction(tuple(_column_spans(zak(ctx, _signal_family(ctx, generators)))))
 
 
 def full_range_function(ctx: FiberContext) -> RangeFunction:
@@ -100,15 +108,13 @@ def space_from_range(ctx: FiberContext, rangefn: RangeFunction) -> np.ndarray:
 
 
 def is_translation_invariant(ctx: FiberContext, basis) -> checks.Verdict:
-    """Check that translating every basis vector stays in the span.
+    """Check that translating every column of the ``(|G|, d)`` basis stays in the span.
 
     Checking the generators of the subgroup suffices by additivity; the full
     element list is used when no generator list is stored. A failed verdict
     names the first failing probe t and basis column j as ``(t, j)``.
     """
-    basis = np.asarray(basis, dtype=complex)
-    if basis.ndim != 2 or basis.shape[0] != ctx.group.size:
-        raise ValueError(f"basis has shape {basis.shape}, expected ({ctx.group.size}, d)")
+    basis = _signal_family(ctx, basis)
     if basis.shape[1] == 0:
         return checks.gate(0.0, checks.INVARIANCE)
     residuals = []
@@ -126,30 +132,28 @@ def is_translation_invariant(ctx: FiberContext, basis) -> checks.Verdict:
 def principal_decomposition(ctx: FiberContext, basis):
     """Split an invariant space into singly generated orthogonal components.
 
-    Returns generators phi_1..phi_N whose fibers are the left singular
-    directions of the stacked basis fibers: per omega the n-th generator gets
-    the n-th singular direction when the fiber rank allows it and a zero
-    fiber otherwise. Consequences, enforced by tests: every nonzero fiber has
+    Returns the ``(|G|, N)`` matrix of generators phi_1..phi_N whose fibers
+    are the left singular directions of the stacked basis fibers: per omega
+    the n-th generator gets the n-th singular direction when the fiber rank
+    allows it and a zero fiber otherwise. Consequences, enforced by tests: every nonzero fiber has
     unit norm, for fixed omega the nonzero fibers are orthonormal, and the
     translate families of distinct generators are mutually orthogonal.
     """
-    basis = np.asarray(basis, dtype=complex)
     verdict = is_translation_invariant(ctx, basis)
     if not verdict:
         raise NotTranslationInvariantError(*verdict.witness, verdict.residual)
-    if basis.shape[1] == 0:
-        return []
     # per omega: |C| x rank matrix of singular directions
     directions = _column_spans(zak(ctx, basis))
     n_generators = max(mat.shape[1] for mat in directions)
     fibers = np.zeros(ctx.fiber_shape() + (n_generators,), dtype=complex)
     for wi, mat in enumerate(directions):
         fibers[wi, :, : mat.shape[1]] = mat
-    return list(zak_inverse(ctx, fibers).T)
+    return zak_inverse(ctx, fibers)
 
 
-def translate_parseval_frame(ctx: FiberContext, generators) -> list[np.ndarray]:
-    """All translates of the generators, scaled by |Gamma|^(-1/2).
+def translate_parseval_frame(ctx: FiberContext, generators) -> np.ndarray:
+    """All translates of the generators, the columns of a ``(|G|, N)`` matrix,
+    scaled by |Gamma|^(-1/2), as the columns of a ``(|G|, N |Gamma|)`` matrix.
 
     For generators with unit-or-zero fiber norms the resulting family has
     frame operator equal to the orthogonal projection onto the generated
@@ -157,11 +161,8 @@ def translate_parseval_frame(ctx: FiberContext, generators) -> list[np.ndarray]:
     The scaling accounts for counting measure putting total mass |Gamma| on
     the subgroup.
     """
-    gens = [as_signal(ctx.group, phi) for phi in generators]
-    if not gens:
-        return []
+    phis = _signal_family(ctx, generators)
     scale = 1.0 / np.sqrt(ctx.gamma.size)
-    phis = np.stack(gens, axis=1)
-    shifted = np.stack([translate(ctx.group, phis, t) for t in ctx.gamma.elements])  # (|Gamma|, |G|, N)
+    shifted = np.stack([translate(ctx.group, phis, t) for t in ctx.gamma.elements], axis=-1)  # (|G|, N, |Gamma|)
     # generator-major order: all translates of the first generator come first
-    return list(scale * shifted.transpose(2, 0, 1).reshape(-1, ctx.group.size))
+    return scale * shifted.reshape(ctx.group.size, -1)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from zakfiber import (
-    RangeOperatorField,
     all_subgroups,
     fiber_context,
     fiber_summary,
@@ -90,7 +89,7 @@ def rand_field(rng, context, rangefn):
         d = basis.shape[1]
         y = rand_signal(rng, context.n_c * d).reshape(context.n_c, d) if d else np.zeros((context.n_c, 0))
         mats.append(y @ basis.conj().T)
-    return RangeOperatorField(tuple(mats))
+    return np.stack(mats)
 
 
 def rand_tp_operator(rng, context):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from zakfiber import (
-    RangeOperatorField,
     check_translation_preserving,
     determining_function,
     extract_range_operator,
@@ -129,18 +128,18 @@ def test_field_operator_bijection(tp_samples):
     for label, ctx, rangefn, fields, ops in tp_samples:
         for field, u in zip(fields, ops):
             recovered = extract_range_operator(ctx, u, rangefn)
-            for a, b in zip(recovered.matrices, field.matrices):
+            for a, b in zip(recovered, field):
                 worst = max(worst, float(np.abs(a - b).max()))
             resynth = synthesize_operator(ctx, recovered, rangefn)
             worst = max(worst, float(np.abs(resynth - u).max()))
         # also on a proper invariant subspace
         rng = np.random.default_rng(303)
-        sub = range_function(ctx, [rand_signal(rng, ctx.group.size)])
+        sub = range_function(ctx, rand_signal(rng, ctx.group.size)[:, None])
         for _ in range(5):
             field = rand_field(rng, ctx, sub)
             u = synthesize_operator(ctx, field, sub)
             recovered = extract_range_operator(ctx, u, sub)
-            for a, b in zip(recovered.matrices, field.matrices):
+            for a, b in zip(recovered, field):
                 worst = max(worst, float(np.abs(a - b).max()))
     _verdict("field/operator bijection", worst <= 1e-9, f"max entry error {worst:.2e}")
 
@@ -218,7 +217,7 @@ def _unitary_fiber_field(rng, ctx, rangefn):
             mats.append(q[:, :d] @ basis.conj().T)
         else:
             mats.append(np.zeros((ctx.n_c, ctx.n_c), dtype=complex))
-    return RangeOperatorField(tuple(mats))
+    return np.stack(mats)
 
 
 def _hermitian_fiber_field(rng, ctx, rangefn, rank=None):
@@ -232,7 +231,7 @@ def _hermitian_fiber_field(rng, ctx, rangefn, rank=None):
             mats.append(basis @ h @ basis.conj().T)
         else:
             mats.append(np.zeros((ctx.n_c, ctx.n_c), dtype=complex))
-    return RangeOperatorField(tuple(mats))
+    return np.stack(mats)
 
 
 def test_structural_biconditionals_and_rank():
@@ -288,27 +287,27 @@ def test_invariant_space_machinery():
         rng = np.random.default_rng(606)
         n = ctx.group.size
         gen_sets = [
-            [delta(ctx.group, ctx.group.elements()[0])],
-            [rand_signal(rng, n), rand_signal(rng, n)],
+            delta(ctx.group, ctx.group.elements()[0])[:, None],
+            np.column_stack([rand_signal(rng, n), rand_signal(rng, n)]),
         ]
         for gens in gen_sets:
             rangefn = range_function(ctx, gens)
             basis = space_from_range(ctx, rangefn)
-            redone = range_function(ctx, [basis[:, j] for j in range(basis.shape[1])])
+            redone = range_function(ctx, basis)
             for b1, b2 in zip(rangefn.bases, redone.bases):
                 gap = np.abs(b1 @ b1.conj().T - b2 @ b2.conj().T).max()
                 worst_proj = max(worst_proj, float(gap))
 
             generators = principal_decomposition(ctx, basis)
-            for phi in generators:
+            for phi in generators.T:
                 norms = np.linalg.norm(zak(ctx, phi), axis=1)
                 dev = np.minimum(norms, np.abs(norms - 1.0))
                 worst_fiber = max(worst_fiber, float(dev.max()))
-            for m in range(len(generators)):
-                for nn in range(m + 1, len(generators)):
+            for m in range(generators.shape[1]):
+                for nn in range(m + 1, generators.shape[1]):
                     for s in ctx.gamma.elements:
                         ip = np.vdot(
-                            translate(ctx.group, generators[nn], s), generators[m]
+                            translate(ctx.group, generators[:, nn], s), generators[:, m]
                         )
                         worst_ortho = max(worst_ortho, abs(ip))
 
@@ -316,7 +315,7 @@ def test_invariant_space_machinery():
             proj = basis @ basis.conj().T
             for _ in range(50):
                 f = rand_signal(rng, n)
-                total = sum(abs(np.vdot(y, f)) ** 2 for y in frame)
+                total = sum(abs(np.vdot(y, f)) ** 2 for y in frame.T)
                 worst_tight = max(
                     worst_tight, abs(total - np.linalg.norm(proj @ f) ** 2)
                 )

@@ -306,7 +306,7 @@ class TestStreamedReport:
         assert (ctx.n_omega, ctx.n_c) == (2, 128)
         rangefn = full_range_function(ctx)
         field = rand_field(np.random.default_rng(5), ctx, rangefn)
-        field_bytes = sum(m.nbytes for m in (*field.matrices, *rangefn.bases))
+        field_bytes = sum(m.nbytes for m in (field, *rangefn.bases))
         cfg = cli.RunConfig(json_out=True, out_path=str(tmp_path / "r.json"))
         with open(tmp_path / "stdout.json", "w", encoding="utf-8") as stdout, contextlib.redirect_stdout(stdout):
             tracemalloc.start()

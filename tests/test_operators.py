@@ -9,7 +9,6 @@ import pytest
 from zakfiber import (
     NotTranslationPreservingError,
     RangeFunction,
-    RangeOperatorField,
     RangeSolveError,
     check_translation_preserving,
     extract_range_operator,
@@ -93,14 +92,14 @@ class TestExtract:
     def test_identity_gives_identity_fibers(self, f1_ctx):
         rangefn = full_range_function(f1_ctx)
         field = extract_range_operator(f1_ctx, np.eye(4, dtype=complex), rangefn)
-        for mat in field.matrices:
+        for mat in field:
             assert np.abs(mat - np.eye(2)).max() <= 1e-12
 
     def test_difference_operator_symbols(self, f1_ctx):
         rangefn = full_range_function(f1_ctx)
         field = extract_range_operator(f1_ctx, diff_operator(f1_ctx, (2,)), rangefn)
-        assert np.abs(field.matrices[0]).max() <= 1e-12
-        assert np.abs(field.matrices[1] - 2 * np.eye(2)).max() <= 1e-12
+        assert np.abs(field[0]).max() <= 1e-12
+        assert np.abs(field[1] - 2 * np.eye(2)).max() <= 1e-12
 
     def test_against_batch_lstsq_oracle(self, f1_ctx):
         # independent fiber-solve: least squares over random members of V
@@ -113,7 +112,7 @@ class TestExtract:
             ins = np.column_stack([zak(f1_ctx, f)[wi] for f in samples])
             outs = np.column_stack([zak(f1_ctx, u @ f)[wi] for f in samples])
             solved = np.linalg.lstsq(ins.T, outs.T, rcond=None)[0].T
-            assert np.abs(solved - field.matrices[wi]).max() <= 1e-9
+            assert np.abs(solved - field[wi]).max() <= 1e-9
 
     def test_translation_gives_scalar_field(self, f1_ctx):
         rangefn = full_range_function(f1_ctx)
@@ -122,7 +121,7 @@ class TestExtract:
         )
         for wi, w in enumerate(f1_ctx.omega.reps):
             symbol = pairing(f1_ctx.group, (2,), w)
-            assert np.abs(field.matrices[wi] - symbol * np.eye(2)).max() <= 1e-12
+            assert np.abs(field[wi] - symbol * np.eye(2)).max() <= 1e-12
 
     def test_rejects_non_preserving_with_witness(self, f1_ctx):
         u = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
@@ -145,13 +144,13 @@ class TestExtract:
 
 
     def test_solve_takes_the_callers_basis(self, ctx):
-        rangefn = range_function(ctx, [delta(ctx.group, (0,) * len(ctx.group.orders))])
+        rangefn = range_function(ctx, delta(ctx.group, (0,) * len(ctx.group.orders))[:, None])
         u = rand_tp_operator(np.random.default_rng(52), ctx)
         basis = space_from_range(ctx, rangefn)
         field, residual = solve_range_field(ctx, u, rangefn)
         given, given_residual = solve_range_field(ctx, u, rangefn, basis)
         assert given_residual == residual
-        assert all(np.array_equal(a, b) for a, b in zip(given.matrices, field.matrices))
+        assert all(np.array_equal(a, b) for a, b in zip(given, field))
         for wrong in (basis[:, 1:], basis[1:], basis.T):
             if wrong.shape != basis.shape:
                 with pytest.raises(ValueError, match="basis has shape"):
@@ -167,28 +166,28 @@ class TestExtract:
 
 class TestSynthesize:
     def test_identity_field_is_projection(self, f1_ctx):
-        rangefn = range_function(f1_ctx, [delta(f1_ctx.group, (0,))])
-        field = RangeOperatorField(tuple(rangefn.projection(wi) for wi in range(2)))
+        rangefn = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
+        field = np.stack([rangefn.projection(wi) for wi in range(2)])
         u = synthesize_operator(f1_ctx, field, rangefn)
         basis = space_from_range(f1_ctx, rangefn)
         assert np.abs(u - basis @ basis.conj().T).max() <= 1e-10
 
     def test_full_identity_field_is_identity(self, ctx):
         rangefn = full_range_function(ctx)
-        field = RangeOperatorField(tuple(np.eye(ctx.n_c, dtype=complex) for _ in range(ctx.n_omega)))
+        field = np.stack([np.eye(ctx.n_c, dtype=complex) for _ in range(ctx.n_omega)])
         u = synthesize_operator(ctx, field, rangefn)
         assert np.abs(u - np.eye(ctx.group.size)).max() <= 1e-10
 
     def test_symbol_field_recovers_difference_operator(self, f1_ctx):
         rangefn = full_range_function(f1_ctx)
-        field = RangeOperatorField((np.zeros((2, 2), complex), 2 * np.eye(2, dtype=complex)))
+        field = np.stack((np.zeros((2, 2), complex), 2 * np.eye(2, dtype=complex)))
         u = synthesize_operator(f1_ctx, field, rangefn)
         assert np.abs(u - diff_operator(f1_ctx, (2,))).max() <= 1e-10
 
     def test_character_field_is_translation(self, f2_ctx):
         rangefn = full_range_function(f2_ctx)
         t = (2,)
-        field = RangeOperatorField(
+        field = np.stack(
             tuple(
                 pairing(f2_ctx.group, t, w) * np.eye(f2_ctx.n_c, dtype=complex)
                 for w in f2_ctx.omega.reps
@@ -203,14 +202,14 @@ class TestSynthesize:
         assert check_translation_preserving(ctx, u)
 
     def test_domain_violation_rejected(self, f1_ctx):
-        rangefn = range_function(f1_ctx, [delta(f1_ctx.group, (0,))])
-        bad = RangeOperatorField((np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
+        rangefn = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
+        bad = np.stack((np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
         with pytest.raises(ValueError):
             synthesize_operator(f1_ctx, bad, rangefn)
 
     def test_nan_field_rejected(self, f1_ctx):
         rangefn = full_range_function(f1_ctx)
-        nan = RangeOperatorField(tuple(np.full((2, 2), np.nan, dtype=complex) for _ in range(2)))
+        nan = np.stack([np.full((2, 2), np.nan, dtype=complex) for _ in range(2)])
         with pytest.raises(ValueError):
             synthesize_operator(f1_ctx, nan, rangefn)
 
@@ -222,17 +221,34 @@ class TestSynthesize:
             field = rand_field(rng, ctx, rangefn)
             u = synthesize_operator(ctx, field, rangefn)
             recovered = extract_range_operator(ctx, u, rangefn)
-            for a, b in zip(recovered.matrices, field.matrices):
+            for a, b in zip(recovered, field):
                 assert np.abs(a - b).max() <= 1e-9
             resynth = synthesize_operator(ctx, recovered, rangefn)
             assert np.abs(resynth @ basis - u @ basis).max() <= 1e-9
 
 
+class TestFiberCount:
+    """A field and a range function meet only when they have as many fibers."""
+
+    @pytest.mark.parametrize("short", ["Z4/<2>", "one-fiber"])
+    def test_fiber_counts_must_agree(self, f1_ctx, f2_ctx, short):
+        field = rand_field(np.random.default_rng(67), f2_ctx, full_range_function(f2_ctx))
+        assert field.shape == (4, 2, 2)
+        # Z4/<2> has 2 fibers of |C| = 2; one fiber would broadcast over all four
+        rangefn = full_range_function(f1_ctx)
+        if short == "one-fiber":
+            rangefn = RangeFunction(rangefn.bases[:1])
+        with pytest.raises(ValueError, match="fibers"):
+            synthesize_operator(f2_ctx, field, rangefn)
+        with pytest.raises(ValueError, match="fibers"):
+            fiber_summary(field, rangefn)
+
+
 def nan_field(ctx, u, rangefn):
     """The field of u with one NaN entry in its first fiber."""
-    mats = [mat.copy() for mat in extract_range_operator(ctx, u, rangefn).matrices]
+    mats = [mat.copy() for mat in extract_range_operator(ctx, u, rangefn)]
     mats[0][0, 0] = np.nan
-    return RangeOperatorField(tuple(mats))
+    return np.stack(mats)
 
 
 class TestNormIdentity:
@@ -336,11 +352,11 @@ class TestHsTrace:
         field = extract_range_operator(f1_ctx, u, rangefn)
         generators = principal_decomposition(f1_ctx, np.eye(4, dtype=complex))
         unscaled = []
-        for phi in generators:
+        for phi in generators.T:
             for t in f1_ctx.gamma.elements:
                 unscaled.append(translation_matrix(f1_ctx.group, t) @ phi)
-        with pytest.raises(ValueError):
-            hs_trace_report(*summaries(f1_ctx, u, field, rangefn, unscaled))
+        with pytest.raises(ValueError, match="not Parseval"):
+            hs_trace_report(*summaries(f1_ctx, u, field, rangefn, np.column_stack(unscaled)))
 
     def test_routes_disagree_on_a_mismatched_field(self, f1_ctx):
         # the operator routes read only u and the fiber routes only the field,
@@ -359,17 +375,17 @@ class TestHsTrace:
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        with pytest.raises(ValueError):
-            hs_trace_report(*summaries(f1_ctx, u, field, rangefn, [np.full(4, np.nan, dtype=complex)] * 4))
+        with pytest.raises(ValueError, match="not Parseval"):
+            hs_trace_report(*summaries(f1_ctx, u, field, rangefn, np.full((4, 4), np.nan, dtype=complex)))
 
     def test_nan_field_fails_hs_and_trace(self, f1_ctx):
         # one NaN fiber entry makes the fiber routes NaN; the route comparison
         # must fail rather than drop the NaN gap
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
-        mats = [mat.copy() for mat in extract_range_operator(f1_ctx, u, rangefn).matrices]
+        mats = [mat.copy() for mat in extract_range_operator(f1_ctx, u, rangefn)]
         mats[0][0, 0] = np.nan
-        field = RangeOperatorField(tuple(mats))
+        field = np.stack(mats)
         hs = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
         assert np.isnan(hs.values["hs_squared"]["fiber"]) and np.isnan(hs.values["trace"]["fiber"])
         assert not hs.verdicts["hs_agree"] and not hs.verdicts["trace_agree"] and not hs.passed
@@ -380,13 +396,13 @@ class TestHsTrace:
         rng = np.random.default_rng(55)
         u = rand_tp_operator(rng, ctx)
         n = ctx.group.size
-        onb = [col for col in np.eye(n, dtype=complex).T]
+        onb = np.eye(n, dtype=complex)
         translates = full_space_frame(ctx)
         m = n + 3
         q, _ = np.linalg.qr(rand_signal(rng, m * m).reshape(m, m))
-        redundant = [np.asarray(q[i, :n].conj()) for i in range(m)]
+        redundant = q[:, :n].conj().T
         sums = [
-            sum(np.linalg.norm(u @ y) ** 2 for y in frame)
+            sum(np.linalg.norm(u @ y) ** 2 for y in frame.T)
             for frame in (onb, translates, redundant)
         ]
         scale = max(1.0, *sums)
@@ -451,7 +467,7 @@ class TestStructuralFlags:
         assert report.verdicts["selfadjoint_operator"] and report.verdicts["selfadjoint_fibers"]
 
     def test_projection_rank_splits_over_fibers(self, f1_ctx):
-        sub = range_function(f1_ctx, [delta(f1_ctx.group, (0,))])
+        sub = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
         basis = space_from_range(f1_ctx, sub)
         u = basis @ basis.conj().T
         rangefn = full_range_function(f1_ctx)
@@ -470,8 +486,8 @@ class TestStructuralFlags:
         for _ in range(nw):
             q, _ = np.linalg.qr(rand_signal(rng, nc * nc).reshape(nc, nc))
             unitaries.append(q)
-        good = RangeOperatorField(tuple(unitaries))
-        bad = RangeOperatorField(tuple([2.0 * unitaries[0]] + unitaries[1:]))
+        good = np.stack(unitaries)
+        bad = np.stack([2.0 * unitaries[0]] + unitaries[1:])
         for field_in, expected in ((good, True), (bad, False)):
             u = synthesize_operator(f2_ctx, field_in, rangefn)
             field = extract_range_operator(f2_ctx, u, rangefn)
@@ -487,22 +503,22 @@ class TestStructuralFlags:
         field = rand_field(rng, ctx, rangefn)
         u = synthesize_operator(ctx, field, rangefn)
         adj_field = extract_range_operator(ctx, u.conj().T, rangefn)
-        for a, b in zip(adj_field.matrices, field.matrices):
+        for a, b in zip(adj_field, field):
             assert np.abs(a - b.conj().T).max() <= 1e-9
 
     def test_adjoint_covariance_on_proper_subspace(self, ctx):
         # same statement with a space-into-itself field on a proper range function
         rng = np.random.default_rng(62)
-        sub = range_function(ctx, [rand_signal(rng, ctx.group.size)])
+        sub = range_function(ctx, rand_signal(rng, ctx.group.size)[:, None])
         mats = []
         for basis in sub.bases:
             d = basis.shape[1]
             m = rand_signal(rng, d * d).reshape(d, d) if d else np.zeros((0, 0))
             mats.append(basis @ m @ basis.conj().T)
-        field = RangeOperatorField(tuple(mats))
+        field = np.stack(mats)
         u = synthesize_operator(ctx, field, sub)
         adj_field = extract_range_operator(ctx, u.conj().T, sub)
-        for a, b in zip(adj_field.matrices, field.matrices):
+        for a, b in zip(adj_field, field):
             assert np.abs(a - b.conj().T).max() <= 1e-9
 
 
@@ -527,9 +543,9 @@ class TestSummaries:
         frame = full_space_frame(f2_ctx)
         op, fib = operator_summary(f2_ctx, u, basis, frame), fiber_summary(field, rangefn)
 
-        mats = [mat.copy() for mat in field.matrices]
+        mats = [mat.copy() for mat in field]
         mats[1][0, 1] += 1.0
-        corrupted = fiber_summary(RangeOperatorField(tuple(mats)), rangefn)
+        corrupted = fiber_summary(np.stack(mats), rangefn)
         assert not same_summary(corrupted, fib)
         assert corrupted.norms[0] == fib.norms[0] and corrupted.norms[1] != fib.norms[1]
         assert same_summary(operator_summary(f2_ctx, u, basis, frame), op)
@@ -600,8 +616,8 @@ class TestMultiplicationPreserving:
         rng = np.random.default_rng(59)
         field = rand_field(rng, f1_ctx, full_range_function(f1_ctx))
         uhat = np.zeros((4, 4), dtype=complex)
-        uhat[:2, :2] = field.matrices[0]
-        uhat[2:, 2:] = field.matrices[1]
+        uhat[:2, :2] = field[0]
+        uhat[2:, 2:] = field[1]
         assert multiplication_preserving_check(f1_ctx, uhat, mode="determining-set")
         assert multiplication_preserving_check(f1_ctx, uhat, mode="full")
 

@@ -12,6 +12,7 @@ from zakfiber import (
     principal_decomposition,
     range_function,
     space_from_range,
+    synthesize_operator,
     translate,
     translate_parseval_frame,
     zak,
@@ -34,25 +35,25 @@ def project_via_fibers(ctx, rangefn, f):
 
 class TestRangeFunction:
     def test_single_delta_generator(self, f1_ctx):
-        rangefn = range_function(f1_ctx, [delta(f1_ctx.group, (0,))])
+        rangefn = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
         assert rangefn.dims == (1, 1)
         # zak(delta_0) points along the first coordinate axis in every fiber
         for wi in range(2):
             assert np.allclose(rangefn.projection(wi), [[1, 0], [0, 0]], atol=1e-12)
 
     def test_empty_generators(self, f1_ctx):
-        rangefn = range_function(f1_ctx, [])
+        rangefn = range_function(f1_ctx, np.zeros((4, 0)))
         assert rangefn.dims == (0, 0)
         assert all(b.shape == (2, 0) for b in rangefn.bases)
 
     def test_all_deltas_fill_every_fiber(self, ctx):
-        gens = [delta(ctx.group, x) for x in ctx.group.elements()]
+        gens = np.column_stack([delta(ctx.group, x) for x in ctx.group.elements()])
         rangefn = range_function(ctx, gens)
         assert rangefn.dims == (ctx.n_c,) * ctx.n_omega
 
     def test_bases_orthonormal(self, ctx):
         rng = np.random.default_rng(41)
-        gens = [rand_signal(rng, ctx.group.size) for _ in range(2)]
+        gens = np.column_stack([rand_signal(rng, ctx.group.size) for _ in range(2)])
         rangefn = range_function(ctx, gens)
         for basis in rangefn.bases:
             d = basis.shape[1]
@@ -76,25 +77,25 @@ class TestStackedSpans:
     def test_range_function_matches_per_fiber_svd(self, ctx, k):
         rng = np.random.default_rng(48)
         gens = np.stack([rand_signal(rng, ctx.group.size) for _ in range(k)], axis=1)
-        rangefn = range_function(ctx, gens.T)
+        rangefn = range_function(ctx, gens)
         for got, want in zip(rangefn.bases, per_fiber_spans(zak(ctx, gens)), strict=True):
             assert np.array_equal(got, want)
 
     def test_principal_generators_match_per_fiber_svd(self, ctx):
         rng = np.random.default_rng(49)
-        gens = [rand_signal(rng, ctx.group.size) for _ in range(2)]
+        gens = np.column_stack([rand_signal(rng, ctx.group.size) for _ in range(2)])
         basis = space_from_range(ctx, range_function(ctx, gens))
         spans = per_fiber_spans(zak(ctx, basis))
         fibers = np.zeros(ctx.fiber_shape() + (max(s.shape[1] for s in spans),), dtype=complex)
         for wi, span in enumerate(spans):
             fibers[wi, :, : span.shape[1]] = span
         generators = principal_decomposition(ctx, basis)
-        assert np.array_equal(np.stack(generators, axis=1), zak_inverse(ctx, fibers))
+        assert np.array_equal(generators, zak_inverse(ctx, fibers))
 
 
 class TestSpaceFromRange:
     def test_zero_range(self, f1_ctx):
-        basis = space_from_range(f1_ctx, range_function(f1_ctx, []))
+        basis = space_from_range(f1_ctx, range_function(f1_ctx, np.zeros((4, 0))))
         assert basis.shape == (4, 0)
 
     def test_full_range_recovers_everything(self, ctx):
@@ -110,14 +111,14 @@ class TestSpaceFromRange:
             [translate(g, delta(g, (0,)), t) for t in f1_ctx.gamma.elements]
         )
         q, _ = np.linalg.qr(translates)
-        rangefn = range_function(f1_ctx, [delta(g, (0,))])
+        rangefn = range_function(f1_ctx, delta(g, (0,))[:, None])
         basis = space_from_range(f1_ctx, rangefn)
         assert basis.shape[1] == 2
         assert np.abs(projection_of(basis) - projection_of(q)).max() <= 1e-10
 
     def test_dimension_formula(self, ctx):
         rng = np.random.default_rng(42)
-        gens = [rand_signal(rng, ctx.group.size)]
+        gens = rand_signal(rng, ctx.group.size)[:, None]
         rangefn = range_function(ctx, gens)
         basis = space_from_range(ctx, rangefn)
         assert basis.shape[1] == rangefn.dim_total
@@ -125,27 +126,27 @@ class TestSpaceFromRange:
     def test_correspondence_roundtrip(self, ctx):
         rng = np.random.default_rng(43)
         for n_gens in (1, 2):
-            gens = [rand_signal(rng, ctx.group.size) for _ in range(n_gens)]
+            gens = np.column_stack([rand_signal(rng, ctx.group.size) for _ in range(n_gens)])
             rangefn = range_function(ctx, gens)
             basis = space_from_range(ctx, rangefn)
-            rangefn2 = range_function(ctx, [basis[:, j] for j in range(basis.shape[1])])
+            rangefn2 = range_function(ctx, basis)
             for b1, b2 in zip(rangefn.bases, rangefn2.bases):
                 assert np.abs(projection_of(b1) - projection_of(b2)).max() <= 1e-9
 
 
 class TestProjectViaFibers:
     def test_members_are_fixed(self, f1_ctx):
-        rangefn = range_function(f1_ctx, [delta(f1_ctx.group, (0,))])
+        rangefn = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
         member = delta(f1_ctx.group, (2,))  # a translate of the generator
         assert np.abs(project_via_fibers(f1_ctx, rangefn, member) - member).max() <= 1e-10
 
     def test_orthogonal_vectors_vanish(self, f1_ctx):
-        rangefn = range_function(f1_ctx, [delta(f1_ctx.group, (0,))])
+        rangefn = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
         assert np.abs(project_via_fibers(f1_ctx, rangefn, delta(f1_ctx.group, (1,)))).max() <= 1e-10
 
     def test_matches_dense_projection_oracle(self, ctx):
         rng = np.random.default_rng(44)
-        gens = [rand_signal(rng, ctx.group.size)]
+        gens = rand_signal(rng, ctx.group.size)[:, None]
         rangefn = range_function(ctx, gens)
         basis = space_from_range(ctx, rangefn)
         for _ in range(5):
@@ -178,7 +179,7 @@ class TestInvariance:
 
     def test_multiplicative_invariance_transfer(self, f1_ctx):
         # invariant direction: multiplying fibers by any character keeps membership
-        rangefn = range_function(f1_ctx, [delta(f1_ctx.group, (0,))])
+        rangefn = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
         basis = space_from_range(f1_ctx, rangefn)
         proj = projection_of(basis)
         for t in f1_ctx.gamma.elements:
@@ -200,17 +201,17 @@ class TestInvariance:
 class TestPrincipalDecomposition:
     def test_full_space_f1(self, f1_ctx):
         generators = principal_decomposition(f1_ctx, np.eye(4, dtype=complex))
-        assert len(generators) == 2
-        for phi in generators:
+        assert generators.shape == (4, 2)
+        for phi in generators.T:
             norms = np.linalg.norm(zak(f1_ctx, phi), axis=1)
             assert np.abs(norms - 1.0).max() <= 1e-9
 
     def test_singly_generated_space(self, f1_ctx):
-        rangefn = range_function(f1_ctx, [delta(f1_ctx.group, (0,))])
+        rangefn = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
         basis = space_from_range(f1_ctx, rangefn)
         generators = principal_decomposition(f1_ctx, basis)
-        assert len(generators) == 1
-        fibers = zak(f1_ctx, generators[0])
+        assert generators.shape == (4, 1)
+        fibers = zak(f1_ctx, generators[:, 0])
         reference = zak(f1_ctx, delta(f1_ctx.group, (0,)))
         for wi in range(2):
             ref = reference[wi] / np.linalg.norm(reference[wi])
@@ -218,7 +219,7 @@ class TestPrincipalDecomposition:
             assert overlap == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_space(self, f1_ctx):
-        assert principal_decomposition(f1_ctx, np.zeros((4, 0), dtype=complex)) == []
+        assert principal_decomposition(f1_ctx, np.zeros((4, 0), dtype=complex)).shape == (4, 0)
 
     def test_rejects_non_invariant(self, f1_ctx):
         with pytest.raises(NotTranslationInvariantError) as excinfo:
@@ -227,11 +228,11 @@ class TestPrincipalDecomposition:
 
     def test_structural_properties(self, ctx):
         rng = np.random.default_rng(45)
-        gens = [rand_signal(rng, ctx.group.size) for _ in range(2)]
+        gens = np.column_stack([rand_signal(rng, ctx.group.size) for _ in range(2)])
         rangefn = range_function(ctx, gens)
         basis = space_from_range(ctx, rangefn)
         generators = principal_decomposition(ctx, basis)
-        fibered = [zak(ctx, phi) for phi in generators]
+        fibered = [zak(ctx, phi) for phi in generators.T]
 
         # unit-or-zero fiber norms, support count matches dim V
         support = 0
@@ -253,14 +254,14 @@ class TestPrincipalDecomposition:
         # the component spaces sum to V
         g = ctx.group
         total = np.zeros((g.size, g.size), dtype=complex)
-        for m, phi_m in enumerate(generators):
-            comp = range_function(ctx, [phi_m])
+        for m, phi_m in enumerate(generators.T):
+            comp = range_function(ctx, phi_m[:, None])
             comp_basis = space_from_range(ctx, comp)
             total += projection_of(comp_basis)
-            for n in range(m + 1, len(generators)):
+            for n in range(m + 1, generators.shape[1]):
                 for s in ctx.gamma.elements:
                     for t in ctx.gamma.elements:
-                        ip = np.vdot(translate(g, generators[n], t), translate(g, phi_m, s))
+                        ip = np.vdot(translate(g, generators[:, n], t), translate(g, phi_m, s))
                         assert abs(ip) <= 1e-9
         assert np.abs(total - projection_of(basis)).max() <= 1e-9
 
@@ -268,16 +269,16 @@ class TestPrincipalDecomposition:
 class TestParseval:
     def test_unit_fiber_generator_passes_and_is_tight(self, f1_ctx):
         generators = principal_decomposition(f1_ctx, np.eye(4, dtype=complex))
-        phi = generators[0]
+        phi = generators[:, 0]
         assert np.allclose(np.linalg.norm(zak(f1_ctx, phi), axis=1), 1.0)
         # brute-force tightness of the scaled translate family on S(phi)
         rng = np.random.default_rng(46)
-        comp_basis = space_from_range(f1_ctx, range_function(f1_ctx, [phi]))
+        comp_basis = space_from_range(f1_ctx, range_function(f1_ctx, phi[:, None]))
         proj = projection_of(comp_basis)
-        frame = translate_parseval_frame(f1_ctx, [phi])
+        frame = translate_parseval_frame(f1_ctx, phi[:, None])
         for _ in range(10):
             f = rand_signal(rng, 4)
-            total = sum(abs(np.vdot(y, f)) ** 2 for y in frame)
+            total = sum(abs(np.vdot(y, f)) ** 2 for y in frame.T)
             assert total == pytest.approx(np.linalg.norm(proj @ f) ** 2, abs=1e-9)
 
     def test_delta_fails_fiber_norm_gate(self, f1_ctx):
@@ -285,17 +286,17 @@ class TestParseval:
         # delta fall short of a Parseval frame and the operator summary refuses them
         phi = delta(f1_ctx.group, (0,))
         assert np.allclose(np.linalg.norm(zak(f1_ctx, phi), axis=1), 1 / np.sqrt(2))
-        basis = space_from_range(f1_ctx, range_function(f1_ctx, [phi]))
+        basis = space_from_range(f1_ctx, range_function(f1_ctx, phi[:, None]))
         with pytest.raises(ValueError, match="not Parseval"):
-            operator_summary(f1_ctx, np.eye(4), basis, translate_parseval_frame(f1_ctx, [phi]))
+            operator_summary(f1_ctx, np.eye(4), basis, translate_parseval_frame(f1_ctx, phi[:, None]))
 
     def test_frame_operator_is_projection(self, ctx):
         rng = np.random.default_rng(47)
-        gens = [rand_signal(rng, ctx.group.size)]
+        gens = rand_signal(rng, ctx.group.size)[:, None]
         basis = space_from_range(ctx, range_function(ctx, gens))
         generators = principal_decomposition(ctx, basis)
         frame = translate_parseval_frame(ctx, generators)
-        frame_op = sum(np.outer(y, y.conj()) for y in frame)
+        frame_op = sum(np.outer(y, y.conj()) for y in frame.T)
         assert np.abs(frame_op - projection_of(basis)).max() <= 1e-9
 
 
@@ -309,7 +310,7 @@ class TestFullSpaceFrame:
         generators = np.sqrt(ctx.gamma.size) * np.column_stack([delta(g, c) for c in ctx.c_section.reps])
         # every fiber of the c-th generator is e_c
         assert np.abs(zak(ctx, generators) - np.eye(ctx.n_c)).max() <= 1e-15
-        frame = np.column_stack(translate_parseval_frame(ctx, list(generators.T)))
+        frame = translate_parseval_frame(ctx, generators)
         assert np.abs(frame - np.eye(g.size)[:, ctx._coset_plus.ravel()]).max() <= 1e-15
 
     @pytest.mark.parametrize("hermitian", [False, True], ids=["commuting", "hermitian-psd"])
@@ -320,7 +321,70 @@ class TestFullSpaceFrame:
         u = w.conj().T @ w if hermitian else w
         basis = space_from_range(ctx, full_range_function(ctx))
         computed = translate_parseval_frame(ctx, principal_decomposition(ctx, basis))
-        closed = operator_summary(ctx, u, basis, list(np.eye(ctx.group.size, dtype=complex)))
+        closed = operator_summary(ctx, u, basis, np.eye(ctx.group.size, dtype=complex))
         oracle = operator_summary(ctx, u, basis, computed)
         assert closed.hs_frame == pytest.approx(oracle.hs_frame, rel=1e-12, abs=0)
         assert closed.trace_frame == pytest.approx(oracle.trace_frame, rel=1e-12, abs=0)
+
+
+V = np.array([1, 2, 0.5, -1], dtype=complex)
+
+
+def only_column_v():
+    """The 4 x 4 matrix whose only nonzero column is V: read by rows it
+    would be four multiples of delta_0."""
+    mat = np.zeros((4, 4), dtype=complex)
+    mat[:, 0] = V
+    return mat
+
+
+def summary_frame(ctx, frame):
+    return operator_summary(ctx, np.eye(ctx.group.size), space_from_range(ctx, full_range_function(ctx)), frame)
+
+
+def synthesize_full(ctx, field):
+    return synthesize_operator(ctx, field, full_range_function(ctx))
+
+
+BAD_FAMILIES = {"list": [V, V], "vector": V, "wrong-height": np.ones((3, 2), dtype=complex)}
+BAD_FIELDS = {"wrong-width": np.zeros((2, 2, 3)), "wrong-count": np.zeros((4, 2, 2)), "2d": np.zeros((2, 4))}
+FAMILY_CALLS = {
+    "range_function": range_function,
+    "translate_parseval_frame": translate_parseval_frame,
+    "operator_summary": summary_frame,
+}
+REJECTED = [
+    pytest.param(call, bad, r"must be a \(4, k\) array", id=f"{name}-{kind}")
+    for name, call in FAMILY_CALLS.items()
+    for kind, bad in BAD_FAMILIES.items()
+] + [
+    pytest.param(synthesize_full, bad, "field has shape", id=f"synthesize_operator-{kind}")
+    for kind, bad in BAD_FIELDS.items()
+]
+
+
+class TestFamilyFormat:
+    """A family of signals is a (|G|, k) matrix with one signal per column."""
+
+    def test_range_function_reads_columns(self, f1_ctx):
+        g = f1_ctx.group
+        rangefn = range_function(f1_ctx, only_column_v())
+        single = range_function(f1_ctx, V[:, None])
+        for wi in range(f1_ctx.n_omega):
+            assert np.abs(rangefn.projection(wi) - single.projection(wi)).max() <= 1e-12
+        q, _ = np.linalg.qr(np.column_stack([translate(g, V, t) for t in f1_ctx.gamma.elements]))
+        basis = space_from_range(f1_ctx, rangefn)
+        assert np.abs(projection_of(basis) - projection_of(q)).max() <= 1e-12
+
+    def test_parseval_frame_reads_columns(self, f1_ctx):
+        g = f1_ctx.group
+        frame = translate_parseval_frame(f1_ctx, only_column_v())
+        assert frame.shape == (4, 8)
+        translates = np.column_stack([translate(g, V, t) for t in f1_ctx.gamma.elements]) / np.sqrt(2)
+        assert np.array_equal(frame[:, :2], translates)
+        assert not frame[:, 2:].any()
+
+    @pytest.mark.parametrize("call, bad, error", REJECTED)
+    def test_rejects_other_shapes(self, f1_ctx, call, bad, error):
+        with pytest.raises(ValueError, match=error):
+            call(f1_ctx, bad)
