@@ -226,7 +226,8 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
         v = checks.gate(residual, tolerance)
         suites[name] = {"residual": v.residual, "tolerance": v.tolerance, "passed": v.passed}
 
-    signals = np.column_stack([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(20)])
+    z = rng.standard_normal((20, 2, n))  # real and imaginary parts, signal by signal
+    signals = np.ascontiguousarray((z[:, 0] + 1j * z[:, 1]).T)
     fibered = zak(ctx, signals)
 
     norms = np.linalg.norm(signals, axis=0)
@@ -260,10 +261,8 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     record("range_roundtrip", checks.largest(gaps), cfg.abs_tol(checks.ROUNDTRIP))
 
     rangefn = full_range_function(ctx)
-    field = np.stack([
-        rng.standard_normal((ctx.n_c, ctx.n_c)) + 1j * rng.standard_normal((ctx.n_c, ctx.n_c))
-        for _ in range(ctx.n_omega)
-    ])
+    z = rng.standard_normal((ctx.n_omega, 2, ctx.n_c, ctx.n_c))
+    field = z[:, 0] + 1j * z[:, 1]
     u = synthesize_operator(ctx, field, rangefn)
     r_bij = np.abs(extract_range_operator(ctx, u, rangefn) - field).max()
     record("field_bijection", r_bij, cfg.abs_tol(checks.ROUNDTRIP))

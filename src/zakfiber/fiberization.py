@@ -10,7 +10,7 @@ G modulo Gamma:
 With counting measure (weight 1 per point) on every index set this is a
 unitary map from C^|G| onto the |Omega| x |C| fiber space, and it turns
 translation by t in Gamma into multiplication by the character values
-pairing(t, omega).
+pairing(t, omega). Signals ``(|G|[, k])`` and fibers ``(|Omega|, |C|[, k])`` are ndarrays.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from .groups import (
     GroupSpec,
     Subgroup,
     Transversal,
+    _array,
     _exponents,
     annihilator,
-    as_signal,
     transversal,
 )
 
@@ -110,21 +110,12 @@ def zak(ctx: FiberContext, f) -> np.ndarray:
     matrix of k signals, one per column, gives ``(|Omega|, |C|, k)``; column
     j of the result is bit-identical to ``zak(ctx, f[:, j])``.
     """
-    f = as_signal(ctx.group, f)
+    f = _array(f, "signal", (ctx.group.size,), (ctx.group.size, None))
     # gather into ([k,] |C|, |Gamma|) stacks and give each stack the matrix
     # product a lone signal gets; one large product would round differently
     samples = np.ascontiguousarray(f.T[..., ctx._coset_plus])
     fibers = ctx.normalization * (ctx._phase @ np.swapaxes(samples, -1, -2))
     return np.moveaxis(fibers, 0, -1) if f.ndim == 2 else fibers
-
-
-def as_fibered(ctx: FiberContext, fibers) -> np.ndarray:
-    """Coerce to a complex |Omega| x |C| fiber array, or |Omega| x |C| x k
-    for k fibered vectors."""
-    arr = np.asarray(fibers, dtype=complex)
-    if arr.ndim not in (2, 3) or arr.shape[:2] != ctx.fiber_shape():
-        raise ValueError(f"fibered vector has shape {arr.shape}, expected {ctx.fiber_shape()} [+ (k,)]")
-    return arr
 
 
 def zak_inverse(ctx: FiberContext, fibers) -> np.ndarray:
@@ -134,7 +125,7 @@ def zak_inverse(ctx: FiberContext, fibers) -> np.ndarray:
     ``(|Omega|, |C|, k)`` gives ``(|G|, k)``, one signal per column, each
     bit-identical to the inverse of its own fibers.
     """
-    fibers = as_fibered(ctx, fibers)
+    fibers = _array(fibers, "fibers", ctx.fiber_shape(), ctx.fiber_shape() + (None,))
     stacked = np.ascontiguousarray(np.moveaxis(fibers, -1, 0)) if fibers.ndim == 3 else fibers
     vals = ctx.normalization * (np.swapaxes(stacked, -1, -2) @ ctx._phase.conj())  # ([k,] |C|, |Gamma|)
     out = np.empty(fibers.shape[2:] + (ctx.group.size,), dtype=complex)

@@ -6,6 +6,10 @@ integer basis with pivots d_i | n_i and entries 0 <= a_ij < d_j to the right
 of each pivot (Cohen, GTM 138, section 2.4). The HNF is unique, so it names
 the subgroup, and element lists, annihilators and coset representatives are
 all read off it with integer array arithmetic.
+
+Every signal, family, fibered array, field and operator argument passes
+:func:`_array`: an ndarray of its documented shape, never a list. Group
+elements are tuples checked by :meth:`GroupSpec.validate`.
 """
 
 from __future__ import annotations
@@ -254,7 +258,7 @@ def translate(g: GroupSpec, f, t) -> np.ndarray:
     ``f`` is one signal of shape ``(|G|,)`` or a ``(|G|, k)`` matrix with one
     signal per column; every column is translated by the same index gather.
     """
-    f = as_signal(g, f)
+    f = _array(f, "signal", (g.size,), (g.size, None))
     t = g.validate(t)
     src = np.ravel_multi_index((_coords(g.orders) - np.array(t)).T, g.orders, mode="wrap")
     return f[src]
@@ -265,13 +269,16 @@ def translation_matrix(g: GroupSpec, t) -> np.ndarray:
     return translate(g, np.eye(g.size, dtype=complex), t)
 
 
-def as_signal(g: GroupSpec, f) -> np.ndarray:
-    """Coerce to a complex vector indexed by the group enumeration, or to a
-    ``(|G|, k)`` matrix holding one such signal per column."""
-    arr = np.asarray(f, dtype=complex)
-    if arr.ndim not in (1, 2) or arr.shape[0] != g.size:
-        raise ValueError(f"signal has shape {arr.shape}, expected ({g.size},) or ({g.size}, k)")
-    return arr
+def _array(value, name: str, *shapes) -> np.ndarray:
+    """``value`` as a complex array if it is an ndarray of one of the shapes
+    (``None`` matches any length); anything else, a list too, raises ValueError."""
+    if isinstance(value, np.ndarray) and any(
+        len(shape) == value.ndim and all(s in (None, d) for s, d in zip(shape, value.shape)) for shape in shapes
+    ):
+        return value.astype(complex, copy=False)
+    want = " or ".join(str(shape).replace("None", "k") for shape in shapes)
+    got = f"shape {value.shape}" if isinstance(value, np.ndarray) else f"a {type(value).__name__}"
+    raise ValueError(f"{name} must be a {want} array, got {got}")
 
 
 def all_subgroups(g: GroupSpec) -> list[Subgroup]:

@@ -4,7 +4,8 @@ An operator on signals commutes with all translations by the subgroup
 exactly when its conjugate under the fiberization is block diagonal over
 omega. The block family, one |C| x |C| matrix per omega extended by zero off
 the fiber subspace, is the range operator field, held as one complex
-``(|Omega|, |C|, |C|)`` array; the functions here
+``(|Omega|, |C|, |C|)`` ndarray; an operator is a ``(|G|, |G|)`` ndarray, and
+a range function has one ``(|C|, k)`` basis per omega. The functions here
 detect the commutation property, extract and apply fields, synthesize
 operators from fields, and verify the norm, Hilbert-Schmidt, trace, isometry,
 self-adjointness and rank correspondences between the two pictures.
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import checks
 from .fiberization import FiberContext, determining_function, zak, zak_inverse
-from .groups import translate
-from .spaces import RangeFunction, _rank_cut, _signal_family, space_from_range
+from .groups import _array, translate
+from .spaces import RangeFunction, _check_fits, _rank_cut, space_from_range
 
 
 class NotTranslationPreservingError(Exception):
@@ -66,11 +67,8 @@ class VerificationReport:
 
 
 def as_operator(ctx: FiberContext, u) -> np.ndarray:
-    """Coerce to a square complex matrix acting on signals."""
-    mat = np.asarray(u, dtype=complex)
-    n = ctx.group.size
-    if mat.shape != (n, n):
-        raise ValueError(f"operator has shape {mat.shape}, expected ({n}, {n})")
+    """The complex ``(|G|, |G|)`` matrix of an operator on signals, with finite entries."""
+    mat = _array(u, "operator", (ctx.group.size, ctx.group.size))
     if not np.isfinite(mat).all():
         raise ValueError("operator has non-finite entries")
     return mat
@@ -111,12 +109,10 @@ def solve_range_field(ctx: FiberContext, u, rangefn: RangeFunction, basis=None):
     for a caller that has already built it; it is built here when omitted.
     """
     u = as_operator(ctx, u)
+    _check_fits(ctx, rangefn)
     if basis is None:
         basis = space_from_range(ctx, rangefn)
-    elif np.shape(basis) != (ctx.group.size, rangefn.dim_total):
-        raise ValueError(
-            f"basis has shape {np.shape(basis)}, expected ({ctx.group.size}, {rangefn.dim_total})"
-        )
+    basis = _array(basis, "basis", (ctx.group.size, rangefn.dim_total))
     images = zak(ctx, u @ basis)  # (|Omega|, |C|, dim)
     owner = np.repeat(np.arange(ctx.n_omega), rangefn.dims)  # the fiber of each basis column
     own = np.arange(ctx.n_omega)[:, None] == owner[None, :]
@@ -144,11 +140,6 @@ def extract_range_operator(ctx: FiberContext, u, rangefn: RangeFunction) -> np.n
     return field
 
 
-def _check_fiber_count(field: np.ndarray, rangefn: RangeFunction) -> None:
-    if len(rangefn.bases) != field.shape[0]:
-        raise ValueError(f"field has {field.shape[0]} fibers, the range function {len(rangefn.bases)}")
-
-
 def synthesize_operator(ctx: FiberContext, field, rangefn: RangeFunction) -> np.ndarray:
     """Conjugate the block-diagonal field back to an operator on signals.
 
@@ -161,10 +152,8 @@ def synthesize_operator(ctx: FiberContext, field, rangefn: RangeFunction) -> np.
     ``zak_inverse`` applies Z* to each column.
     """
     n_omega, nc = ctx.fiber_shape()
-    field = np.asarray(field, dtype=complex)
-    if field.shape != (n_omega, nc, nc):
-        raise ValueError(f"field has shape {field.shape}, expected ({n_omega}, {nc}, {nc})")
-    _check_fiber_count(field, rangefn)
+    field = _array(field, "field", (n_omega, nc, nc))
+    _check_fits(ctx, rangefn)
     projections = np.stack([fiber_basis @ fiber_basis.conj().T for fiber_basis in rangefn.bases])
     leaks = np.abs(field @ (np.eye(nc) - projections)).max(axis=(1, 2))
     over = np.flatnonzero(~checks.passes(leaks, checks.DOMAIN))
@@ -193,11 +182,8 @@ def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determ
     omega, and names the largest off-diagonal block ``(wi, wj)``. The two
     modes agree on every input away from the tolerance edge.
     """
-    n = ctx.group.size
     nc = ctx.n_c
-    uhat = np.asarray(uhat, dtype=complex)
-    if uhat.shape != (n, n):
-        raise ValueError(f"fibered operator has shape {uhat.shape}, expected ({n}, {n})")
+    uhat = _array(uhat, "fibered operator", (ctx.group.size, ctx.group.size))
     if mode == "determining-set":
         residuals = []
         for t in ctx.gamma.generators or ctx.gamma.elements:
@@ -276,8 +262,8 @@ def operator_summary(ctx: FiberContext, u, basis, frame) -> OperatorSummary:
     once, and one SVD and one Hermitian eigensolve are taken.
     """
     u = as_operator(ctx, u)
-    basis = _signal_family(ctx, basis)
-    frame = _signal_family(ctx, frame)
+    basis = _array(basis, "basis", (ctx.group.size, None))
+    frame = _array(frame, "frame", (ctx.group.size, None))
     frame_residual = _max_entry(frame @ frame.conj().T - basis @ basis.conj().T)
     if not checks.passes(frame_residual, checks.FRAME):
         raise ValueError(f"frame is not Parseval for the space (residual {frame_residual:.3e})")
@@ -303,7 +289,7 @@ def operator_summary(ctx: FiberContext, u, basis, frame) -> OperatorSummary:
 
 def fiber_summary(field: np.ndarray, rangefn: RangeFunction) -> FiberSummary:
     """Summarize the field on the range function, one fiber image and one SVD per fiber."""
-    _check_fiber_count(field, rangefn)
+    field = _array(field, "field", (len(rangefn.bases), None, None))
     images = [mat @ fb for mat, fb in zip(field, rangefn.bases)]
     # (B^H R) B, the association the trace and self-adjointness terms share
     blocks = [fb.conj().T @ mat @ fb for mat, fb in zip(field, rangefn.bases)]

@@ -1,8 +1,9 @@
 """Translation-invariant subspaces represented fiberwise by range functions.
 
-A family of signals (generators, bases, frames) is one ``(|G|, k)`` matrix
+A family of signals (generators, bases, frames) is one ``(|G|, k)`` ndarray
 with one signal per column. A range function keeps a tuple of per-omega
-bases, because their widths differ from fiber to fiber.
+bases, because their widths differ from fiber to fiber; on a context it
+must have one ``(|C|, k)`` basis per omega.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import checks
 from .fiberization import FiberContext, zak, zak_inverse
-from .groups import translate
+from .groups import _array, translate
 
 
 class NotTranslationInvariantError(ValueError):
@@ -70,20 +71,20 @@ def _column_spans(stacked: np.ndarray) -> list[np.ndarray]:
     return spans
 
 
-def _signal_family(ctx: FiberContext, f) -> np.ndarray:
-    """The complex ``(|G|, k)`` matrix of a family of k signals, one per column."""
-    n = ctx.group.size
-    if not (isinstance(f, np.ndarray) and f.ndim == 2 and f.shape[0] == n):
-        got = f"shape {f.shape}" if isinstance(f, np.ndarray) else f"a {type(f).__name__}"
-        raise ValueError(f"signal family must be a ({n}, k) array, got {got}")
-    return f.astype(complex, copy=False)
+def _check_fits(ctx: FiberContext, rangefn: RangeFunction) -> None:
+    """Require one ``(|C|, k)`` basis per omega of the context."""
+    if len(rangefn.bases) != ctx.n_omega:
+        raise ValueError(f"range function has {len(rangefn.bases)} fibers, the context {ctx.n_omega}")
+    for basis in rangefn.bases:
+        _array(basis, "range function basis", (ctx.n_c, None))
 
 
 def range_function(ctx: FiberContext, generators) -> RangeFunction:
     """Per-omega orthonormalized span of the fibers of the generators, the
     columns of a ``(|G|, k)`` matrix; k = 0 yields the zero range function."""
+    generators = _array(generators, "generators", (ctx.group.size, None))
     # zak(...)[wi] holds the omega-fibers of all generators as columns
-    return RangeFunction(tuple(_column_spans(zak(ctx, _signal_family(ctx, generators)))))
+    return RangeFunction(tuple(_column_spans(zak(ctx, generators))))
 
 
 def full_range_function(ctx: FiberContext) -> RangeFunction:
@@ -99,6 +100,7 @@ def space_from_range(ctx: FiberContext, rangefn: RangeFunction) -> np.ndarray:
     Each basis vector is supported on a single fiber, which downstream fiber
     solves rely on.
     """
+    _check_fits(ctx, rangefn)
     fibers = np.zeros(ctx.fiber_shape() + (rangefn.dim_total,), dtype=complex)
     col = 0
     for wi, basis in enumerate(rangefn.bases):
@@ -114,7 +116,7 @@ def is_translation_invariant(ctx: FiberContext, basis) -> checks.Verdict:
     element list is used when no generator list is stored. A failed verdict
     names the first failing probe t and basis column j as ``(t, j)``.
     """
-    basis = _signal_family(ctx, basis)
+    basis = _array(basis, "basis", (ctx.group.size, None))
     if basis.shape[1] == 0:
         return checks.gate(0.0, checks.INVARIANCE)
     residuals = []
@@ -161,7 +163,7 @@ def translate_parseval_frame(ctx: FiberContext, generators) -> np.ndarray:
     The scaling accounts for counting measure putting total mass |Gamma| on
     the subgroup.
     """
-    phis = _signal_family(ctx, generators)
+    phis = _array(generators, "generators", (ctx.group.size, None))
     scale = 1.0 / np.sqrt(ctx.gamma.size)
     shifted = np.stack([translate(ctx.group, phis, t) for t in ctx.gamma.elements], axis=-1)  # (|G|, N, |Gamma|)
     # generator-major order: all translates of the first generator come first

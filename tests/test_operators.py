@@ -153,7 +153,7 @@ class TestExtract:
         assert all(np.array_equal(a, b) for a, b in zip(given, field))
         for wrong in (basis[:, 1:], basis[1:], basis.T):
             if wrong.shape != basis.shape:
-                with pytest.raises(ValueError, match="basis has shape"):
+                with pytest.raises(ValueError, match=r"basis must be a \(\d+, \d+\) array"):
                     solve_range_field(ctx, u, rangefn, wrong)
 
     def test_nan_solve_residual_is_a_failure(self, f1_ctx, monkeypatch):
@@ -227,6 +227,19 @@ class TestSynthesize:
             assert np.abs(resynth @ basis - u @ basis).max() <= 1e-9
 
 
+def cyclic_context(n, step):
+    g = make_group([n])
+    return fiber_context(g, subgroup_from_generators(g, [(step,)]))
+
+
+# (|G|, step) of the context, (|G|, step) of the range function's context, the error
+MISFITS = {
+    "Z4/<2> on Z8/<2>": ((8, 2), (4, 2), r"range function has 2 fibers, the context 4"),
+    "Z8/<2> on Z4/<2>": ((4, 2), (8, 2), r"range function has 4 fibers, the context 2"),
+    "Z8/<4> on Z4/<2>": ((4, 2), (8, 4), r"range function basis must be a \(2, k\) array, got shape \(4, 4\)"),
+}
+
+
 class TestFiberCount:
     """A field and a range function meet only when they have as many fibers."""
 
@@ -238,10 +251,25 @@ class TestFiberCount:
         rangefn = full_range_function(f1_ctx)
         if short == "one-fiber":
             rangefn = RangeFunction(rangefn.bases[:1])
-        with pytest.raises(ValueError, match="fibers"):
+        n = len(rangefn.bases)
+        with pytest.raises(ValueError, match=rf"range function has {n} fibers, the context 4"):
             synthesize_operator(f2_ctx, field, rangefn)
-        with pytest.raises(ValueError, match="fibers"):
+        with pytest.raises(ValueError, match=rf"field must be a \({n}, k, k\) array, got shape \(4, 2, 2\)"):
             fiber_summary(field, rangefn)
+
+    @pytest.mark.parametrize("own, other, error", MISFITS.values(), ids=MISFITS)
+    def test_range_function_must_fit_its_context(self, own, other, error):
+        # unchecked, Z4/<2>'s range function on Z8/<2> gave a space over two of
+        # the four fibers, and the reverse direction indexed past the fibers
+        ctx, rangefn = cyclic_context(*own), full_range_function(cyclic_context(*other))
+        u = np.eye(ctx.group.size, dtype=complex)
+        field = np.zeros((ctx.n_omega, ctx.n_c, ctx.n_c), dtype=complex)
+        with pytest.raises(ValueError, match=error):
+            space_from_range(ctx, rangefn)
+        with pytest.raises(ValueError, match=error):
+            solve_range_field(ctx, u, rangefn)
+        with pytest.raises(ValueError, match=error):
+            synthesize_operator(ctx, field, rangefn)
 
 
 def nan_field(ctx, u, rangefn):

@@ -1,16 +1,24 @@
 """Range functions: construction, membership, projections, decomposition."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import zakfiber
 from zakfiber import (
     NotTranslationInvariantError,
+    check_translation_preserving,
     determining_function,
+    extract_range_operator,
+    fiber_summary,
     is_translation_invariant,
     full_range_function,
+    multiplication_preserving_check,
     operator_summary,
     principal_decomposition,
     range_function,
+    solve_range_field,
     space_from_range,
     synthesize_operator,
     translate,
@@ -338,33 +346,70 @@ def only_column_v():
     return mat
 
 
-def summary_frame(ctx, frame):
-    return operator_summary(ctx, np.eye(ctx.group.size), space_from_range(ctx, full_range_function(ctx)), frame)
+def full_space(ctx):
+    return space_from_range(ctx, full_range_function(ctx))
 
 
-def synthesize_full(ctx, field):
-    return synthesize_operator(ctx, field, full_range_function(ctx))
-
-
-BAD_FAMILIES = {"list": [V, V], "vector": V, "wrong-height": np.ones((3, 2), dtype=complex)}
-BAD_FIELDS = {"wrong-width": np.zeros((2, 2, 3)), "wrong-count": np.zeros((4, 2, 2)), "2d": np.zeros((2, 4))}
-FAMILY_CALLS = {
-    "range_function": range_function,
-    "translate_parseval_frame": translate_parseval_frame,
-    "operator_summary": summary_frame,
+EYE = np.eye(4, dtype=complex)
+# Bad values for each documented shape on Z4/<2> (|G| = 4, |Omega| = |C| = 2):
+# a list, a wrong rank and a wrong axis length. The signal list holds the
+# columns of only_column_v(), which a row-major reading would transpose.
+BAD_SIGNALS = {"list": list(only_column_v().T), "rank": np.zeros((4, 2, 2)), "length": np.ones(3)}
+BAD_FIBERS = {"list": [V.reshape(2, 2), np.zeros((2, 2))], "rank": V, "length": np.zeros((2, 3))}
+BAD_FAMILIES = {"list": [V, V], "rank": V, "length": np.ones((3, 2), dtype=complex)}
+BAD_OPERATORS = {"list": EYE.tolist(), "rank": V, "length": np.zeros((4, 3))}
+BAD_FIELDS = {
+    "list": [np.eye(2), np.eye(2)],
+    "rank": np.zeros((2, 4)),
+    "length": np.zeros((2, 2, 3)),
+    "count": np.zeros((4, 2, 2)),
 }
-REJECTED = [
-    pytest.param(call, bad, r"must be a \(4, k\) array", id=f"{name}-{kind}")
-    for name, call in FAMILY_CALLS.items()
-    for kind, bad in BAD_FAMILIES.items()
-] + [
-    pytest.param(synthesize_full, bad, "field has shape", id=f"synthesize_operator-{kind}")
-    for kind, bad in BAD_FIELDS.items()
+SIGNAL = r"signal must be a \(4,\) or \(4, k\) array"
+FAMILY = r"must be a \(4, k\) array"
+OPERATOR = r"operator must be a \(4, 4\) array"
+# (function, parameter, call with every other argument valid, bad values, error)
+ARRAY_ARGUMENTS = [
+    ("translate", "f", lambda ctx, bad: translate(ctx.group, bad, (1,)), BAD_SIGNALS, SIGNAL),
+    ("zak", "f", zak, BAD_SIGNALS, SIGNAL),
+    ("zak_inverse", "fibers", zak_inverse, BAD_FIBERS, r"fibers must be a \(2, 2\) or \(2, 2, k\) array"),
+    ("range_function", "generators", range_function, BAD_FAMILIES, FAMILY),
+    ("translate_parseval_frame", "generators", translate_parseval_frame, BAD_FAMILIES, FAMILY),
+    ("is_translation_invariant", "basis", is_translation_invariant, BAD_FAMILIES, FAMILY),
+    ("principal_decomposition", "basis", principal_decomposition, BAD_FAMILIES, FAMILY),
+    ("check_translation_preserving", "u", check_translation_preserving, BAD_OPERATORS, OPERATOR),
+    ("extract_range_operator", "u", lambda ctx, bad: extract_range_operator(ctx, bad, full_range_function(ctx)),
+     BAD_OPERATORS, OPERATOR),
+    ("solve_range_field", "u", lambda ctx, bad: solve_range_field(ctx, bad, full_range_function(ctx)),
+     BAD_OPERATORS, OPERATOR),
+    ("solve_range_field", "basis", lambda ctx, bad: solve_range_field(ctx, EYE, full_range_function(ctx), bad),
+     BAD_OPERATORS, r"basis must be a \(4, 4\) array"),
+    ("operator_summary", "u", lambda ctx, bad: operator_summary(ctx, bad, full_space(ctx), EYE),
+     BAD_OPERATORS, OPERATOR),
+    ("operator_summary", "basis", lambda ctx, bad: operator_summary(ctx, EYE, bad, EYE), BAD_FAMILIES, FAMILY),
+    ("operator_summary", "frame", lambda ctx, bad: operator_summary(ctx, EYE, full_space(ctx), bad),
+     BAD_FAMILIES, FAMILY),
+    ("synthesize_operator", "field", lambda ctx, bad: synthesize_operator(ctx, bad, full_range_function(ctx)),
+     BAD_FIELDS, r"field must be a \(2, 2, 2\) array"),
+    # without a context the field's matrix size is free; its fiber count is the axis length checked
+    ("fiber_summary", "field", lambda ctx, bad: fiber_summary(bad, full_range_function(ctx)),
+     {"list": BAD_FIELDS["list"], "rank": BAD_FIELDS["rank"], "length": BAD_FIELDS["count"]},
+     r"field must be a \(2, k, k\) array"),
+    ("multiplication_preserving_check", "uhat", multiplication_preserving_check, BAD_OPERATORS,
+     r"fibered operator must be a \(4, 4\) array"),
 ]
+REJECTED = [
+    pytest.param(call, bad, error, id=f"{name}-{param}-{kind}")
+    for name, param, call, bads, error in ARRAY_ARGUMENTS
+    for kind, bad in bads.items()
+]
+# the parameter names under which public functions take signals, families,
+# fibered arrays, fields and operators
+ARRAY_PARAMETERS = {"f", "fibers", "u", "uhat", "basis", "frame", "generators", "field"}
 
 
 class TestFamilyFormat:
-    """A family of signals is a (|G|, k) matrix with one signal per column."""
+    """A family of signals is a (|G|, k) matrix with one signal per column,
+    and every array argument is an ndarray of its documented shape."""
 
     def test_range_function_reads_columns(self, f1_ctx):
         g = f1_ctx.group
@@ -388,3 +433,14 @@ class TestFamilyFormat:
     def test_rejects_other_shapes(self, f1_ctx, call, bad, error):
         with pytest.raises(ValueError, match=error):
             call(f1_ctx, bad)
+
+    def test_every_array_parameter_is_in_the_table(self):
+        public = {
+            (name, param)
+            for name in zakfiber.__all__
+            if inspect.isfunction(fn := getattr(zakfiber, name))
+            for param in inspect.signature(fn).parameters
+            if param in ARRAY_PARAMETERS
+        }
+        assert {(name, param) for name, param, *_ in ARRAY_ARGUMENTS} == public
+        assert all({"list", "rank", "length"} <= set(bads) for *_, bads, _ in ARRAY_ARGUMENTS)
