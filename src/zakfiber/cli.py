@@ -104,6 +104,8 @@ def _emit(report: dict, cfg: RunConfig) -> None:
 def _print_summary(report: dict, indent: str = "") -> None:
     for key in sorted(report):
         value = report[key]
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
         if isinstance(value, dict):
             print(f"{indent}{key}:")
             _print_summary(value, indent + "  ")
@@ -202,8 +204,8 @@ def cmd_demo_diffop(args) -> int:
         "step": step[0],
         "gamma": [list(t) for t in gamma.elements],
         "omega_reps": [list(w) for w in ctx.omega.reps],
-        "fiber_symbols": [jsonio.complex_to_pair(s) for s in symbols],
-        "expected_symbols": [jsonio.complex_to_pair(e) for e in expected],
+        "fiber_symbols": jsonio.matrix_to_json(symbols),
+        "expected_symbols": jsonio.matrix_to_json(expected),
         "symbol_residual": symbol_residual if symbols.size else None,
         "symbol_scalar_residual": scalar_residual,
         "symbols_passed": symbols_ok,

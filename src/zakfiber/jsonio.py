@@ -2,7 +2,10 @@
 
 Complex numbers are always serialized as ``[re, im]`` pairs, matrices
 row-major, and group elements as integer arrays in enumeration order.
-Reports are written by :func:`report_chunks`.
+Reports are written by :func:`report_chunks`: the stdlib's JSON encoder
+writes the text, and each non-empty float64 array in the report, such as a
+matrix of ``[re, im]`` pairs or the per-fiber values, goes through one
+template renderer instead of the stdlib's per-float path.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -28,14 +30,10 @@ MAX_GROUP_ORDER = 2**14
 MAX_FACTORS = MAX_GROUP_ORDER.bit_length() - 1
 
 
-def complex_to_pair(z) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def matrix_to_json(mat: np.ndarray) -> np.ndarray:
-    """The ``(rows, cols, 2)`` float array of ``[re, im]`` pairs; the report
-    encoder writes it as the nested list ``matrix_from_json`` reads."""
+    """The float array of ``[re, im]`` pairs, ``(rows, cols, 2)`` for a matrix
+    and ``(n, 2)`` for a vector; the report encoder writes it as the nested
+    list ``matrix_from_json`` reads."""
     mat = np.asarray(mat, dtype=complex)
     return np.stack([mat.real, mat.imag], axis=-1)
 
@@ -120,75 +118,52 @@ def report_chunks(report):
     """Yield the report text in pieces whose concatenation is, byte for byte,
     ``json.dumps(report, indent=2, sort_keys=True, default=np.ndarray.tolist)``.
 
-    A float64 array with three or more axes is written one leading index at
-    a time, so no more than one such slice of the report is held as text at
-    once. A smaller float array, and a nested list of one box shape whose
-    leaves are all plain floats, is one piece: one ``float.__repr__`` per leaf
-    and one template for the brackets and indentation. Any other array is
-    written as its ``tolist()``.
+    The stdlib's encoder writes everything but the non-empty float64 arrays,
+    and its text between two such arrays is one piece. Each of those arrays
+    is one ``float.__repr__`` per leaf and one template for the brackets and
+    indentation: one piece, or, with three or more axes, one piece per
+    leading index and one for the closing bracket, so no more than one such
+    slice is held as text at once.
     """
-    yield from _chunks(report, "\n")
+    queued = []
+
+    def hook(obj):
+        # other dtypes and subclasses (np.matrix, masked arrays) go to the
+        # stdlib as their tolist(), as the oracle's default= hook hands them
+        if type(obj) is np.ndarray and obj.dtype == np.float64 and obj.size:
+            queued.append(obj)
+            return ""  # the stdlib yields its '""' as its very next piece
+        return np.ndarray.tolist(obj)
+
+    pieces = []
+    for piece in json.JSONEncoder(indent=2, sort_keys=True, default=hook).iterencode(report):
+        if not queued:
+            pieces.append(piece)
+            continue
+        text = "".join(pieces)
+        pieces.clear()
+        if text:
+            yield text
+        # the array is indented as deep as the line it starts on; strings are
+        # escaped, so every newline in the text is the stdlib's own
+        line = text.rpartition("\n")[2]
+        newline = "\n" + line[: len(line) - len(line.lstrip(" "))]
+        array = queued.pop()
+        if array.ndim < 3:
+            yield _float_box(_template(array.shape, newline), array.ravel().tolist())
+        else:
+            inner = newline + "  "
+            template = _template(array.shape[1:], inner)
+            for i, row in enumerate(array):
+                yield ("," if i else "[") + inner + _float_box(template, row.ravel().tolist())
+            yield newline + "]"
+    if pieces:
+        yield "".join(pieces)
 
 
 def report_text(report) -> str:
     """The report text of :func:`report_chunks` as one string."""
     return "".join(report_chunks(report))
-
-
-def _chunks(obj, newline: str):
-    inner = newline + "  "
-    if isinstance(obj, np.ndarray):
-        # other dtypes and subclasses (np.matrix, masked arrays) go the way
-        # the default= hook hands them to the stdlib
-        if type(obj) is not np.ndarray or obj.dtype != np.float64 or not obj.size:
-            yield from _chunks(obj.tolist(), newline)
-        elif obj.ndim < 3:
-            yield _float_box(_template(obj.shape, newline), obj.ravel().tolist())
-        else:
-            template = _template(obj.shape[1:], inner)
-            for i, row in enumerate(obj):
-                yield ("," if i else "[") + inner + _float_box(template, row.ravel().tolist())
-            yield newline + "]"
-        return
-    if isinstance(obj, dict):
-        brackets = "{}"
-        items = [(encode_basestring_ascii(_key(k)) + ": ", v) for k, v in sorted(obj.items())]
-    elif isinstance(obj, (list, tuple)):
-        box = _float_leaves(obj)
-        if box is not None:
-            yield _float_box(_template(box[0], newline), box[1])
-            return
-        brackets = "[]"
-        items = [("", v) for v in obj]
-    else:
-        yield _scalar(obj)
-        return
-    if not items:
-        yield brackets
-        return
-    sep = brackets[0] + inner
-    for head, v in items:
-        if isinstance(v, (dict, list, tuple, np.ndarray)):
-            yield sep + head
-            yield from _chunks(v, inner)
-        else:
-            yield sep + head + _scalar(v)
-        sep = "," + inner
-    yield newline + brackets[1]
-
-
-def _float_leaves(obj):
-    """``(shape, leaves)`` of a nested list or tuple of one box shape, no axis
-    of length zero, whose leaves are all plain floats; else None."""
-    shape = []
-    level = [obj]
-    while isinstance(level[0], (list, tuple)):
-        n = len(level[0])
-        if not n or not all(isinstance(x, (list, tuple)) and len(x) == n for x in level):
-            return None
-        shape.append(n)
-        level = list(chain.from_iterable(level))
-    return (shape, level) if all(type(x) is float for x in level) else None
 
 
 def _template(shape, newline: str) -> str:
@@ -207,32 +182,3 @@ def _float_box(template: str, leaves: list) -> str:
     if "n" in text:
         text = text.replace("nan", "NaN").replace("inf", "Infinity")
     return text
-
-
-def _scalar(obj) -> str:
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if math.isinf(obj):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float.__repr__(obj)
-    return json.dumps(obj)
-
-
-def _key(key) -> str:
-    # the stdlib writes int, float, bool and None keys as their JSON text
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return _scalar(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")

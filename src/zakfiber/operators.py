@@ -8,7 +8,8 @@ the fiber subspace, is the range operator field, held as one complex
 a range function has one ``(|C|, k)`` basis per omega. The functions here
 detect the commutation property, extract and apply fields, synthesize
 operators from fields, and verify the norm, Hilbert-Schmidt, trace, isometry,
-self-adjointness and rank correspondences between the two pictures.
+self-adjointness and rank correspondences between the two pictures. Per-fiber
+values (norms, ranks, HS and trace terms) are 1-D arrays indexed by omega.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ class RangeSolveError(Exception):
 
 @dataclass
 class VerificationReport:
-    """Named residuals, values and verdicts for one identity check."""
+    """Named residuals, values and verdicts for one identity check; a
+    per-fiber value is a 1-D array indexed by omega."""
 
     passed: bool
     verdicts: dict
@@ -233,10 +235,10 @@ class FiberSummary:
     non-finite entry.
     """
 
-    norms: list[float]
-    ranks: list[int]
-    hs_terms: list[float]
-    trace_terms: list[float]
+    norms: np.ndarray  # float64
+    ranks: np.ndarray  # int
+    hs_terms: np.ndarray  # float64
+    trace_terms: np.ndarray  # float64
     isometry_residual: float  # largest entry of R^H R - I, over the fiber images R = R(omega) B(omega)
     selfadjoint_residual: float  # largest entry of C - C^H, over the blocks C = B(omega)^H R(omega) B(omega)
 
@@ -288,17 +290,23 @@ def operator_summary(ctx: FiberContext, u, basis, frame) -> OperatorSummary:
 
 
 def fiber_summary(field: np.ndarray, rangefn: RangeFunction) -> FiberSummary:
-    """Summarize the field on the range function, one fiber image and one SVD per fiber."""
-    field = _array(field, "field", (len(rangefn.bases), None, None))
-    images = [mat @ fb for mat, fb in zip(field, rangefn.bases)]
+    """Summarize the field, a ``(len(rangefn.bases), c, c)`` array with c the
+    row count the bases share, with one fiber image and one SVD per fiber."""
+    bases = [_array(basis, "range function basis", (None, None)) for basis in rangefn.bases]
+    rows = sorted({basis.shape[0] for basis in bases})
+    if len(rows) > 1:
+        raise ValueError(f"range function bases differ in row count: {rows}")
+    nc = rows[0] if rows else None
+    field = _array(field, "field", (len(bases), nc, nc))
+    images = [mat @ fb for mat, fb in zip(field, bases)]
     # (B^H R) B, the association the trace and self-adjointness terms share
-    blocks = [fb.conj().T @ mat @ fb for mat, fb in zip(field, rangefn.bases)]
+    blocks = [fb.conj().T @ mat @ fb for mat, fb in zip(field, bases)]
     spectra = [_singular_values(rb) for rb in images]
     return FiberSummary(
-        norms=[checks.largest(s) for s in spectra],
-        ranks=[_rank_cut(s) for s in spectra],
-        hs_terms=[float(np.linalg.norm(rb) ** 2) for rb in images],
-        trace_terms=[float(np.trace(block).real) for block in blocks],
+        norms=np.array([checks.largest(s) for s in spectra], dtype=float),
+        ranks=np.array([_rank_cut(s) for s in spectra], dtype=int),
+        hs_terms=np.array([np.linalg.norm(rb) ** 2 for rb in images], dtype=float),
+        trace_terms=np.array([np.trace(block).real for block in blocks], dtype=float),
         isometry_residual=checks.largest(_max_entry(rb.conj().T @ rb - np.eye(rb.shape[1])) for rb in images),
         selfadjoint_residual=checks.largest(_max_entry(block - block.conj().T) for block in blocks),
     )
@@ -316,7 +324,7 @@ def norm_identity_report(
         verdicts={"norm_identity": ok},
         residuals={"norm_gap": gap},
         values={"operator_norm": op.norm, "max_fiber_norm": fiber_max, "fiber_norms": fib.norms},
-        witness=int(np.argmax(fib.norms)) if fib.norms else None,
+        witness=int(np.argmax(fib.norms)) if fib.norms.size else None,
     )
 
 
@@ -382,7 +390,7 @@ def structural_flags(
     sa_fib = checks.passes(fib.selfadjoint_residual, tol)
     rank_op = op.rank if finite else None
     fiber_ranks = fib.ranks if finite else None
-    rank_fib = int(sum(fiber_ranks)) if finite else None
+    rank_fib = int(fiber_ranks.sum()) if finite else None
 
     verdicts = {
         "isometry_operator": iso_op,

@@ -126,6 +126,19 @@ class TestDemoDiffop:
             assert abs(got - want) <= 1e-10
         assert report["operator_norm"] == pytest.approx(2.0, abs=1e-10)
 
+    def test_text_summary_prints_arrays_as_lists(self, capsys):
+        # per-fiber values print as Python lists, and the (|Omega|, 2) symbol
+        # arrays as entry counts, never as numpy reprs
+        assert main(["demo-diffop", "8", "2"]) == 0
+        lines = {line.strip() for line in capsys.readouterr().out.splitlines()}
+        assert {
+            "fiber_norms: [0.0, 1.4142135623730951, 2.0, 1.4142135623730951]",
+            "hs_fiber_terms: [0.0, 4.0, 8.000000000000002, 4.0]",
+            "fiber_ranks: [0, 2, 2, 2]",
+            "fiber_symbols: [4 entries]",
+            "expected_symbols: [4 entries]",
+        } <= lines
+
     def test_z4_step2_symbols(self, capsys):
         code = main(["demo-diffop", "4", "2", "--json"])
         report = read_report(capsys)

@@ -83,7 +83,7 @@ def test_matrix_codec_keeps_the_pair_lists():
     rng = np.random.default_rng(73)
     mat = rand_signal(rng, 12).reshape(3, 4)
     mat[0, 0] = complex(-0.0, -0.0)
-    expected = [[jsonio.complex_to_pair(z) for z in row] for row in mat]
+    expected = [[[z.real, z.imag] for z in row] for row in mat.tolist()]
     rows = jsonio.matrix_to_json(mat).tolist()
     assert rows == expected
     back = jsonio.matrix_from_json(rows)

@@ -254,8 +254,14 @@ class TestFiberCount:
         n = len(rangefn.bases)
         with pytest.raises(ValueError, match=rf"range function has {n} fibers, the context 4"):
             synthesize_operator(f2_ctx, field, rangefn)
-        with pytest.raises(ValueError, match=rf"field must be a \({n}, k, k\) array, got shape \(4, 2, 2\)"):
+        with pytest.raises(ValueError, match=rf"field must be a \({n}, 2, 2\) array, got shape \(4, 2, 2\)"):
             fiber_summary(field, rangefn)
+
+    @pytest.mark.parametrize("basis", [[[1.0, 0.0], [0.0, 1.0]], np.ones(2)], ids=["list", "vector"])
+    def test_fiber_summary_bases_must_be_matrices(self, basis):
+        # a list basis raised AttributeError and a vector numpy's LinAlgError
+        with pytest.raises(ValueError, match=r"range function basis must be a \(k, k\) array"):
+            fiber_summary(np.zeros((1, 2, 2)), RangeFunction((basis,)))
 
     @pytest.mark.parametrize("own, other, error", MISFITS.values(), ids=MISFITS)
     def test_range_function_must_fit_its_context(self, own, other, error):
@@ -502,7 +508,7 @@ class TestStructuralFlags:
         field = extract_range_operator(f1_ctx, u, rangefn)
         report = structural_flags(*summaries(f1_ctx, u, field, rangefn))
         assert report.values["rank_operator"] == 2
-        assert report.values["fiber_ranks"] == [1, 1]
+        assert report.values["fiber_ranks"].tolist() == [1, 1]
         assert report.verdicts["rank_agree"]
 
     def test_biconditionals_both_directions(self, f2_ctx):

@@ -73,6 +73,11 @@ def test_matches_the_stdlib_encoder(obj):
         np.arange(6, dtype=np.float32).reshape(1, 2, 3) / 3,
         np.arange(4).reshape(2, 2),
         [np.ones((2, 1, 2)), {"a": np.zeros(2)}],
+        {"a": "", "b": np.ones((2, 2, 2)), "c": ["", np.zeros(3), ""]},
+        [1.0, "x\ny", np.ones((1, 2, 3))],
+        [[np.arange(2.0)], np.ones((2, 1, 2)), [[np.arange(3.0)]]],
+        {"t": (np.ones((2, 2)), None)},
+        np.full((3, 1, 2), -0.5),
     ],
     ids=repr,
 )
@@ -111,3 +116,36 @@ def test_demo_report_encodes_like_the_stdlib(tmp_path, monkeypatch):
     assert cli.main(["demo-diffop", "8", "2", "--out", str(out)]) == 0
     (report,) = reports
     assert out.read_text(encoding="utf-8") == oracle(report) + "\n"
+
+
+def float_arrays(obj):
+    """The arrays of a report that the float-array renderer writes."""
+    if type(obj) is np.ndarray and obj.dtype == np.float64 and obj.size:
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from float_arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from float_arrays(value)
+
+
+def test_pieces_stay_joined(tmp_path, monkeypatch):
+    # the stdlib's text between two float arrays is one piece; an array is one
+    # piece, or one per leading index and one more with three or more axes
+    reports = []
+    encode = jsonio.report_chunks
+    monkeypatch.setattr(jsonio, "report_chunks", lambda report: reports.append(report) or encode(report))
+    spec = tmp_path / "z12.json"
+    spec.write_text(json.dumps({"orders": [12], "gamma_generators": [[3]]}))
+    assert cli.main(["check", str(spec), "--out", str(tmp_path / "check.json")]) == 0
+    assert cli.main(["demo-diffop", "8", "2", "--out", str(tmp_path / "demo.json")]) == 0
+    ctx = dict(battery_contexts())["12-sub2-ord6"]
+    body = cli._pipeline(ctx, rand_tp_operator(np.random.default_rng(3), ctx), cli.RunConfig())[0]
+    check, demo = reports
+    assert len(list(jsonio.report_chunks(check))) == 1
+    for report in (demo, body):
+        arrays = list(float_arrays(report))
+        assert len(arrays) >= 12
+        bound = 2 * len(arrays) + 1 + sum(a.shape[0] for a in arrays if a.ndim >= 3)
+        assert len(list(jsonio.report_chunks(report))) <= bound

@@ -8,6 +8,7 @@ import pytest
 import zakfiber
 from zakfiber import (
     NotTranslationInvariantError,
+    RangeFunction,
     check_translation_preserving,
     determining_function,
     extract_range_operator,
@@ -364,6 +365,8 @@ BAD_FIELDS = {
     "length": np.zeros((2, 2, 3)),
     "count": np.zeros((4, 2, 2)),
 }
+# a range function whose two bases have 2 and 3 rows
+UNEVEN_BASES = RangeFunction((np.eye(2, dtype=complex), np.eye(3, 2, dtype=complex)))
 SIGNAL = r"signal must be a \(4,\) or \(4, k\) array"
 FAMILY = r"must be a \(4, k\) array"
 OPERATOR = r"operator must be a \(4, 4\) array"
@@ -390,10 +393,14 @@ ARRAY_ARGUMENTS = [
      BAD_FAMILIES, FAMILY),
     ("synthesize_operator", "field", lambda ctx, bad: synthesize_operator(ctx, bad, full_range_function(ctx)),
      BAD_FIELDS, r"field must be a \(2, 2, 2\) array"),
-    # without a context the field's matrix size is free; its fiber count is the axis length checked
+    # without a context the range function gives the shape: one |C| x |C|
+    # matrix per basis, |C| the row count the bases share
     ("fiber_summary", "field", lambda ctx, bad: fiber_summary(bad, full_range_function(ctx)),
-     {"list": BAD_FIELDS["list"], "rank": BAD_FIELDS["rank"], "length": BAD_FIELDS["count"]},
-     r"field must be a \(2, k, k\) array"),
+     {"list": BAD_FIELDS["list"], "rank": BAD_FIELDS["rank"], "length": BAD_FIELDS["count"],
+      "width": BAD_FIELDS["length"], "height": np.zeros((2, 3, 2))},
+     r"field must be a \(2, 2, 2\) array"),
+    ("fiber_summary", "field", lambda ctx, bad: fiber_summary(bad, UNEVEN_BASES),
+     {"uneven-bases": np.zeros((2, 2, 2))}, r"range function bases differ in row count: \[2, 3\]"),
     ("multiplication_preserving_check", "uhat", multiplication_preserving_check, BAD_OPERATORS,
      r"fibered operator must be a \(4, 4\) array"),
 ]
@@ -443,4 +450,7 @@ class TestFamilyFormat:
             if param in ARRAY_PARAMETERS
         }
         assert {(name, param) for name, param, *_ in ARRAY_ARGUMENTS} == public
-        assert all({"list", "rank", "length"} <= set(bads) for *_, bads, _ in ARRAY_ARGUMENTS)
+        kinds = {}
+        for name, param, _, bads, _ in ARRAY_ARGUMENTS:
+            kinds.setdefault((name, param), set()).update(bads)
+        assert all({"list", "rank", "length"} <= found for found in kinds.values())
