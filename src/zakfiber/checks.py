@@ -19,7 +19,6 @@ DOMAIN = 1e-10  # a field matrix on its fiber orthocomplement
 STRUCT = 1e-9  # isometry and self-adjointness residuals, operator and fiber side
 NORM = 1e-8  # relative to the operator norm: operator norm against the largest fiber norm
 HS = 1e-8  # relative to the entrywise value: HS norm and trace route agreement
-FRAME = 1e-9  # frame operator of a Parseval frame against the projection onto its space
 POSITIVITY = 1e-9  # Hermitian gap and (relative) smallest eigenvalue admitting the trace clause
 RANK = 1e-9  # rank cut: singular values above RANK * max(1, sigma_max) count
 INVARIANCE = 1e-9  # distance of a translated basis vector from the span

@@ -133,19 +133,17 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
     }
     if not verdict:
         return report, False, None
-    # one basis serves the solve and the operator side
+    # one basis, the Zak basis Z*, serves the solve and the operator side
     basis = space_from_range(ctx, rangefn)
     field, solve_residual = solve_range_field(ctx, u, rangefn, basis)
     solve = checks.gate(solve_residual, cfg.abs_tol(checks.SOLVE))
     report["fiber_solve"] = {"passed": solve.passed, "residual": solve_residual}
     if not solve:
         return report, False, None
-    report["range_field"] = jsonio.field_to_json(field, rangefn)
+    report["range_field"] = jsonio.field_to_json(field)
 
-    # the full space's principal generators are sqrt|Gamma| delta_c, c in C,
-    # and their |Gamma|^(-1/2)-scaled translates are the standard basis
-    op = operator_summary(ctx, u, basis, np.eye(ctx.group.size, dtype=complex))
-    fib = fiber_summary(field, rangefn)
+    op = operator_summary(ctx, u, basis)
+    fib = fiber_summary(field)
     comparisons = {
         "norm_identity": norm_identity_report(op, fib, tol=cfg.rel_tol(checks.NORM)),
         "hs_trace": hs_trace_report(op, fib, tol=cfg.rel_tol(checks.HS)),
@@ -248,6 +246,16 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
         for t in ctx.gamma.generators or ctx.gamma.elements
     )
     record("zak_intertwining", r_inter, cfg.abs_tol(checks.TRANSFORM))
+
+    # each generator's character straight from its definition, in floating
+    # point from the omega labels: neither the exponent table nor the phase
+    # table the transform reads, so a wrong sign or label in those shows here.
+    # Each term t_j w_j / n_j is reduced mod 1 before the sum is scaled by 2 pi.
+    probes = ctx.gamma.generators or ctx.gamma.elements
+    table = np.column_stack([determining_function(ctx, t) for t in probes])  # (|Omega|, probes)
+    terms = np.array(ctx.omega.reps)[:, None, :] * np.array(probes) / np.array(ctx.group.orders)
+    r_char = np.abs(table - np.exp(2j * np.pi * (terms % 1.0).sum(axis=-1))).max()
+    record("character_table", r_char, cfg.abs_tol(checks.TRANSFORM))
 
     chars = np.column_stack([determining_function(ctx, t) for t in ctx.gamma.elements])
     r_det = np.abs(chars @ chars.conj().T / ctx.gamma.size - np.eye(ctx.n_omega)).max()

@@ -19,7 +19,6 @@ import numpy as np
 from .fiberization import FiberContext
 from .groups import GroupSpec, Subgroup, make_group, subgroup_from_generators
 from .operators import as_operator
-from .spaces import RangeFunction
 
 # The largest group order accepted as input. Every command holds dense
 # |G| x |G| complex matrices, 16 |G|^2 bytes each: 4 GiB at this order.
@@ -101,17 +100,12 @@ def operator_from_json(ctx: FiberContext, obj) -> np.ndarray:
     return as_operator(ctx, matrix_from_json(obj["matrix"]))
 
 
-def field_to_json(field: np.ndarray, rangefn: RangeFunction) -> dict:
-    """The range function as ``dims`` and ``bases`` and the field as
-    ``matrices``, one entry per omega.
+def field_to_json(field: np.ndarray) -> dict:
+    """The field as ``matrices``, one ``[re, im]`` float array per omega.
 
     Each fiber matrix is its own entry, so the report encoder streams the
     field one row of a fiber at a time rather than a whole fiber at once."""
-    return {
-        "dims": list(rangefn.dims),
-        "bases": [matrix_to_json(b) for b in rangefn.bases],
-        "matrices": [matrix_to_json(m) for m in field],
-    }
+    return {"matrices": [matrix_to_json(m) for m in field]}
 
 
 def report_chunks(report):

@@ -6,10 +6,13 @@ omega. The block family, one |C| x |C| matrix per omega extended by zero off
 the fiber subspace, is the range operator field, held as one complex
 ``(|Omega|, |C|, |C|)`` ndarray; an operator is a ``(|G|, |G|)`` ndarray, and
 a range function has one ``(|C|, k)`` basis per omega. The functions here
-detect the commutation property, extract and apply fields, synthesize
-operators from fields, and verify the norm, Hilbert-Schmidt, trace, isometry,
-self-adjointness and rank correspondences between the two pictures. Per-fiber
-values (norms, ranks, HS and trace terms) are 1-D arrays indexed by omega.
+detect the commutation property, and extract and synthesize fields on any
+range function. The two summaries and the norm, Hilbert-Schmidt, trace,
+isometry, self-adjointness and rank reports that compare them describe the
+full signal space, the space every command certifies: the operator side
+reads U and the Zak basis Z*, the fiber side the blocks R(omega) alone.
+Per-fiber values (norms, ranks, HS and trace terms) are 1-D arrays indexed
+by omega.
 """
 
 from __future__ import annotations
@@ -208,107 +211,93 @@ def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determ
 
 @dataclass(frozen=True, eq=False)
 class OperatorSummary:
-    """What the reports read of U restricted to the space V, built from U,
-    an orthonormal basis of V and a Parseval frame for V, never from a field.
+    """What the reports read of U on the full signal space, built from U and
+    the Zak basis B = Z*, never from a field.
 
-    ``norm`` is NaN exactly when U|_V has a non-finite entry.
+    ``norm`` is NaN exactly when U B has a non-finite entry.
     """
 
     norm: float
     rank: int
-    hs_entrywise: float
-    hs_frame: float
-    trace_basis: float
-    trace_frame: float
-    hermitian_gap: float  # largest entry of C - C^H, with C = basis^H U basis
-    min_eigenvalue: float  # of the Hermitian part of C
-    isometry_residual: float  # largest entry of (U|_V)^H U|_V - I
-    frame_residual: float  # largest entry of the frame operator minus the projection onto V
+    hs_entrywise: float  # ||U B||_F^2
+    hs_frame: float  # ||U||_F^2, U on the standard basis
+    trace_basis: float  # Re tr B^H U B, as an entrywise sum
+    trace_frame: float  # Re tr U
+    hermitian_gap: float  # largest entry of U - U^H
+    min_eigenvalue: float  # of the Hermitian part of U
+    isometry_residual: float  # largest entry of (U B)^H U B - I
 
 
 @dataclass(frozen=True, eq=False)
 class FiberSummary:
-    """What the reports read of a field on a range function, one entry per
-    fiber, never from the operator.
+    """What the reports read of a field, one entry per fiber, never from the
+    operator.
 
-    A fiber norm is NaN exactly when that fiber image R(omega) B(omega) has a
-    non-finite entry.
+    A fiber norm is NaN exactly when that fiber R(omega) has a non-finite entry.
     """
 
     norms: np.ndarray  # float64
     ranks: np.ndarray  # int
     hs_terms: np.ndarray  # float64
     trace_terms: np.ndarray  # float64
-    isometry_residual: float  # largest entry of R^H R - I, over the fiber images R = R(omega) B(omega)
-    selfadjoint_residual: float  # largest entry of C - C^H, over the blocks C = B(omega)^H R(omega) B(omega)
+    isometry_residual: float  # largest entry of R^H R - I, over the fibers
+    selfadjoint_residual: float  # largest entry of R - R^H, over the fibers
 
 
 def _max_entry(mat: np.ndarray) -> float:
-    """Largest entry modulus; 0.0 for an empty matrix, NaN if any entry is NaN."""
+    """Largest entry modulus; 0.0 for an empty array, NaN if any entry is NaN."""
     return float(np.abs(mat).max(initial=0.0))
 
 
-def _singular_values(mat: np.ndarray) -> np.ndarray:
-    """Singular values, descending; NaN for a non-finite matrix, where the SVD would not converge."""
-    if not np.isfinite(mat).all():
-        return np.full(1, math.nan)
-    return np.linalg.svd(mat, compute_uv=False) if mat.size else np.zeros(0)
+def operator_summary(ctx: FiberContext, u, basis) -> OperatorSummary:
+    """Summarize u on the full signal space, given the ``(|G|, |G|)`` Zak
+    basis B = Z*, ``space_from_range(ctx, full_range_function(ctx))``.
 
-
-def operator_summary(ctx: FiberContext, u, basis, frame) -> OperatorSummary:
-    """Summarize u on the space spanned by the orthonormal basis columns.
-
-    The frame, a ``(|G|, k)`` matrix of one frame vector per column, must
-    have frame operator equal to the projection onto the space (checked;
-    this is what Parseval means here). Each dense product is formed
-    once, and one SVD and one Hermitian eigensolve are taken.
+    Three readings of u, none through a field: the frame route reads u on
+    the standard basis, the entrywise route reads U B, and the self-adjoint
+    and positivity values read u's Hermitian part, which has the spectrum
+    of B^H U B's. One product U B and its Gram product are formed, and one
+    SVD and one Hermitian eigensolve are taken.
     """
     u = as_operator(ctx, u)
-    basis = _array(basis, "basis", (ctx.group.size, None))
-    frame = _array(frame, "frame", (ctx.group.size, None))
-    frame_residual = _max_entry(frame @ frame.conj().T - basis @ basis.conj().T)
-    if not checks.passes(frame_residual, checks.FRAME):
-        raise ValueError(f"frame is not Parseval for the space (residual {frame_residual:.3e})")
-    d = basis.shape[1]
+    n = ctx.group.size
+    basis = _array(basis, "basis", (n, n))
     restricted = u @ basis
-    u_frame = u @ frame
-    compressed = basis.conj().T @ restricted
-    adjoint = compressed.conj().T
-    s = _singular_values(restricted)
+    adjoint = u.conj().T
+    # NaN stands in for the spectrum of a non-finite matrix, on which the SVD
+    # would not converge
+    finite = np.isfinite(restricted).all()
+    s = np.linalg.svd(restricted, compute_uv=False) if finite else np.full(1, math.nan)
     return OperatorSummary(
-        norm=checks.largest(s),
-        rank=_rank_cut(s),
+        norm=float(s[0]),
+        rank=int(_rank_cut(s)),
         hs_entrywise=float(np.linalg.norm(restricted) ** 2),
-        hs_frame=float(np.linalg.norm(u_frame) ** 2),
-        trace_basis=float(np.trace(compressed).real),
-        trace_frame=float(np.vdot(frame, u_frame).real),
-        hermitian_gap=_max_entry(compressed - adjoint),
-        min_eigenvalue=float(np.linalg.eigvalsh((compressed + adjoint) / 2.0).min()) if d else 0.0,
-        isometry_residual=_max_entry(restricted.conj().T @ restricted - np.eye(d)),
-        frame_residual=frame_residual,
+        hs_frame=float(np.sum(np.abs(u) ** 2)),
+        trace_basis=float(np.sum(basis.conj() * restricted).real),
+        trace_frame=float(np.trace(u).real),
+        hermitian_gap=_max_entry(u - adjoint),
+        min_eigenvalue=float(np.linalg.eigvalsh((u + adjoint) / 2.0).min()),
+        isometry_residual=_max_entry(restricted.conj().T @ restricted - np.eye(n)),
     )
 
 
-def fiber_summary(field: np.ndarray, rangefn: RangeFunction) -> FiberSummary:
-    """Summarize the field, a ``(len(rangefn.bases), c, c)`` array with c the
-    row count the bases share, with one fiber image and one SVD per fiber."""
-    bases = [_array(basis, "range function basis", (None, None)) for basis in rangefn.bases]
-    rows = sorted({basis.shape[0] for basis in bases})
-    if len(rows) > 1:
-        raise ValueError(f"range function bases differ in row count: {rows}")
-    nc = rows[0] if rows else None
-    field = _array(field, "field", (len(bases), nc, nc))
-    images = [mat @ fb for mat, fb in zip(field, bases)]
-    # (B^H R) B, the association the trace and self-adjointness terms share
-    blocks = [fb.conj().T @ mat @ fb for mat, fb in zip(field, bases)]
-    spectra = [_singular_values(rb) for rb in images]
+def fiber_summary(field) -> FiberSummary:
+    """Summarize the field, a ``(k, c, c)`` array of fiber matrices R(omega):
+    one stacked SVD over its finite fibers, and batched traces, Grams and
+    R - R^H."""
+    nc = field.shape[-1] if isinstance(field, np.ndarray) and field.ndim == 3 else None
+    field = _array(field, "field", (None, nc, nc))
+    finite = np.isfinite(field).all(axis=(1, 2))
+    s = np.full(field.shape[:2], math.nan)
+    s[finite] = np.linalg.svd(field[finite], compute_uv=False)
+    adjoint = field.conj().swapaxes(1, 2)
     return FiberSummary(
-        norms=np.array([checks.largest(s) for s in spectra], dtype=float),
-        ranks=np.array([_rank_cut(s) for s in spectra], dtype=int),
-        hs_terms=np.array([np.linalg.norm(rb) ** 2 for rb in images], dtype=float),
-        trace_terms=np.array([np.trace(block).real for block in blocks], dtype=float),
-        isometry_residual=checks.largest(_max_entry(rb.conj().T @ rb - np.eye(rb.shape[1])) for rb in images),
-        selfadjoint_residual=checks.largest(_max_entry(block - block.conj().T) for block in blocks),
+        norms=s.max(axis=1, initial=0.0),
+        ranks=_rank_cut(s),
+        hs_terms=np.sum(field.real**2 + field.imag**2, axis=(1, 2)),
+        trace_terms=np.trace(field, axis1=1, axis2=2).real,
+        isometry_residual=_max_entry(adjoint @ field - np.eye(field.shape[1])),
+        selfadjoint_residual=_max_entry(field - adjoint),
     )
 
 
@@ -331,9 +320,9 @@ def norm_identity_report(
 def hs_trace_report(op: OperatorSummary, fib: FiberSummary, tol: float = checks.HS) -> VerificationReport:
     """Hilbert-Schmidt norm and trace computed three independent ways.
 
-    The squared HS norm of u restricted to the space is compared entrywise,
-    as a sum over the Parseval frame, and as a sum of fiber HS norms. When u
-    restricted to the space passes the positivity gate the trace is compared
+    The squared HS norm of u is compared entrywise through the Zak basis,
+    on the standard basis (the full space's Parseval frame), and as a sum of
+    fiber HS norms. When u passes the positivity gate the trace is compared
     the same three ways; otherwise the trace clause is skipped and flagged.
     """
     hs_values = {"entrywise": op.hs_entrywise, "frame": op.hs_frame, "fiber": float(sum(fib.hs_terms))}
@@ -341,7 +330,7 @@ def hs_trace_report(op: OperatorSummary, fib: FiberSummary, tol: float = checks.
     hs_ok = checks.passes(hs_res, tol, op.hs_entrywise)
 
     verdicts = {"hs_agree": hs_ok}
-    residuals = {"hs_pairwise_gap": hs_res, "frame_operator": op.frame_residual}
+    residuals = {"hs_pairwise_gap": hs_res}
     values: dict = {"hs_squared": hs_values, "hs_fiber_terms": fib.hs_terms}
 
     positive = checks.passes(op.hermitian_gap, checks.POSITIVITY) and checks.passes(

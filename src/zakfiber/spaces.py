@@ -50,9 +50,10 @@ class RangeFunction:
         return b @ b.conj().T
 
 
-def _rank_cut(s: np.ndarray) -> int:
-    """Number of singular values (sorted descending) above checks.RANK * max(1, sigma_max)."""
-    return int(np.sum(s > checks.threshold(checks.RANK, s[0]))) if s.size else 0
+def _rank_cut(s: np.ndarray):
+    """Number of singular values above checks.RANK * max(1, sigma_max), each
+    row of s sorted descending along its last axis; an int array for a stack."""
+    return np.sum(s > checks.threshold(checks.RANK, s[..., :1]), axis=-1)
 
 
 def _column_spans(stacked: np.ndarray) -> list[np.ndarray]:

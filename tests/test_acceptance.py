@@ -150,7 +150,7 @@ def test_norm_formula(tp_samples):
     worst = 0.0
     for label, ctx, rangefn, fields, ops in tp_samples:
         for field, u in zip(fields, ops):
-            report = norm_identity_report(*summaries(ctx, u, field, rangefn))
+            report = norm_identity_report(*summaries(ctx, u, field))
             scale = max(1.0, report.values["operator_norm"])
             worst = max(worst, report.residuals["norm_gap"] / scale)
     ok_samples = worst <= 1e-8
@@ -160,7 +160,7 @@ def test_norm_formula(tp_samples):
     u = np.eye(8, dtype=complex) - translation_matrix(g, (2,))
     rangefn8 = full_range_function(ctx8)
     field8 = extract_range_operator(ctx8, u, rangefn8)
-    report8 = norm_identity_report(*summaries(ctx8, u, field8, rangefn8))
+    report8 = norm_identity_report(*summaries(ctx8, u, field8))
     expected = max(abs(1 - pairing(g, (2,), w)) for w in ctx8.omega.reps)
     ok_demo = (
         abs(report8.values["operator_norm"] - 2.0) <= 1e-10
@@ -175,9 +175,10 @@ def test_norm_formula(tp_samples):
 
 
 def test_hs_norm_and_trace_routes():
-    # squared HS norm agrees entrywise, over a random orthonormal basis, over
-    # the scaled translate frame, and over the fiber sums; trace agrees over
-    # basis/frame/fiber routes for positive operators
+    # squared HS norm agrees entrywise, on the standard basis, over a random
+    # orthonormal basis, over the scaled translate frame of the principal
+    # generators, and over the fiber sums; trace agrees over the
+    # basis/frame/translate-frame/fiber routes for positive operators
     worst_hs, worst_tr = 0.0, 0.0
     for label, ctx in BATTERY:
         rng = np.random.default_rng(404)
@@ -189,17 +190,19 @@ def test_hs_norm_and_trace_routes():
             w = synthesize_operator(ctx, rand_field(rng, ctx, rangefn), rangefn)
             u = w.conj().T @ w  # positive by construction
             field = extract_range_operator(ctx, u, rangefn)
-            report = hs_trace_report(*summaries(ctx, u, field, rangefn, frame))
+            report = hs_trace_report(*summaries(ctx, u, field))
             assert "trace" not in report.skipped
             routes = dict(report.values["hs_squared"])
             q, _ = np.linalg.qr(rand_signal(rng, n * n).reshape(n, n))
             routes["random_basis"] = float(
                 sum(np.linalg.norm(u @ q[:, j]) ** 2 for j in range(n))
             )
+            images = u @ frame
+            routes["translate_frame"] = float(np.linalg.norm(images) ** 2)
             vals = list(routes.values())
             scale = max(1.0, *vals)
             worst_hs = max(worst_hs, (max(vals) - min(vals)) / scale)
-            tr = list(report.values["trace"].values())
+            tr = [*report.values["trace"].values(), float(np.vdot(frame, images).real)]
             worst_tr = max(worst_tr, (max(tr) - min(tr)) / max(1.0, *tr))
     _verdict(
         "Hilbert-Schmidt and trace route agreement",
@@ -259,7 +262,7 @@ def test_structural_biconditionals_and_rank():
         for kind, field_in in fields:
             u = synthesize_operator(ctx, field_in, rangefn)
             field = extract_range_operator(ctx, u, rangefn)
-            report = structural_flags(*summaries(ctx, u, field, rangefn))
+            report = structural_flags(*summaries(ctx, u, field))
             cases += 1
             if not report.passed:
                 failures += 1

@@ -15,7 +15,7 @@ import pytest
 from zakfiber import cli, fiber_context, full_range_function, jsonio, make_group, subgroup_from_generators
 from zakfiber.cli import main
 
-from conftest import rand_field
+from conftest import rand_field, rand_tp_operator
 
 
 @pytest.fixture
@@ -133,7 +133,7 @@ class TestDemoDiffop:
         lines = {line.strip() for line in capsys.readouterr().out.splitlines()}
         assert {
             "fiber_norms: [0.0, 1.4142135623730951, 2.0, 1.4142135623730951]",
-            "hs_fiber_terms: [0.0, 4.0, 8.000000000000002, 4.0]",
+            "hs_fiber_terms: [0.0, 4.0, 8.0, 4.0]",
             "fiber_ranks: [0, 2, 2, 2]",
             "fiber_symbols: [4 entries]",
             "expected_symbols: [4 entries]",
@@ -244,6 +244,36 @@ class TestCheck:
         assert cli._check_suites(ctx, cli.RunConfig())["zak_intertwining"]["passed"]
         assert probes == [(1,)]
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"orders": [8], "gamma_generators": [[1]]},
+            {"orders": [8], "gamma_generators": [[2]]},
+            {"orders": [4, 6], "gamma_generators": [[1, 0], [0, 2]]},
+        ],
+        ids=["z8-gamma-is-g", "z8-index2", "z4xz6"],
+    )
+    def test_character_table_catches_a_conjugated_phase_table(self, tmp_path, capsys, monkeypatch, spec):
+        # conjugating the transform's phase table keeps Z unitary, and every
+        # suite that reads the table on both of its sides still passes; only
+        # the characters computed from their definition see the sign
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["check", str(path), "--json"]) == 0
+        honest = read_report(capsys)["suites"]["character_table"]
+        assert honest["passed"] is True and honest["residual"] < 1e-12 and honest["tolerance"] == 1e-10
+
+        def conjugated(g, gamma):
+            ctx = fiber_context(g, gamma)
+            object.__setattr__(ctx, "_phase", ctx._phase.conj())
+            return ctx
+
+        monkeypatch.setattr(cli, "fiber_context", conjugated)
+        assert main(["check", str(path), "--json"]) == 1
+        suites = read_report(capsys)["suites"]
+        assert [name for name, entry in suites.items() if not entry["passed"]] == ["character_table"]
+        assert suites["character_table"]["residual"] == pytest.approx(2.0)
+
     def test_tolerance_gate_below_machine_epsilon(self, f1_spec):
         # float limits make every suite fail at 1e-20
         assert main(["check", f1_spec, "--tol-abs", "1e-20", "--tol-rel", "1e-20"]) == 1
@@ -296,6 +326,55 @@ class TestContract:
         assert out.read_text().strip() == printed.strip()
 
 
+def booleans(report, path=()):
+    """Every boolean of a JSON report, by its path."""
+    if isinstance(report, bool):
+        return {path: report}
+    found = {}
+    items = report.items() if isinstance(report, dict) else enumerate(report) if isinstance(report, list) else ()
+    for key, value in items:
+        found.update(booleans(value, (*path, key)))
+    return found
+
+
+class TestBlasThreads:
+    def test_verdicts_agree_across_thread_counts(self, tmp_path):
+        # a BLAS product split over threads may sum in another order, so the
+        # report bytes hold only at a fixed thread count; the verdicts hold
+        # across counts, the values to rounding, and the frame route, which
+        # passes through no BLAS product, to the bit
+        g = make_group([256])
+        ctx = fiber_context(g, subgroup_from_generators(g, [(16,)]))
+        w = rand_tp_operator(np.random.default_rng(69), ctx)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"orders": [256], "gamma_generators": [[16]]}))
+        op = write_operator(tmp_path, "op.json", w.conj().T @ w)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = []
+        for threads in ("1", "2"):
+            blas = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+            out = tmp_path / f"threads-{threads}.json"
+            argv = [sys.executable, "-m", "zakfiber.cli", "analyze", str(spec), op, "--out", str(out)]
+            done = subprocess.run(argv, env={**os.environ, "PYTHONPATH": path, **blas}, capture_output=True, timeout=120)
+            runs.append((done.returncode, json.loads(out.read_text())))
+        (code1, one), (code2, two) = runs
+        assert code1 == code2 == 0
+        assert booleans(one) == booleans(two)
+        hs1, hs2 = one["hs_trace"]["values"], two["hs_trace"]["values"]
+        norm = one["norm_identity"]["values"]["operator_norm"]
+        assert norm == pytest.approx(two["norm_identity"]["values"]["operator_norm"], rel=1e-12, abs=0)
+        for kind in ("hs_squared", "trace"):
+            for route in hs1[kind]:
+                assert hs1[kind][route] == pytest.approx(hs2[kind][route], rel=1e-12, abs=0), (kind, route)
+        # an eigenvalue is computed to rounding relative to the operator norm,
+        # the scale the positivity gate measures it against
+        lam1, lam2 = hs1["positivity"]["min_eigenvalue"], hs2["positivity"]["min_eigenvalue"]
+        assert abs(lam1 - lam2) <= 1e-12 * norm
+        assert hs1["hs_squared"]["frame"] == hs2["hs_squared"]["frame"]
+        assert hs1["trace"]["frame"] == hs2["trace"]["frame"]
+
+
 class TestStreamedReport:
     def test_analyze_report_matches_the_stdlib_in_both_sinks(self, tmp_path, capsys, monkeypatch):
         # |C| = 64: the range field is written one matrix row at a time
@@ -313,18 +392,17 @@ class TestStreamedReport:
         assert out.read_text(encoding="utf-8") == capsys.readouterr().out == expected
 
     def test_emit_holds_no_copy_of_the_field(self, tmp_path):
-        # two fibers of |C| = 128; the report text is about 4.6x the field's bytes
+        # two fibers of |C| = 128; the report text is about 5.6x the field's bytes
         g = make_group([256])
         ctx = fiber_context(g, subgroup_from_generators(g, [(128,)]))
         assert (ctx.n_omega, ctx.n_c) == (2, 128)
-        rangefn = full_range_function(ctx)
-        field = rand_field(np.random.default_rng(5), ctx, rangefn)
-        field_bytes = sum(m.nbytes for m in (field, *rangefn.bases))
+        field = rand_field(np.random.default_rng(5), ctx, full_range_function(ctx))
+        field_bytes = field.nbytes
         cfg = cli.RunConfig(json_out=True, out_path=str(tmp_path / "r.json"))
         with open(tmp_path / "stdout.json", "w", encoding="utf-8") as stdout, contextlib.redirect_stdout(stdout):
             tracemalloc.start()
             try:
-                cli._emit({"command": "analyze", "range_field": jsonio.field_to_json(field, rangefn)}, cfg)
+                cli._emit({"command": "analyze", "range_field": jsonio.field_to_json(field)}, cfg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

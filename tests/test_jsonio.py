@@ -10,11 +10,10 @@ from zakfiber import (
     fiber_context,
     full_range_function,
     make_group,
-    range_function,
     subgroup_from_generators,
 )
 
-from conftest import delta, rand_field, rand_signal
+from conftest import rand_field, rand_signal
 
 
 @pytest.fixture
@@ -57,18 +56,6 @@ def test_group_spec_defaults_to_trivial_subgroup():
 def test_group_spec_rejects_malformed(obj):
     with pytest.raises(ValueError):
         jsonio.group_spec_from_json(obj)
-
-
-def test_range_function_roundtrip(z8_ctx):
-    # the range-function part of the field layout: dims and one basis per fiber
-    rangefn = range_function(z8_ctx, delta(z8_ctx.group, (0,))[:, None])
-    field = rand_field(np.random.default_rng(76), z8_ctx, rangefn)
-    obj = _reload(jsonio.field_to_json(field, rangefn))
-    assert obj["dims"] == list(rangefn.dims) == [1] * z8_ctx.n_omega
-    assert len(obj["bases"]) == z8_ctx.n_omega
-    for rows, basis in zip(obj["bases"], rangefn.bases):
-        back = jsonio.matrix_from_json(rows)
-        assert back.shape == basis.shape and np.array_equal(back, basis)
 
 
 def test_operator_roundtrip(z8_ctx):
@@ -122,8 +109,8 @@ def test_field_roundtrip(z8_ctx):
     rng = np.random.default_rng(72)
     rangefn = full_range_function(z8_ctx)
     field = rand_field(rng, z8_ctx, rangefn)
-    obj = _reload(jsonio.field_to_json(field, rangefn))
-    assert sorted(obj) == ["bases", "dims", "matrices"]
+    obj = _reload(jsonio.field_to_json(field))
+    assert sorted(obj) == ["matrices"]
     assert len(obj["matrices"]) == z8_ctx.n_omega
     for rows, mat in zip(obj["matrices"], field):
         back = jsonio.matrix_from_json(rows)

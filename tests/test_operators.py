@@ -254,14 +254,6 @@ class TestFiberCount:
         n = len(rangefn.bases)
         with pytest.raises(ValueError, match=rf"range function has {n} fibers, the context 4"):
             synthesize_operator(f2_ctx, field, rangefn)
-        with pytest.raises(ValueError, match=rf"field must be a \({n}, 2, 2\) array, got shape \(4, 2, 2\)"):
-            fiber_summary(field, rangefn)
-
-    @pytest.mark.parametrize("basis", [[[1.0, 0.0], [0.0, 1.0]], np.ones(2)], ids=["list", "vector"])
-    def test_fiber_summary_bases_must_be_matrices(self, basis):
-        # a list basis raised AttributeError and a vector numpy's LinAlgError
-        with pytest.raises(ValueError, match=r"range function basis must be a \(k, k\) array"):
-            fiber_summary(np.zeros((1, 2, 2)), RangeFunction((basis,)))
 
     @pytest.mark.parametrize("own, other, error", MISFITS.values(), ids=MISFITS)
     def test_range_function_must_fit_its_context(self, own, other, error):
@@ -291,7 +283,7 @@ class TestNormIdentity:
         # must fail with a NaN fiber norm instead of raising
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
-        report = norm_identity_report(*summaries(f1_ctx, u, nan_field(f1_ctx, u, rangefn), rangefn))
+        report = norm_identity_report(*summaries(f1_ctx, u, nan_field(f1_ctx, u, rangefn)))
         assert not report.passed and not report.verdicts["norm_identity"]
         assert np.isnan(report.values["fiber_norms"][0]) and np.isnan(report.residuals["norm_gap"])
         assert report.witness == 0
@@ -300,7 +292,7 @@ class TestNormIdentity:
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = norm_identity_report(*summaries(f1_ctx, u, field, rangefn))
+        report = norm_identity_report(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.values["operator_norm"] == pytest.approx(1.0, abs=1e-12)
         assert report.values["max_fiber_norm"] == pytest.approx(1.0, abs=1e-12)
@@ -309,7 +301,7 @@ class TestNormIdentity:
         rangefn = full_range_function(f2_ctx)
         u = diff_operator(f2_ctx, (2,))
         field = extract_range_operator(f2_ctx, u, rangefn)
-        report = norm_identity_report(*summaries(f2_ctx, u, field, rangefn))
+        report = norm_identity_report(*summaries(f2_ctx, u, field))
         assert report.passed
         assert report.values["operator_norm"] == pytest.approx(2.0, abs=1e-10)
         # attained where the character value is -1
@@ -320,7 +312,7 @@ class TestNormIdentity:
         rangefn = full_range_function(f1_ctx)
         u = 3.0 * translation_matrix(f1_ctx.group, (2,))
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = norm_identity_report(*summaries(f1_ctx, u, field, rangefn))
+        report = norm_identity_report(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.values["operator_norm"] == pytest.approx(3.0, abs=1e-10)
 
@@ -330,7 +322,7 @@ class TestNormIdentity:
         for _ in range(5):
             u = rand_tp_operator(rng, ctx)
             field = extract_range_operator(ctx, u, rangefn)
-            assert norm_identity_report(*summaries(ctx, u, field, rangefn)).passed
+            assert norm_identity_report(*summaries(ctx, u, field)).passed
 
 
 def full_space_frame(ctx):
@@ -343,7 +335,7 @@ class TestHsTrace:
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
+        report = hs_trace_report(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.values["hs_squared"]["entrywise"] == pytest.approx(4.0, abs=1e-9)
         assert report.values["hs_fiber_terms"] == pytest.approx([2.0, 2.0], abs=1e-9)
@@ -352,7 +344,7 @@ class TestHsTrace:
         rangefn = full_range_function(f1_ctx)
         u = 2.0 * np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
+        report = hs_trace_report(*summaries(f1_ctx, u, field))
         assert report.passed and "trace" not in report.skipped
         assert report.values["trace"]["basis"] == pytest.approx(8.0, abs=1e-9)
         assert report.values["trace_fiber_terms"] == pytest.approx([4.0, 4.0], abs=1e-9)
@@ -363,7 +355,7 @@ class TestHsTrace:
         # entrywise oracle on the 4x4 matrix
         assert np.sum(np.abs(u) ** 2) == pytest.approx(8.0)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
+        report = hs_trace_report(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.values["hs_squared"]["entrywise"] == pytest.approx(8.0, abs=1e-9)
         assert report.values["hs_fiber_terms"] == pytest.approx([0.0, 8.0], abs=1e-9)
@@ -376,21 +368,9 @@ class TestHsTrace:
         rangefn = full_range_function(f1_ctx)
         u = diff_operator(f1_ctx, (1,))  # adjoint is I - T_3, not equal
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
+        report = hs_trace_report(*summaries(f1_ctx, u, field))
         assert report.skipped == ("trace",)
         assert "trace" not in report.values
-
-    def test_rejects_non_parseval_frame(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
-        u = np.eye(4, dtype=complex)
-        field = extract_range_operator(f1_ctx, u, rangefn)
-        generators = principal_decomposition(f1_ctx, np.eye(4, dtype=complex))
-        unscaled = []
-        for phi in generators.T:
-            for t in f1_ctx.gamma.elements:
-                unscaled.append(translation_matrix(f1_ctx.group, t) @ phi)
-        with pytest.raises(ValueError, match="not Parseval"):
-            hs_trace_report(*summaries(f1_ctx, u, field, rangefn, np.column_stack(unscaled)))
 
     def test_routes_disagree_on_a_mismatched_field(self, f1_ctx):
         # the operator routes read only u and the fiber routes only the field,
@@ -398,19 +378,12 @@ class TestHsTrace:
         rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, 2 * u, rangefn)
-        norm = norm_identity_report(*summaries(f1_ctx, u, field, rangefn))
-        hs = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
+        norm = norm_identity_report(*summaries(f1_ctx, u, field))
+        hs = hs_trace_report(*summaries(f1_ctx, u, field))
         assert not norm.passed and not hs.verdicts["hs_agree"] and not hs.verdicts["trace_agree"]
         assert hs.values["hs_squared"]["frame"] == pytest.approx(hs.values["hs_squared"]["entrywise"])
         assert hs.values["hs_squared"]["fiber"] == pytest.approx(16.0)
-        assert not structural_flags(*summaries(f1_ctx, u, field, rangefn)).passed
-
-    def test_rejects_nan_frame(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
-        u = np.eye(4, dtype=complex)
-        field = extract_range_operator(f1_ctx, u, rangefn)
-        with pytest.raises(ValueError, match="not Parseval"):
-            hs_trace_report(*summaries(f1_ctx, u, field, rangefn, np.full((4, 4), np.nan, dtype=complex)))
+        assert not structural_flags(*summaries(f1_ctx, u, field)).passed
 
     def test_nan_field_fails_hs_and_trace(self, f1_ctx):
         # one NaN fiber entry makes the fiber routes NaN; the route comparison
@@ -420,7 +393,7 @@ class TestHsTrace:
         mats = [mat.copy() for mat in extract_range_operator(f1_ctx, u, rangefn)]
         mats[0][0, 0] = np.nan
         field = np.stack(mats)
-        hs = hs_trace_report(*summaries(f1_ctx, u, field, rangefn, full_space_frame(f1_ctx)))
+        hs = hs_trace_report(*summaries(f1_ctx, u, field))
         assert np.isnan(hs.values["hs_squared"]["fiber"]) and np.isnan(hs.values["trace"]["fiber"])
         assert not hs.verdicts["hs_agree"] and not hs.verdicts["trace_agree"] and not hs.passed
 
@@ -448,7 +421,7 @@ class TestHsTrace:
         u = w.conj().T @ w
         rangefn = full_range_function(ctx)
         field = extract_range_operator(ctx, u, rangefn)
-        report = hs_trace_report(*summaries(ctx, u, field, rangefn, full_space_frame(ctx)))
+        report = hs_trace_report(*summaries(ctx, u, field))
         assert report.passed
         assert "trace" not in report.skipped
 
@@ -460,7 +433,7 @@ class TestStructuralFlags:
         # report, and it has no fiber rank
         rangefn = full_range_function(f1_ctx)
         u = 2 * np.eye(4, dtype=complex)
-        report = structural_flags(*summaries(f1_ctx, u, nan_field(f1_ctx, u, rangefn), rangefn))
+        report = structural_flags(*summaries(f1_ctx, u, nan_field(f1_ctx, u, rangefn)))
         assert not report.verdicts["isometry_operator"] and not report.verdicts["isometry_fibers"]
         assert not report.verdicts["isometry_agree"] and not report.verdicts["rank_agree"]
         assert not report.passed
@@ -468,25 +441,25 @@ class TestStructuralFlags:
         assert np.isnan(report.residuals["isometry_fibers"])
 
     def test_nan_basis_fails(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
+        # a NaN in the Zak basis makes every value read through it NaN: the
+        # norm, the entrywise HS and trace values and the isometry residual
         u = np.eye(4, dtype=complex)
-        field = extract_range_operator(f1_ctx, u, rangefn)
-        bases = [fb.copy() for fb in rangefn.bases]
-        bases[0][0, 0] = np.nan
-        nan_rangefn = RangeFunction(tuple(bases))
-        # the operator side fails closed on the NaN basis: its frame check cannot pass
-        with pytest.raises(ValueError, match="Parseval"):
-            operator_summary(f1_ctx, u, space_from_range(f1_ctx, nan_rangefn), full_space_frame(f1_ctx))
-        op, _ = summaries(f1_ctx, u, field, rangefn)
-        report = structural_flags(op, fiber_summary(field, nan_rangefn))
+        field = extract_range_operator(f1_ctx, u, full_range_function(f1_ctx))
+        basis = space_from_range(f1_ctx, full_range_function(f1_ctx))
+        basis[0, 0] = np.nan
+        op = operator_summary(f1_ctx, u, basis)
+        assert np.isnan([op.norm, op.hs_entrywise, op.trace_basis, op.isometry_residual]).all()
+        fib = fiber_summary(field)
+        report = structural_flags(op, fib)
         assert not report.passed and not report.verdicts["rank_agree"]
         assert report.values["rank_operator"] is None
+        assert not norm_identity_report(op, fib).passed and not hs_trace_report(op, fib).verdicts["hs_agree"]
 
     def test_translation_is_isometry_with_unimodular_fibers(self, f1_ctx):
         rangefn = full_range_function(f1_ctx)
         u = translation_matrix(f1_ctx.group, (2,)).astype(complex)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = structural_flags(*summaries(f1_ctx, u, field, rangefn))
+        report = structural_flags(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.verdicts["isometry_operator"] and report.verdicts["isometry_fibers"]
 
@@ -496,7 +469,7 @@ class TestStructuralFlags:
         assert np.abs(u - u.conj().T).max() == 0.0
         rangefn = full_range_function(f1_ctx)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = structural_flags(*summaries(f1_ctx, u, field, rangefn))
+        report = structural_flags(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.verdicts["selfadjoint_operator"] and report.verdicts["selfadjoint_fibers"]
 
@@ -506,7 +479,7 @@ class TestStructuralFlags:
         u = basis @ basis.conj().T
         rangefn = full_range_function(f1_ctx)
         field = extract_range_operator(f1_ctx, u, rangefn)
-        report = structural_flags(*summaries(f1_ctx, u, field, rangefn))
+        report = structural_flags(*summaries(f1_ctx, u, field))
         assert report.values["rank_operator"] == 2
         assert report.values["fiber_ranks"].tolist() == [1, 1]
         assert report.verdicts["rank_agree"]
@@ -525,7 +498,7 @@ class TestStructuralFlags:
         for field_in, expected in ((good, True), (bad, False)):
             u = synthesize_operator(f2_ctx, field_in, rangefn)
             field = extract_range_operator(f2_ctx, u, rangefn)
-            report = structural_flags(*summaries(f2_ctx, u, field, rangefn))
+            report = structural_flags(*summaries(f2_ctx, u, field))
             assert report.verdicts["isometry_operator"] is expected
             assert report.verdicts["isometry_fibers"] is expected
             assert report.verdicts["isometry_agree"]
@@ -567,28 +540,56 @@ class TestSummaries:
     def test_each_summary_reads_only_its_own_side(self, f2_ctx):
         # the signatures keep the two routes apart: no field reaches the
         # operator summary and no operator reaches the fiber summary
-        assert list(inspect.signature(operator_summary).parameters) == ["ctx", "u", "basis", "frame"]
-        assert list(inspect.signature(fiber_summary).parameters) == ["field", "rangefn"]
+        assert list(inspect.signature(operator_summary).parameters) == ["ctx", "u", "basis"]
+        assert list(inspect.signature(fiber_summary).parameters) == ["field"]
         rng = np.random.default_rng(63)
         rangefn = full_range_function(f2_ctx)
         u = rand_tp_operator(rng, f2_ctx)
         field = extract_range_operator(f2_ctx, u, rangefn)
         basis = space_from_range(f2_ctx, rangefn)
-        frame = full_space_frame(f2_ctx)
-        op, fib = operator_summary(f2_ctx, u, basis, frame), fiber_summary(field, rangefn)
+        op, fib = operator_summary(f2_ctx, u, basis), fiber_summary(field)
 
         mats = [mat.copy() for mat in field]
         mats[1][0, 1] += 1.0
-        corrupted = fiber_summary(np.stack(mats), rangefn)
+        corrupted = fiber_summary(np.stack(mats))
         assert not same_summary(corrupted, fib)
         assert corrupted.norms[0] == fib.norms[0] and corrupted.norms[1] != fib.norms[1]
-        assert same_summary(operator_summary(f2_ctx, u, basis, frame), op)
+        assert same_summary(operator_summary(f2_ctx, u, basis), op)
         assert not norm_identity_report(op, corrupted).passed
 
-        moved = operator_summary(f2_ctx, u + np.eye(f2_ctx.group.size), basis, frame)
+        moved = operator_summary(f2_ctx, u + np.eye(f2_ctx.group.size), basis)
         assert not same_summary(moved, op)
-        assert same_summary(fiber_summary(field, rangefn), fib)
+        assert same_summary(fiber_summary(field), fib)
         assert not hs_trace_report(moved, fib).passed
+
+    def test_frame_route_is_u_on_the_standard_basis(self):
+        # the frame route forms no product: ||U||_F^2 and Re tr U, read off u
+        rng = np.random.default_rng(66)
+        for label, ctx in battery_contexts():
+            w = rand_tp_operator(rng, ctx)
+            u = w.conj().T @ w
+            body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
+            assert ok, label
+            assert body["hs_trace"]["values"]["hs_squared"]["frame"] == np.sum(np.abs(u) ** 2), label
+            assert body["hs_trace"]["values"]["trace"]["frame"] == np.trace(u).real, label
+
+    def test_fiber_summary_reads_each_fiber_alone(self, ctx):
+        # the stacked SVD against one SVD per fiber, and a NaN fiber is NaN
+        # on its own: its neighbours keep their norms and ranks
+        rng = np.random.default_rng(67)
+        field = rand_field(rng, ctx, full_range_function(ctx))
+        field[0] = np.outer(field[0, :, 0], field[0, 0])  # a rank-one fiber
+        fib = fiber_summary(field)
+        spectra = [np.linalg.svd(mat, compute_uv=False) for mat in field]
+        assert np.array_equal(fib.norms, [s[0] for s in spectra])
+        assert fib.ranks.tolist() == [int(np.sum(s > 1e-9 * max(1.0, s[0]))) for s in spectra]
+        assert fib.ranks[0] == 1
+        assert fib.hs_terms == pytest.approx([np.linalg.norm(mat) ** 2 for mat in field], rel=1e-12)
+        assert np.array_equal(fib.trace_terms, [np.trace(mat).real for mat in field])
+        field[-1, 0, 0] = np.nan
+        broken = fiber_summary(field)
+        assert np.isnan(broken.norms[-1]) and np.array_equal(broken.norms[:-1], fib.norms[:-1])
+        assert np.array_equal(broken.ranks[:-1], fib.ranks[:-1])
 
     @pytest.mark.parametrize("hermitian", [False, True], ids=["general", "hermitian-psd"])
     def test_pipeline_takes_each_dense_kernel_once(self, monkeypatch, hermitian):
@@ -623,6 +624,8 @@ class TestSummaries:
         body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
         assert ok and (body["hs_trace"]["skipped"] == []) is hermitian
         assert shapes.count((n, n)) == 1
+        # the fiber side takes one SVD over the whole stack of fibers
+        assert shapes == [(n, n), (ctx.n_omega, ctx.n_c, ctx.n_c)]
         assert eigvalsh_calls == [(n, n)]
         assert len(basis_builds) <= 2
 

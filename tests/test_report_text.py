@@ -139,8 +139,9 @@ def test_pieces_stay_joined(tmp_path, monkeypatch):
     spec = tmp_path / "z12.json"
     spec.write_text(json.dumps({"orders": [12], "gamma_generators": [[3]]}))
     assert cli.main(["check", str(spec), "--out", str(tmp_path / "check.json")]) == 0
-    assert cli.main(["demo-diffop", "8", "2", "--out", str(tmp_path / "demo.json")]) == 0
-    ctx = dict(battery_contexts())["12-sub2-ord6"]
+    # twelve fibers each: the range field alone carries twelve arrays
+    assert cli.main(["demo-diffop", "24", "2", "--out", str(tmp_path / "demo.json")]) == 0
+    ctx = dict(battery_contexts())["12-sub1-ord12"]
     body = cli._pipeline(ctx, rand_tp_operator(np.random.default_rng(3), ctx), cli.RunConfig())[0]
     check, demo = reports
     assert len(list(jsonio.report_chunks(check))) == 1
