@@ -15,7 +15,6 @@ import numpy as np
 
 COMMUTE = 1e-10  # commutator entries: U against translations, a fibered operator against characters
 SOLVE = 1e-8  # off-fiber leakage of the field solve
-DOMAIN = 1e-10  # a field matrix on its fiber orthocomplement
 STRUCT = 1e-9  # isometry and self-adjointness residuals, operator and fiber side
 NORM = 1e-8  # relative to the operator norm: operator norm against the largest fiber norm
 HS = 1e-8  # relative to the entrywise value: HS norm and trace route agreement

@@ -51,6 +51,8 @@ class RunConfig:
         for name, value in (("tol-rel", self.tol_rel), ("tol-abs", self.tol_abs)):
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValueError(f"--{name} must be finite and positive, got {value}")
+        if self.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {self.seed}")
 
     def rel_tol(self, default: float) -> float:
         return self.tol_rel if self.tol_rel is not None else default
@@ -121,7 +123,6 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
     Returns the report body, the verdict and the extracted field (None when
     the pipeline stopped before the field was accepted).
     """
-    rangefn = full_range_function(ctx)
     report: dict = {}
     verdict = check_translation_preserving(ctx, u, tol=cfg.abs_tol(checks.COMMUTE))
     witness_gamma, witness_entry = verdict.witness or (None, None)
@@ -134,8 +135,8 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
     if not verdict:
         return report, False, None
     # one basis, the Zak basis Z*, serves the solve and the operator side
-    basis = space_from_range(ctx, rangefn)
-    field, solve_residual = solve_range_field(ctx, u, rangefn, basis)
+    basis = space_from_range(ctx, full_range_function(ctx))
+    field, solve_residual = solve_range_field(ctx, u, basis)
     solve = checks.gate(solve_residual, cfg.abs_tol(checks.SOLVE))
     report["fiber_solve"] = {"passed": solve.passed, "residual": solve_residual}
     if not solve:
@@ -270,11 +271,10 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
         gaps += [np.abs(rangefn.projection(wi) - rangefn2.projection(wi)).max() for wi in range(ctx.n_omega)]
     record("range_roundtrip", checks.largest(gaps), cfg.abs_tol(checks.ROUNDTRIP))
 
-    rangefn = full_range_function(ctx)
     z = rng.standard_normal((ctx.n_omega, 2, ctx.n_c, ctx.n_c))
     field = z[:, 0] + 1j * z[:, 1]
-    u = synthesize_operator(ctx, field, rangefn)
-    r_bij = np.abs(extract_range_operator(ctx, u, rangefn) - field).max()
+    u = synthesize_operator(ctx, field)
+    r_bij = np.abs(extract_range_operator(ctx, u) - field).max()
     record("field_bijection", r_bij, cfg.abs_tol(checks.ROUNDTRIP))
 
     # Z U Z*, the fibered form of u: it commutes with multiplication by the

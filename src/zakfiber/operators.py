@@ -2,15 +2,15 @@
 
 An operator on signals commutes with all translations by the subgroup
 exactly when its conjugate under the fiberization is block diagonal over
-omega. The block family, one |C| x |C| matrix per omega extended by zero off
-the fiber subspace, is the range operator field, held as one complex
-``(|Omega|, |C|, |C|)`` ndarray; an operator is a ``(|G|, |G|)`` ndarray, and
-a range function has one ``(|C|, k)`` basis per omega. The functions here
-detect the commutation property, and extract and synthesize fields on any
-range function. The two summaries and the norm, Hilbert-Schmidt, trace,
-isometry, self-adjointness and rank reports that compare them describe the
-full signal space, the space every command certifies: the operator side
-reads U and the Zak basis Z*, the fiber side the blocks R(omega) alone.
+omega. The block family, one |C| x |C| matrix per omega, is the range
+operator field, held as one complex ``(|Omega|, |C|, |C|)`` ndarray; an
+operator is a ``(|G|, |G|)`` ndarray. The functions here detect the
+commutation property, and extract and synthesize fields, on the full signal
+space, the space every command certifies: the field is the diagonal blocks
+of Z U Z*. The two summaries and the norm, Hilbert-Schmidt, trace, isometry,
+self-adjointness and rank reports that compare them describe that space too:
+the operator side reads U and the Zak basis Z*, the fiber side the blocks
+R(omega) alone.
 Per-fiber values (norms, ranks, HS and trace terms) are 1-D arrays indexed
 by omega.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from . import checks
 from .fiberization import FiberContext, determining_function, zak, zak_inverse
 from .groups import _array, translate
-from .spaces import RangeFunction, _check_fits, _rank_cut, space_from_range
+from .spaces import _rank_cut, full_range_function, space_from_range
 
 
 class NotTranslationPreservingError(Exception):
@@ -102,35 +102,25 @@ def check_translation_preserving(ctx: FiberContext, u, tol: float = checks.COMMU
     return checks.gate(checks.largest(residuals), tol)
 
 
-def solve_range_field(ctx: FiberContext, u, rangefn: RangeFunction, basis=None):
-    """Fiberwise solve for the field of u on the given range function.
+def solve_range_field(ctx: FiberContext, u, basis):
+    """Fiberwise solve for the field of u, given the ``(|G|, |G|)`` Zak basis
+    B = Z*, ``space_from_range(ctx, full_range_function(ctx))``.
 
-    Returns ``(field, residual)``: the ``(|Omega|, |C|, |C|)`` field, and
-    the largest off-fiber leakage of u applied to the fiber-supported
-    canonical basis. A residual at rounding scale certifies that the field
-    reproduces u on the space; a large residual means no field exists.
-
-    ``basis`` is that canonical basis, ``space_from_range(ctx, rangefn)``,
-    for a caller that has already built it; it is built here when omitted.
+    Returns ``(field, residual)``: the diagonal |C| x |C| blocks of
+    Z U Z* = zak(U B) as the ``(|Omega|, |C|, |C|)`` field, and the largest
+    entry off them. A residual at rounding scale certifies that the field
+    reproduces u; a large residual means no field exists.
     """
     u = as_operator(ctx, u)
-    _check_fits(ctx, rangefn)
-    if basis is None:
-        basis = space_from_range(ctx, rangefn)
-    basis = _array(basis, "basis", (ctx.group.size, rangefn.dim_total))
-    images = zak(ctx, u @ basis)  # (|Omega|, |C|, dim)
-    owner = np.repeat(np.arange(ctx.n_omega), rangefn.dims)  # the fiber of each basis column
-    own = np.arange(ctx.n_omega)[:, None] == owner[None, :]
-    residual = float(np.where(own, 0.0, np.abs(images).max(axis=1)).max(initial=0.0))
-    field = np.stack(
-        [images[wi][:, owner == wi] @ fiber_basis.conj().T for wi, fiber_basis in enumerate(rangefn.bases)]
-    )
-    return field, residual
+    basis = _array(basis, "basis", (ctx.group.size, ctx.group.size))
+    blocks = zak(ctx, u @ basis).reshape(ctx.fiber_shape() * 2)
+    diagonal = np.arange(ctx.n_omega)
+    # contiguous, so the per-fiber sums downstream add in one fixed order
+    return np.ascontiguousarray(blocks[diagonal, :, diagonal, :]), _off_block_max(ctx, blocks)[0]
 
 
-def extract_range_operator(ctx: FiberContext, u, rangefn: RangeFunction) -> np.ndarray:
-    """The ``(|Omega|, |C|, |C|)`` field R with zak(U f)(omega) = R(omega) zak(f)(omega)
-    on the space.
+def extract_range_operator(ctx: FiberContext, u) -> np.ndarray:
+    """The ``(|Omega|, |C|, |C|)`` field R with zak(U f)(omega) = R(omega) zak(f)(omega).
 
     Raises :class:`NotTranslationPreservingError` (with the commutator
     witness) when u fails the commutation test, and :class:`RangeSolveError`
@@ -139,18 +129,17 @@ def extract_range_operator(ctx: FiberContext, u, rangefn: RangeFunction) -> np.n
     verdict = check_translation_preserving(ctx, u)
     if not verdict:
         raise NotTranslationPreservingError(verdict)
-    field, residual = solve_range_field(ctx, u, rangefn)
+    field, residual = solve_range_field(ctx, u, space_from_range(ctx, full_range_function(ctx)))
     if not checks.passes(residual, checks.SOLVE):
         raise RangeSolveError(residual)
     return field
 
 
-def synthesize_operator(ctx: FiberContext, field, rangefn: RangeFunction) -> np.ndarray:
+def synthesize_operator(ctx: FiberContext, field) -> np.ndarray:
     """Conjugate the block-diagonal field back to an operator on signals.
 
-    The result acts as the field on the space of the range function and as
-    zero on its orthocomplement; it always commutes with the subgroup
-    translations, and extracting its field recovers the input.
+    The result always commutes with the subgroup translations, and
+    extracting its field recovers the input.
 
     With Z the fiberization and B the block-diagonal field, U = Z* B Z is
     computed as ``zak_inverse(zak_inverse(B)^H)^H`` over columns, since
@@ -158,21 +147,22 @@ def synthesize_operator(ctx: FiberContext, field, rangefn: RangeFunction) -> np.
     """
     n_omega, nc = ctx.fiber_shape()
     field = _array(field, "field", (n_omega, nc, nc))
-    _check_fits(ctx, rangefn)
-    projections = np.stack([fiber_basis @ fiber_basis.conj().T for fiber_basis in rangefn.bases])
-    leaks = np.abs(field @ (np.eye(nc) - projections)).max(axis=(1, 2))
-    over = np.flatnonzero(~checks.passes(leaks, checks.DOMAIN))
-    if over.size:
-        wi = int(over[0])
-        raise ValueError(
-            f"fiber matrix {wi} does not vanish on the fiber orthocomplement "
-            f"(residual {leaks[wi]:.3e})"
-        )
-    blocks = np.zeros((n_omega, nc, n_omega, nc), dtype=complex)
+    if not np.isfinite(field).all():
+        raise ValueError("field has non-finite entries")
+    blocks = np.zeros(ctx.fiber_shape() * 2, dtype=complex)
     blocks[np.arange(n_omega), :, np.arange(n_omega), :] = field
     shape = (n_omega, nc, ctx.group.size)
     left = zak_inverse(ctx, blocks.reshape(shape))  # Z* B
     return zak_inverse(ctx, left.conj().T.reshape(shape)).conj().T
+
+
+def _off_block_max(ctx: FiberContext, mat: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """The largest entry of a fibered ``(|G|, |G|)`` matrix off its diagonal
+    |C| x |C| blocks (NaN if one is NaN), and the block ``(wi, wj)`` holding it."""
+    blocks = np.abs(mat).reshape(ctx.fiber_shape() * 2).max(axis=(1, 3))
+    np.fill_diagonal(blocks, 0.0)
+    wi, wj = np.unravel_index(int(np.argmax(blocks)), blocks.shape)
+    return float(blocks[wi, wj]), (int(wi), int(wj))
 
 
 def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determining-set") -> checks.Verdict:
@@ -199,13 +189,8 @@ def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determ
                 return checks.gate(r, checks.COMMUTE, witness=t)
         return checks.gate(checks.largest(residuals), checks.COMMUTE)
     if mode == "full":
-        # blocks[wi, wj] is the largest entry of the (wi, wj) block
-        blocks = np.abs(uhat).reshape(ctx.n_omega, nc, ctx.n_omega, nc).max(axis=(1, 3))
-        np.fill_diagonal(blocks, 0.0)
-        wi, wj = np.unravel_index(int(np.argmax(blocks)), blocks.shape)
-        r = blocks[wi, wj]
-        witness = None if checks.passes(r, checks.COMMUTE) else (int(wi), int(wj))
-        return checks.gate(r, checks.COMMUTE, witness=witness)
+        r, block = _off_block_max(ctx, uhat)
+        return checks.gate(r, checks.COMMUTE, witness=None if checks.passes(r, checks.COMMUTE) else block)
     raise ValueError(f"unknown mode {mode!r}; expected 'determining-set' or 'full'")
 
 

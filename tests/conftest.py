@@ -92,12 +92,15 @@ def rand_field(rng, context, rangefn):
 
 def rand_tp_operator(rng, context):
     """Random translation-commuting operator, synthesized from a dense field."""
-    rangefn = full_range_function(context)
-    return synthesize_operator(context, rand_field(rng, context, rangefn), rangefn)
+    return synthesize_operator(context, rand_field(rng, context, full_range_function(context)))
+
+
+def full_space(context):
+    """The Zak basis Z* of the full signal space, a ``(|G|, |G|)`` matrix."""
+    return space_from_range(context, full_range_function(context))
 
 
 def summaries(context, u, field):
     """The operator summary of u, through the Zak basis of the full space,
     and the fiber summary of its field."""
-    basis = space_from_range(context, full_range_function(context))
-    return operator_summary(context, u, basis), fiber_summary(field)
+    return operator_summary(context, u, full_space(context)), fiber_summary(field)

@@ -1,6 +1,8 @@
 """The tolerance table and the gate rule: pass at the bound, fail closed."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,7 +74,19 @@ class TestLargest:
 
 def test_every_tolerance_is_positive_and_finite():
     names = [n for n in dir(checks) if n.isupper()]
-    assert len(names) == 12
+    assert len(names) == 11
     for name in names:
         value = getattr(checks, name)
         assert isinstance(value, float) and math.isfinite(value) and value > 0, name
+
+
+def test_every_tolerance_has_a_reader():
+    # a tolerance that no other module reads belongs to a gate that is gone
+    here = Path(checks.__file__)
+    sources = [path.read_text(encoding="utf-8") for path in here.parent.glob("*.py") if path != here]
+    unread = [
+        name
+        for name in dir(checks)
+        if name.isupper() and not any(re.search(rf"\bchecks\.{name}\b", text) for text in sources)
+    ]
+    assert not unread, unread

@@ -319,6 +319,14 @@ class TestContract:
         r2 = json.loads(out2.read_text())["suites"]["zak_isometry"]["residual"]
         assert r1 != r2
 
+    def test_negative_seed_is_usage_error(self, tmp_path, f1_spec, capsys):
+        # unchecked, analyze and demo-diffop wrote it into the report, and
+        # check failed in numpy with a message that did not name the flag
+        op = write_operator(tmp_path, "ident.json", np.eye(4))
+        for argv in (["analyze", f1_spec, op], ["demo-diffop", "8", "2"], ["check", f1_spec]):
+            assert main([*argv, "--seed", "-1"]) == 2, argv
+            assert "--seed must be non-negative" in capsys.readouterr().err, argv
+
     def test_out_file_matches_json_stdout(self, tmp_path, f1_spec, capsys):
         out = tmp_path / "r.json"
         main(["check", f1_spec, "--json", "--out", str(out)])

@@ -8,7 +8,6 @@ import pytest
 
 from zakfiber import (
     NotTranslationPreservingError,
-    RangeFunction,
     RangeSolveError,
     check_translation_preserving,
     extract_range_operator,
@@ -36,7 +35,7 @@ from zakfiber import (
 
 from zakfiber import cli, operators, spaces
 
-from conftest import battery_contexts, delta, rand_field, rand_signal, rand_tp_operator, summaries
+from conftest import battery_contexts, delta, full_space, rand_field, rand_signal, rand_tp_operator, summaries
 
 
 def diff_operator(ctx, step):
@@ -90,22 +89,19 @@ class TestCheckTranslationPreserving:
 
 class TestExtract:
     def test_identity_gives_identity_fibers(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
-        field = extract_range_operator(f1_ctx, np.eye(4, dtype=complex), rangefn)
+        field = extract_range_operator(f1_ctx, np.eye(4, dtype=complex))
         for mat in field:
             assert np.abs(mat - np.eye(2)).max() <= 1e-12
 
     def test_difference_operator_symbols(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
-        field = extract_range_operator(f1_ctx, diff_operator(f1_ctx, (2,)), rangefn)
+        field = extract_range_operator(f1_ctx, diff_operator(f1_ctx, (2,)))
         assert np.abs(field[0]).max() <= 1e-12
         assert np.abs(field[1] - 2 * np.eye(2)).max() <= 1e-12
 
     def test_against_batch_lstsq_oracle(self, f1_ctx):
         # independent fiber-solve: least squares over random members of V
-        rangefn = full_range_function(f1_ctx)
         u = diff_operator(f1_ctx, (2,))
-        field = extract_range_operator(f1_ctx, u, rangefn)
+        field = extract_range_operator(f1_ctx, u)
         rng = np.random.default_rng(50)
         samples = [rand_signal(rng, 4) for _ in range(8)]
         for wi in range(f1_ctx.n_omega):
@@ -115,10 +111,7 @@ class TestExtract:
             assert np.abs(solved - field[wi]).max() <= 1e-9
 
     def test_translation_gives_scalar_field(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
-        field = extract_range_operator(
-            f1_ctx, translation_matrix(f1_ctx.group, (2,)).astype(complex), rangefn
-        )
+        field = extract_range_operator(f1_ctx, translation_matrix(f1_ctx.group, (2,)).astype(complex))
         for wi, w in enumerate(f1_ctx.omega.reps):
             symbol = pairing(f1_ctx.group, (2,), w)
             assert np.abs(field[wi] - symbol * np.eye(2)).max() <= 1e-12
@@ -126,66 +119,39 @@ class TestExtract:
     def test_rejects_non_preserving_with_witness(self, f1_ctx):
         u = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
         with pytest.raises(NotTranslationPreservingError) as excinfo:
-            extract_range_operator(f1_ctx, u, full_range_function(f1_ctx))
+            extract_range_operator(f1_ctx, u)
         assert excinfo.value.verdict.witness[0] == (2,)
 
     def test_off_fiber_leakage_is_a_hard_failure(self, f1_ctx, monkeypatch):
         # skip the commutation gate to reach the solve residual detector
         rng = np.random.default_rng(51)
         u = rand_signal(rng, 16).reshape(4, 4)
-        field, residual = solve_range_field(f1_ctx, u, full_range_function(f1_ctx))
+        field, residual = solve_range_field(f1_ctx, u, full_space(f1_ctx))
         assert residual > 1e-3
         passing = operators.checks.Verdict(True, 0.0, np.inf)
         monkeypatch.setattr(operators, "check_translation_preserving", lambda *args: passing)
         with pytest.raises(RangeSolveError):
-            extract_range_operator(
-                f1_ctx, u, full_range_function(f1_ctx)
-            )
-
-
-    def test_solve_takes_the_callers_basis(self, ctx):
-        rangefn = range_function(ctx, delta(ctx.group, (0,) * len(ctx.group.orders))[:, None])
-        u = rand_tp_operator(np.random.default_rng(52), ctx)
-        basis = space_from_range(ctx, rangefn)
-        field, residual = solve_range_field(ctx, u, rangefn)
-        given, given_residual = solve_range_field(ctx, u, rangefn, basis)
-        assert given_residual == residual
-        assert all(np.array_equal(a, b) for a, b in zip(given, field))
-        for wrong in (basis[:, 1:], basis[1:], basis.T):
-            if wrong.shape != basis.shape:
-                with pytest.raises(ValueError, match=r"basis must be a \(\d+, \d+\) array"):
-                    solve_range_field(ctx, u, rangefn, wrong)
+            extract_range_operator(f1_ctx, u)
 
     def test_nan_solve_residual_is_a_failure(self, f1_ctx, monkeypatch):
-        rangefn = full_range_function(f1_ctx)
-        field, _ = solve_range_field(f1_ctx, np.eye(4, dtype=complex), rangefn)
+        field, _ = solve_range_field(f1_ctx, np.eye(4, dtype=complex), full_space(f1_ctx))
         monkeypatch.setattr(operators, "solve_range_field", lambda *args: (field, float("nan")))
         with pytest.raises(RangeSolveError):
-            extract_range_operator(f1_ctx, np.eye(4, dtype=complex), rangefn)
+            extract_range_operator(f1_ctx, np.eye(4, dtype=complex))
 
 
 class TestSynthesize:
-    def test_identity_field_is_projection(self, f1_ctx):
-        rangefn = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
-        field = np.stack([rangefn.projection(wi) for wi in range(2)])
-        u = synthesize_operator(f1_ctx, field, rangefn)
-        basis = space_from_range(f1_ctx, rangefn)
-        assert np.abs(u - basis @ basis.conj().T).max() <= 1e-10
-
     def test_full_identity_field_is_identity(self, ctx):
-        rangefn = full_range_function(ctx)
         field = np.stack([np.eye(ctx.n_c, dtype=complex) for _ in range(ctx.n_omega)])
-        u = synthesize_operator(ctx, field, rangefn)
+        u = synthesize_operator(ctx, field)
         assert np.abs(u - np.eye(ctx.group.size)).max() <= 1e-10
 
     def test_symbol_field_recovers_difference_operator(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
         field = np.stack((np.zeros((2, 2), complex), 2 * np.eye(2, dtype=complex)))
-        u = synthesize_operator(f1_ctx, field, rangefn)
+        u = synthesize_operator(f1_ctx, field)
         assert np.abs(u - diff_operator(f1_ctx, (2,))).max() <= 1e-10
 
     def test_character_field_is_translation(self, f2_ctx):
-        rangefn = full_range_function(f2_ctx)
         t = (2,)
         field = np.stack(
             tuple(
@@ -193,7 +159,7 @@ class TestSynthesize:
                 for w in f2_ctx.omega.reps
             )
         )
-        u = synthesize_operator(f2_ctx, field, rangefn)
+        u = synthesize_operator(f2_ctx, field)
         assert np.abs(u - translation_matrix(f2_ctx.group, t)).max() <= 1e-10
 
     def test_synthesized_operator_commutes(self, ctx):
@@ -201,17 +167,12 @@ class TestSynthesize:
         u = rand_tp_operator(rng, ctx)
         assert check_translation_preserving(ctx, u)
 
-    def test_domain_violation_rejected(self, f1_ctx):
-        rangefn = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
-        bad = np.stack((np.eye(2, dtype=complex), np.eye(2, dtype=complex)))
-        with pytest.raises(ValueError):
-            synthesize_operator(f1_ctx, bad, rangefn)
-
-    def test_nan_field_rejected(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
-        nan = np.stack([np.full((2, 2), np.nan, dtype=complex) for _ in range(2)])
-        with pytest.raises(ValueError):
-            synthesize_operator(f1_ctx, nan, rangefn)
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nan_field_rejected(self, f1_ctx, value):
+        field = np.zeros((2, 2, 2), dtype=complex)
+        field[1, 0, 1] = value
+        with pytest.raises(ValueError, match="field has non-finite entries"):
+            synthesize_operator(f1_ctx, field)
 
     def test_bijection_roundtrips(self, ctx):
         rng = np.random.default_rng(53)
@@ -219,12 +180,50 @@ class TestSynthesize:
         basis = space_from_range(ctx, rangefn)
         for _ in range(5):
             field = rand_field(rng, ctx, rangefn)
-            u = synthesize_operator(ctx, field, rangefn)
-            recovered = extract_range_operator(ctx, u, rangefn)
+            u = synthesize_operator(ctx, field)
+            recovered = extract_range_operator(ctx, u)
             for a, b in zip(recovered, field):
                 assert np.abs(a - b).max() <= 1e-9
-            resynth = synthesize_operator(ctx, recovered, rangefn)
+            resynth = synthesize_operator(ctx, recovered)
             assert np.abs(resynth @ basis - u @ basis).max() <= 1e-9
+
+
+def subspace_fields(ctx, seed):
+    """The range function J of one random generator, its fiber projections
+    P_J, and two fields that vanish off J: R = Y P_J and P_J M P_J."""
+    rng = np.random.default_rng(seed)
+    sub = range_function(ctx, rand_signal(rng, ctx.group.size)[:, None])
+    projections = np.stack([sub.projection(wi) for wi in range(ctx.n_omega)])
+    y, m = (rand_signal(rng, projections.size).reshape(projections.shape) for _ in range(2))
+    return sub, projections, (y @ projections, projections @ m @ projections)
+
+
+class TestInvariantSubspace:
+    """The correspondence on a proper invariant subspace V, through the full
+    space: an operator on V that commutes with translations, extended by 0 on
+    the orthocomplement of V, is translation preserving on L2(G), and its
+    range operator vanishes off J(omega)."""
+
+    def test_extract_recovers_the_field(self, ctx):
+        for field in subspace_fields(ctx, 303)[2]:
+            assert np.abs(extract_range_operator(ctx, synthesize_operator(ctx, field)) - field).max() <= 1e-9
+
+    def test_operator_vanishes_off_the_space(self, ctx):
+        sub, _, fields = subspace_fields(ctx, 304)
+        basis = space_from_range(ctx, sub)
+        off = np.eye(ctx.group.size) - basis @ basis.conj().T  # I - P_V
+        for field in fields:
+            assert np.abs(synthesize_operator(ctx, field) @ off).max() <= 1e-9
+
+    def test_adjoint_field_is_the_fiberwise_adjoint(self, ctx):
+        for field in subspace_fields(ctx, 62)[2]:
+            adjoint = extract_range_operator(ctx, synthesize_operator(ctx, field).conj().T)
+            assert np.abs(adjoint - field.conj().swapaxes(1, 2)).max() <= 1e-9
+
+    def test_identity_on_j_is_the_projection(self, ctx):
+        sub, projections, _ = subspace_fields(ctx, 305)
+        basis = space_from_range(ctx, sub)
+        assert np.abs(synthesize_operator(ctx, projections) - basis @ basis.conj().T).max() <= 1e-10
 
 
 def cyclic_context(n, step):
@@ -241,38 +240,20 @@ MISFITS = {
 
 
 class TestFiberCount:
-    """A field and a range function meet only when they have as many fibers."""
-
-    @pytest.mark.parametrize("short", ["Z4/<2>", "one-fiber"])
-    def test_fiber_counts_must_agree(self, f1_ctx, f2_ctx, short):
-        field = rand_field(np.random.default_rng(67), f2_ctx, full_range_function(f2_ctx))
-        assert field.shape == (4, 2, 2)
-        # Z4/<2> has 2 fibers of |C| = 2; one fiber would broadcast over all four
-        rangefn = full_range_function(f1_ctx)
-        if short == "one-fiber":
-            rangefn = RangeFunction(rangefn.bases[:1])
-        n = len(rangefn.bases)
-        with pytest.raises(ValueError, match=rf"range function has {n} fibers, the context 4"):
-            synthesize_operator(f2_ctx, field, rangefn)
+    """A range function meets a context only when it has one basis of |C| rows per fiber."""
 
     @pytest.mark.parametrize("own, other, error", MISFITS.values(), ids=MISFITS)
     def test_range_function_must_fit_its_context(self, own, other, error):
         # unchecked, Z4/<2>'s range function on Z8/<2> gave a space over two of
         # the four fibers, and the reverse direction indexed past the fibers
         ctx, rangefn = cyclic_context(*own), full_range_function(cyclic_context(*other))
-        u = np.eye(ctx.group.size, dtype=complex)
-        field = np.zeros((ctx.n_omega, ctx.n_c, ctx.n_c), dtype=complex)
         with pytest.raises(ValueError, match=error):
             space_from_range(ctx, rangefn)
-        with pytest.raises(ValueError, match=error):
-            solve_range_field(ctx, u, rangefn)
-        with pytest.raises(ValueError, match=error):
-            synthesize_operator(ctx, field, rangefn)
 
 
-def nan_field(ctx, u, rangefn):
+def nan_field(ctx, u):
     """The field of u with one NaN entry in its first fiber."""
-    mats = [mat.copy() for mat in extract_range_operator(ctx, u, rangefn)]
+    mats = [mat.copy() for mat in extract_range_operator(ctx, u)]
     mats[0][0, 0] = np.nan
     return np.stack(mats)
 
@@ -281,26 +262,23 @@ class TestNormIdentity:
     def test_nan_field_fails(self, f1_ctx):
         # the SVD behind the fiber norm does not converge on NaN; the report
         # must fail with a NaN fiber norm instead of raising
-        rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
-        report = norm_identity_report(*summaries(f1_ctx, u, nan_field(f1_ctx, u, rangefn)))
+        report = norm_identity_report(*summaries(f1_ctx, u, nan_field(f1_ctx, u)))
         assert not report.passed and not report.verdicts["norm_identity"]
         assert np.isnan(report.values["fiber_norms"][0]) and np.isnan(report.residuals["norm_gap"])
         assert report.witness == 0
 
     def test_identity(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
-        field = extract_range_operator(f1_ctx, u, rangefn)
+        field = extract_range_operator(f1_ctx, u)
         report = norm_identity_report(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.values["operator_norm"] == pytest.approx(1.0, abs=1e-12)
         assert report.values["max_fiber_norm"] == pytest.approx(1.0, abs=1e-12)
 
     def test_difference_operator_norm_two(self, f2_ctx):
-        rangefn = full_range_function(f2_ctx)
         u = diff_operator(f2_ctx, (2,))
-        field = extract_range_operator(f2_ctx, u, rangefn)
+        field = extract_range_operator(f2_ctx, u)
         report = norm_identity_report(*summaries(f2_ctx, u, field))
         assert report.passed
         assert report.values["operator_norm"] == pytest.approx(2.0, abs=1e-10)
@@ -309,19 +287,17 @@ class TestNormIdentity:
         assert pairing(f2_ctx.group, (2,), attained) == pytest.approx(-1.0)
 
     def test_scaled_translation(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
         u = 3.0 * translation_matrix(f1_ctx.group, (2,))
-        field = extract_range_operator(f1_ctx, u, rangefn)
+        field = extract_range_operator(f1_ctx, u)
         report = norm_identity_report(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.values["operator_norm"] == pytest.approx(3.0, abs=1e-10)
 
     def test_random_fields(self, ctx):
         rng = np.random.default_rng(54)
-        rangefn = full_range_function(ctx)
         for _ in range(5):
             u = rand_tp_operator(rng, ctx)
-            field = extract_range_operator(ctx, u, rangefn)
+            field = extract_range_operator(ctx, u)
             assert norm_identity_report(*summaries(ctx, u, field)).passed
 
 
@@ -332,29 +308,26 @@ def full_space_frame(ctx):
 
 class TestHsTrace:
     def test_identity_counts_dimensions(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
-        field = extract_range_operator(f1_ctx, u, rangefn)
+        field = extract_range_operator(f1_ctx, u)
         report = hs_trace_report(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.values["hs_squared"]["entrywise"] == pytest.approx(4.0, abs=1e-9)
         assert report.values["hs_fiber_terms"] == pytest.approx([2.0, 2.0], abs=1e-9)
 
     def test_scalar_trace_splits_over_fibers(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
         u = 2.0 * np.eye(4, dtype=complex)
-        field = extract_range_operator(f1_ctx, u, rangefn)
+        field = extract_range_operator(f1_ctx, u)
         report = hs_trace_report(*summaries(f1_ctx, u, field))
         assert report.passed and "trace" not in report.skipped
         assert report.values["trace"]["basis"] == pytest.approx(8.0, abs=1e-9)
         assert report.values["trace_fiber_terms"] == pytest.approx([4.0, 4.0], abs=1e-9)
 
     def test_difference_operator_hs_eight(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
         u = diff_operator(f1_ctx, (2,))
         # entrywise oracle on the 4x4 matrix
         assert np.sum(np.abs(u) ** 2) == pytest.approx(8.0)
-        field = extract_range_operator(f1_ctx, u, rangefn)
+        field = extract_range_operator(f1_ctx, u)
         report = hs_trace_report(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.values["hs_squared"]["entrywise"] == pytest.approx(8.0, abs=1e-9)
@@ -365,9 +338,8 @@ class TestHsTrace:
         assert report.values["trace"]["basis"] == pytest.approx(4.0, abs=1e-9)
 
     def test_trace_skipped_for_non_selfadjoint(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
         u = diff_operator(f1_ctx, (1,))  # adjoint is I - T_3, not equal
-        field = extract_range_operator(f1_ctx, u, rangefn)
+        field = extract_range_operator(f1_ctx, u)
         report = hs_trace_report(*summaries(f1_ctx, u, field))
         assert report.skipped == ("trace",)
         assert "trace" not in report.values
@@ -375,9 +347,8 @@ class TestHsTrace:
     def test_routes_disagree_on_a_mismatched_field(self, f1_ctx):
         # the operator routes read only u and the fiber routes only the field,
         # so a field of 2u against u must fail every identity
-        rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
-        field = extract_range_operator(f1_ctx, 2 * u, rangefn)
+        field = extract_range_operator(f1_ctx, 2 * u)
         norm = norm_identity_report(*summaries(f1_ctx, u, field))
         hs = hs_trace_report(*summaries(f1_ctx, u, field))
         assert not norm.passed and not hs.verdicts["hs_agree"] and not hs.verdicts["trace_agree"]
@@ -388,9 +359,8 @@ class TestHsTrace:
     def test_nan_field_fails_hs_and_trace(self, f1_ctx):
         # one NaN fiber entry makes the fiber routes NaN; the route comparison
         # must fail rather than drop the NaN gap
-        rangefn = full_range_function(f1_ctx)
         u = np.eye(4, dtype=complex)
-        mats = [mat.copy() for mat in extract_range_operator(f1_ctx, u, rangefn)]
+        mats = [mat.copy() for mat in extract_range_operator(f1_ctx, u)]
         mats[0][0, 0] = np.nan
         field = np.stack(mats)
         hs = hs_trace_report(*summaries(f1_ctx, u, field))
@@ -419,8 +389,7 @@ class TestHsTrace:
         rng = np.random.default_rng(56)
         w = rand_tp_operator(rng, ctx)
         u = w.conj().T @ w
-        rangefn = full_range_function(ctx)
-        field = extract_range_operator(ctx, u, rangefn)
+        field = extract_range_operator(ctx, u)
         report = hs_trace_report(*summaries(ctx, u, field))
         assert report.passed
         assert "trace" not in report.skipped
@@ -431,9 +400,8 @@ class TestStructuralFlags:
         # 2I is no isometry and a NaN fiber fails its isometry gate too, so
         # the two sides "agree"; a non-finite field must still fail the
         # report, and it has no fiber rank
-        rangefn = full_range_function(f1_ctx)
         u = 2 * np.eye(4, dtype=complex)
-        report = structural_flags(*summaries(f1_ctx, u, nan_field(f1_ctx, u, rangefn)))
+        report = structural_flags(*summaries(f1_ctx, u, nan_field(f1_ctx, u)))
         assert not report.verdicts["isometry_operator"] and not report.verdicts["isometry_fibers"]
         assert not report.verdicts["isometry_agree"] and not report.verdicts["rank_agree"]
         assert not report.passed
@@ -444,7 +412,7 @@ class TestStructuralFlags:
         # a NaN in the Zak basis makes every value read through it NaN: the
         # norm, the entrywise HS and trace values and the isometry residual
         u = np.eye(4, dtype=complex)
-        field = extract_range_operator(f1_ctx, u, full_range_function(f1_ctx))
+        field = extract_range_operator(f1_ctx, u)
         basis = space_from_range(f1_ctx, full_range_function(f1_ctx))
         basis[0, 0] = np.nan
         op = operator_summary(f1_ctx, u, basis)
@@ -456,9 +424,8 @@ class TestStructuralFlags:
         assert not norm_identity_report(op, fib).passed and not hs_trace_report(op, fib).verdicts["hs_agree"]
 
     def test_translation_is_isometry_with_unimodular_fibers(self, f1_ctx):
-        rangefn = full_range_function(f1_ctx)
         u = translation_matrix(f1_ctx.group, (2,)).astype(complex)
-        field = extract_range_operator(f1_ctx, u, rangefn)
+        field = extract_range_operator(f1_ctx, u)
         report = structural_flags(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.verdicts["isometry_operator"] and report.verdicts["isometry_fibers"]
@@ -467,8 +434,7 @@ class TestStructuralFlags:
         u = diff_operator(f1_ctx, (2,))
         # matrix conjugate-transpose oracle: -2 = 2 mod 4 makes U equal U*
         assert np.abs(u - u.conj().T).max() == 0.0
-        rangefn = full_range_function(f1_ctx)
-        field = extract_range_operator(f1_ctx, u, rangefn)
+        field = extract_range_operator(f1_ctx, u)
         report = structural_flags(*summaries(f1_ctx, u, field))
         assert report.passed
         assert report.verdicts["selfadjoint_operator"] and report.verdicts["selfadjoint_fibers"]
@@ -477,8 +443,7 @@ class TestStructuralFlags:
         sub = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
         basis = space_from_range(f1_ctx, sub)
         u = basis @ basis.conj().T
-        rangefn = full_range_function(f1_ctx)
-        field = extract_range_operator(f1_ctx, u, rangefn)
+        field = extract_range_operator(f1_ctx, u)
         report = structural_flags(*summaries(f1_ctx, u, field))
         assert report.values["rank_operator"] == 2
         assert report.values["fiber_ranks"].tolist() == [1, 1]
@@ -486,7 +451,6 @@ class TestStructuralFlags:
 
     def test_biconditionals_both_directions(self, f2_ctx):
         rng = np.random.default_rng(57)
-        rangefn = full_range_function(f2_ctx)
         nc, nw = f2_ctx.n_c, f2_ctx.n_omega
         # positive case: unitary fibers; negative case: one stretched fiber
         unitaries = []
@@ -496,8 +460,8 @@ class TestStructuralFlags:
         good = np.stack(unitaries)
         bad = np.stack([2.0 * unitaries[0]] + unitaries[1:])
         for field_in, expected in ((good, True), (bad, False)):
-            u = synthesize_operator(f2_ctx, field_in, rangefn)
-            field = extract_range_operator(f2_ctx, u, rangefn)
+            u = synthesize_operator(f2_ctx, field_in)
+            field = extract_range_operator(f2_ctx, u)
             report = structural_flags(*summaries(f2_ctx, u, field))
             assert report.verdicts["isometry_operator"] is expected
             assert report.verdicts["isometry_fibers"] is expected
@@ -508,23 +472,8 @@ class TestStructuralFlags:
         rng = np.random.default_rng(58)
         rangefn = full_range_function(ctx)
         field = rand_field(rng, ctx, rangefn)
-        u = synthesize_operator(ctx, field, rangefn)
-        adj_field = extract_range_operator(ctx, u.conj().T, rangefn)
-        for a, b in zip(adj_field, field):
-            assert np.abs(a - b.conj().T).max() <= 1e-9
-
-    def test_adjoint_covariance_on_proper_subspace(self, ctx):
-        # same statement with a space-into-itself field on a proper range function
-        rng = np.random.default_rng(62)
-        sub = range_function(ctx, rand_signal(rng, ctx.group.size)[:, None])
-        mats = []
-        for basis in sub.bases:
-            d = basis.shape[1]
-            m = rand_signal(rng, d * d).reshape(d, d) if d else np.zeros((0, 0))
-            mats.append(basis @ m @ basis.conj().T)
-        field = np.stack(mats)
-        u = synthesize_operator(ctx, field, sub)
-        adj_field = extract_range_operator(ctx, u.conj().T, sub)
+        u = synthesize_operator(ctx, field)
+        adj_field = extract_range_operator(ctx, u.conj().T)
         for a, b in zip(adj_field, field):
             assert np.abs(a - b.conj().T).max() <= 1e-9
 
@@ -545,7 +494,7 @@ class TestSummaries:
         rng = np.random.default_rng(63)
         rangefn = full_range_function(f2_ctx)
         u = rand_tp_operator(rng, f2_ctx)
-        field = extract_range_operator(f2_ctx, u, rangefn)
+        field = extract_range_operator(f2_ctx, u)
         basis = space_from_range(f2_ctx, rangefn)
         op, fib = operator_summary(f2_ctx, u, basis), fiber_summary(field)
 

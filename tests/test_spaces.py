@@ -27,7 +27,7 @@ from zakfiber import (
     zak_inverse,
 )
 
-from conftest import delta, rand_signal, rand_tp_operator
+from conftest import delta, full_space, rand_signal, rand_tp_operator
 
 
 def projection_of(basis):
@@ -348,10 +348,6 @@ def only_column_v():
     return mat
 
 
-def full_space(ctx):
-    return space_from_range(ctx, full_range_function(ctx))
-
-
 EYE = np.eye(4, dtype=complex)
 # Bad values for each documented shape on Z4/<2> (|G| = 4, |Omega| = |C| = 2):
 # a list, a wrong rank and a wrong axis length. The signal list holds the
@@ -365,6 +361,7 @@ BAD_FIELDS = {
     "rank": np.zeros((2, 4)),
     "length": np.zeros((2, 2, 3)),
     "count": np.zeros((4, 2, 2)),
+    "one-fiber": np.zeros((1, 2, 2)),  # would broadcast over both fibers
 }
 SIGNAL = r"signal must be a \(4,\) or \(4, k\) array"
 FAMILY = r"must be a \(4, k\) array"
@@ -379,17 +376,14 @@ ARRAY_ARGUMENTS = [
     ("is_translation_invariant", "basis", is_translation_invariant, BAD_FAMILIES, FAMILY),
     ("principal_decomposition", "basis", principal_decomposition, BAD_FAMILIES, FAMILY),
     ("check_translation_preserving", "u", check_translation_preserving, BAD_OPERATORS, OPERATOR),
-    ("extract_range_operator", "u", lambda ctx, bad: extract_range_operator(ctx, bad, full_range_function(ctx)),
-     BAD_OPERATORS, OPERATOR),
-    ("solve_range_field", "u", lambda ctx, bad: solve_range_field(ctx, bad, full_range_function(ctx)),
-     BAD_OPERATORS, OPERATOR),
-    ("solve_range_field", "basis", lambda ctx, bad: solve_range_field(ctx, EYE, full_range_function(ctx), bad),
-     BAD_OPERATORS, r"basis must be a \(4, 4\) array"),
+    ("extract_range_operator", "u", extract_range_operator, BAD_OPERATORS, OPERATOR),
+    ("solve_range_field", "u", lambda ctx, bad: solve_range_field(ctx, bad, full_space(ctx)), BAD_OPERATORS, OPERATOR),
+    ("solve_range_field", "basis", lambda ctx, bad: solve_range_field(ctx, EYE, bad), BAD_OPERATORS,
+     r"basis must be a \(4, 4\) array"),
     ("operator_summary", "u", lambda ctx, bad: operator_summary(ctx, bad, full_space(ctx)), BAD_OPERATORS, OPERATOR),
     ("operator_summary", "basis", lambda ctx, bad: operator_summary(ctx, EYE, bad), BAD_OPERATORS,
      r"basis must be a \(4, 4\) array"),
-    ("synthesize_operator", "field", lambda ctx, bad: synthesize_operator(ctx, bad, full_range_function(ctx)),
-     BAD_FIELDS, r"field must be a \(2, 2, 2\) array"),
+    ("synthesize_operator", "field", synthesize_operator, BAD_FIELDS, r"field must be a \(2, 2, 2\) array"),
     # without a context the last axis gives the shape: k square fiber matrices
     ("fiber_summary", "field", lambda ctx, bad: fiber_summary(bad),
      {"list": BAD_FIELDS["list"], "rank": BAD_FIELDS["rank"]}, r"field must be a \(k, k, k\) array"),
