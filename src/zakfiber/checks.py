@@ -1,10 +1,17 @@
-"""The tolerance table and the gate rule behind every verdict.
+"""The tolerance table and the one gate rule behind every verdict.
 
-Every tolerance is one named value below, and every pass/fail decision goes
-through :func:`passes`: a result passes iff ``residual <= tol * max(1, scale)``.
-An absolute gate leaves ``scale`` at 0; a relative gate passes the magnitude
-the residual is measured against. A NaN residual or scale fails, and
-:func:`largest` combines residuals without dropping a NaN, so no gate fails open.
+Every pass/fail decision goes through :func:`passes`: a residual passes iff
+``residual <= tol * scale``, where ``scale`` is the magnitude the residual
+is homogeneous in (each table entry names it). Scaling U by s scales the
+residual and the bound alike, so no verdict depends on the units of U; U = 0
+is the one input with scale 0, where only a residual of exactly 0 passes. A
+NaN residual or scale fails, and :func:`largest` keeps a NaN, so no gate
+fails open. A biconditional (``*_agree``) is a gate at ``tol = 0`` on the
+disagreement. Gates that are not homogeneous stay absolute, ``scale = 1.0``:
+isometry, since ``A^H A - I`` does not scale with A; INVARIANCE, on an
+orthonormal basis; TRANSFORM and ROUNDTRIP, on the check suites'
+unit-variance signals, unit-modulus characters and projections; SYMBOL, on
+symbols ``1 - pairing(d, w)`` of modulus at most 2.
 """
 
 from __future__ import annotations
@@ -13,47 +20,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
-COMMUTE = 1e-10  # commutator entries: U against translations, a fibered operator against characters
-SOLVE = 1e-8  # off-fiber leakage of the field solve
-STRUCT = 1e-9  # isometry and self-adjointness residuals, operator and fiber side
-NORM = 1e-8  # relative to the operator norm: operator norm against the largest fiber norm
-HS = 1e-8  # relative to the entrywise value: HS norm and trace route agreement
-POSITIVITY = 1e-9  # Hermitian gap and (relative) smallest eigenvalue admitting the trace clause
-RANK = 1e-9  # rank cut: singular values above RANK * max(1, sigma_max) count
-INVARIANCE = 1e-9  # distance of a translated basis vector from the span
-SYMBOL = 1e-10  # demo-diffop: fiber symbols against 1 - pairing(d, w), and their scalar form
-TRANSFORM = 1e-10  # check suites: transform isometry (relative), round trip, intertwining, determining set
-ROUNDTRIP = 1e-9  # check suites: range-function and field round trips
+COMMUTE = 1e-10  # commutator entries, against max|U| (max|uhat| for a fibered operator)
+SOLVE = 1e-8  # off-fiber leakage of the field solve, against max|U|
+STRUCT = 1e-9  # isometry (absolute); self-adjointness, against the operator norm or the largest fiber norm
+NORM = 1e-8  # operator norm against the largest fiber norm, relative to the operator norm
+HS = 1e-8  # HS and trace route agreement, against the entrywise HS value and |basis trace|
+POSITIVITY = 1e-9  # Hermitian gap and -lam_min admitting the trace clause, against the operator norm
+RANK = 1e-9  # rank cut: singular values above RANK * the largest of their side count
+INVARIANCE = 1e-9  # distance of a translated basis vector from the span (absolute)
+SYMBOL = 1e-10  # demo-diffop: fiber symbols against 1 - pairing(d, w), and their scalar form (absolute)
+TRANSFORM = 1e-10  # check suites: transform isometry (relative), round trip, intertwining, characters (absolute)
+ROUNDTRIP = 1e-9  # check suites: range-function round trip (absolute), field round trip (against max|field|)
 
 
 @dataclass(frozen=True)
 class Verdict:
-    """One gate decision: the residual, the tolerance it was held to, and a
-    witness locating the failure (None when it passed)."""
+    """One gate decision: the residual, the tolerance and scale it was held
+    to, the bound ``tolerance * scale`` that was applied, the margin
+    ``bound - residual`` (negative on a failure), and a witness locating the
+    failure (None when there is none). Built by :func:`gate`."""
 
     passed: bool
     residual: float
     tolerance: float
+    scale: float
+    bound: float
+    margin: float
     witness: object | None = None
 
     def __bool__(self) -> bool:
         return self.passed
 
-
-def threshold(tol: float, scale=0.0):
-    """The bound a residual measured against scale must not exceed."""
-    return tol * np.maximum(1.0, scale)
+    def to_dict(self) -> dict:
+        return dict(vars(self))
 
 
-def passes(residual, tol: float, scale=0.0):
+def passes(residual, tol: float, scale):
     """The gate rule; a bool for one residual, a boolean array for an array."""
-    ok = np.asarray(residual) <= threshold(tol, scale)
+    ok = np.asarray(residual) <= tol * scale
     return ok if ok.ndim else bool(ok)
 
 
-def gate(residual, tol: float, witness=None) -> Verdict:
-    """The :class:`Verdict` of the absolute gate rule on one residual."""
-    return Verdict(passes(residual, tol), float(residual), float(tol), witness)
+def gate(residual, tol: float, scale, witness=None) -> Verdict:
+    """The :class:`Verdict` of the gate rule on one residual."""
+    residual, tol, scale = float(residual), float(tol), float(scale)
+    bound = tol * scale
+    return Verdict(passes(residual, tol, scale), residual, tol, scale, bound, bound - residual, witness)
 
 
 def largest(values) -> float:

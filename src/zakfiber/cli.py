@@ -39,36 +39,26 @@ from .spaces import full_range_function, range_function, space_from_range
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerance overrides, seed and output routing for one CLI run."""
+    """Tolerance override, seed and output routing for one CLI run."""
 
-    tol_rel: float | None = None
-    tol_abs: float | None = None
+    tol: float | None = None
     seed: int = 0
     json_out: bool = False
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        for name, value in (("tol-rel", self.tol_rel), ("tol-abs", self.tol_abs)):
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValueError(f"--{name} must be finite and positive, got {value}")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"--tol must be finite and positive, got {self.tol}")
         if self.seed < 0:
             raise ValueError(f"--seed must be non-negative, got {self.seed}")
 
-    def rel_tol(self, default: float) -> float:
-        return self.tol_rel if self.tol_rel is not None else default
-
-    def abs_tol(self, default: float) -> float:
-        return self.tol_abs if self.tol_abs is not None else default
+    def tolerance(self, default: float) -> float:
+        """The --tol override if one was given, else the gate's own tolerance."""
+        return self.tol if self.tol is not None else default
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        tol_rel=args.tol_rel,
-        tol_abs=args.tol_abs,
-        seed=args.seed,
-        json_out=args.json,
-        out_path=args.out,
-    )
+    return RunConfig(tol=args.tol, seed=args.seed, json_out=args.json, out_path=args.out)
 
 
 def _load_json(path: str):
@@ -123,22 +113,16 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
     Returns the report body, the verdict and the extracted field (None when
     the pipeline stopped before the field was accepted).
     """
-    report: dict = {}
-    verdict = check_translation_preserving(ctx, u, tol=cfg.abs_tol(checks.COMMUTE))
-    witness_gamma, witness_entry = verdict.witness or (None, None)
-    report["translation_preserving"] = {
-        "passed": verdict.passed,
-        "residual": verdict.residual,
-        "witness_gamma": list(witness_gamma) if witness_gamma else None,
-        "witness_entry": list(witness_entry) if witness_entry else None,
-    }
-    if not verdict:
+    commute = check_translation_preserving(ctx, u, tol=cfg.tolerance(checks.COMMUTE))
+    report = {"translation_preserving": commute.to_dict()}
+    if not commute:
         return report, False, None
     # one basis, the Zak basis Z*, serves the solve and the operator side
     basis = space_from_range(ctx, full_range_function(ctx))
     field, solve_residual = solve_range_field(ctx, u, basis)
-    solve = checks.gate(solve_residual, cfg.abs_tol(checks.SOLVE))
-    report["fiber_solve"] = {"passed": solve.passed, "residual": solve_residual}
+    # the leakage is measured against max|U|, the commutation check's scale
+    solve = checks.gate(solve_residual, cfg.tolerance(checks.SOLVE), commute.scale)
+    report["fiber_solve"] = solve.to_dict()
     if not solve:
         return report, False, None
     report["range_field"] = jsonio.field_to_json(field)
@@ -146,9 +130,9 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
     op = operator_summary(ctx, u, basis)
     fib = fiber_summary(field)
     comparisons = {
-        "norm_identity": norm_identity_report(op, fib, tol=cfg.rel_tol(checks.NORM)),
-        "hs_trace": hs_trace_report(op, fib, tol=cfg.rel_tol(checks.HS)),
-        "structural": structural_flags(op, fib, tol=cfg.abs_tol(checks.STRUCT)),
+        "norm_identity": norm_identity_report(op, fib, tol=cfg.tolerance(checks.NORM)),
+        "hs_trace": hs_trace_report(op, fib, tol=cfg.tolerance(checks.HS)),
+        "structural": structural_flags(op, fib, tol=cfg.tolerance(checks.STRUCT)),
     }
     report.update((name, comparison.to_dict()) for name, comparison in comparisons.items())
     return report, all(comparison.passed for comparison in comparisons.values()), field
@@ -191,11 +175,11 @@ def cmd_demo_diffop(args) -> int:
     if field is None:
         field = np.zeros((0, ctx.n_c, ctx.n_c), dtype=complex)
     symbols = field[:, 0, 0]
-    scalar_residual = checks.largest(np.abs(field - symbols[:, None, None] * np.eye(ctx.n_c)).max(axis=(1, 2)))
-    symbol_residual = checks.largest(abs(s - e) for s, e in zip(symbols, expected)) if symbols.size else math.inf
-    tol = cfg.abs_tol(checks.SYMBOL)
-    symbols_ok = bool(symbols.size) and checks.passes(symbol_residual, tol) and checks.passes(scalar_residual, tol)
-    ok = ok and symbols_ok
+    symbol_gap = checks.largest(abs(s - e) for s, e in zip(symbols, expected)) if symbols.size else math.inf
+    scalar_gap = checks.largest(np.abs(field - symbols[:, None, None] * np.eye(ctx.n_c)).max(axis=(1, 2)))
+    tol = cfg.tolerance(checks.SYMBOL)  # absolute gates: |1 - pairing(d, w)| <= 2
+    symbol_gates = {"symbols": checks.gate(symbol_gap, tol, 1.0), "scalar_fibers": checks.gate(scalar_gap, tol, 1.0)}
+    ok = ok and all(symbol_gates.values())
 
     report = {
         "command": "demo-diffop",
@@ -205,9 +189,7 @@ def cmd_demo_diffop(args) -> int:
         "omega_reps": [list(w) for w in ctx.omega.reps],
         "fiber_symbols": jsonio.matrix_to_json(symbols),
         "expected_symbols": jsonio.matrix_to_json(expected),
-        "symbol_residual": symbol_residual if symbols.size else None,
-        "symbol_scalar_residual": scalar_residual,
-        "symbols_passed": symbols_ok,
+        **{name: verdict.to_dict() for name, verdict in symbol_gates.items()},
         "operator_norm": body.get("norm_identity", {}).get("values", {}).get("operator_norm"),
         "expected_norm": checks.largest(abs(e) for e in expected),
         "seed": cfg.seed,
@@ -219,13 +201,11 @@ def cmd_demo_diffop(args) -> int:
 
 
 def _check_suites(ctx, cfg: RunConfig) -> dict:
+    """Each suite's :class:`checks.Verdict` as a dict."""
     rng = np.random.default_rng(cfg.seed)
     n = ctx.group.size
-    suites: dict[str, dict] = {}
-
-    def record(name: str, residual: float, tolerance: float) -> None:
-        v = checks.gate(residual, tolerance)
-        suites[name] = {"residual": v.residual, "tolerance": v.tolerance, "passed": v.passed}
+    tol = cfg.tolerance
+    suites: dict[str, checks.Verdict] = {}
 
     z = rng.standard_normal((20, 2, n))  # real and imaginary parts, signal by signal
     signals = np.ascontiguousarray((z[:, 0] + 1j * z[:, 1]).T)
@@ -233,10 +213,10 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
 
     norms = np.linalg.norm(signals, axis=0)
     r_iso = (np.abs(np.linalg.norm(fibered, axis=(0, 1)) - norms) / norms).max()
-    record("zak_isometry", r_iso, cfg.rel_tol(checks.TRANSFORM))
+    suites["zak_isometry"] = checks.gate(r_iso, tol(checks.TRANSFORM), 1.0)
 
     r_round = np.abs(zak_inverse(ctx, fibered) - signals).max()
-    record("zak_roundtrip", r_round, cfg.abs_tol(checks.TRANSFORM))
+    suites["zak_roundtrip"] = checks.gate(r_round, tol(checks.TRANSFORM), 1.0)
 
     # T_{s+t} = T_s T_t and the characters multiply, so the generators suffice
     r_inter = checks.largest(
@@ -246,7 +226,7 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
         ).max()
         for t in ctx.gamma.generators or ctx.gamma.elements
     )
-    record("zak_intertwining", r_inter, cfg.abs_tol(checks.TRANSFORM))
+    suites["zak_intertwining"] = checks.gate(r_inter, tol(checks.TRANSFORM), 1.0)
 
     # each generator's character straight from its definition, in floating
     # point from the omega labels: neither the exponent table nor the phase
@@ -256,11 +236,11 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     table = np.column_stack([determining_function(ctx, t) for t in probes])  # (|Omega|, probes)
     terms = np.array(ctx.omega.reps)[:, None, :] * np.array(probes) / np.array(ctx.group.orders)
     r_char = np.abs(table - np.exp(2j * np.pi * (terms % 1.0).sum(axis=-1))).max()
-    record("character_table", r_char, cfg.abs_tol(checks.TRANSFORM))
+    suites["character_table"] = checks.gate(r_char, tol(checks.TRANSFORM), 1.0)
 
     chars = np.column_stack([determining_function(ctx, t) for t in ctx.gamma.elements])
     r_det = np.abs(chars @ chars.conj().T / ctx.gamma.size - np.eye(ctx.n_omega)).max()
-    record("determining_set", r_det, cfg.abs_tol(checks.TRANSFORM))
+    suites["determining_set"] = checks.gate(r_det, tol(checks.TRANSFORM), 1.0)
 
     delta0 = np.zeros(n, dtype=complex)
     delta0[0] = 1.0
@@ -269,23 +249,22 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
         rangefn = range_function(ctx, gens)
         rangefn2 = range_function(ctx, space_from_range(ctx, rangefn))
         gaps += [np.abs(rangefn.projection(wi) - rangefn2.projection(wi)).max() for wi in range(ctx.n_omega)]
-    record("range_roundtrip", checks.largest(gaps), cfg.abs_tol(checks.ROUNDTRIP))
+    suites["range_roundtrip"] = checks.gate(checks.largest(gaps), tol(checks.ROUNDTRIP), 1.0)
 
     z = rng.standard_normal((ctx.n_omega, 2, ctx.n_c, ctx.n_c))
     field = z[:, 0] + 1j * z[:, 1]
     u = synthesize_operator(ctx, field)
     r_bij = np.abs(extract_range_operator(ctx, u) - field).max()
-    record("field_bijection", r_bij, cfg.abs_tol(checks.ROUNDTRIP))
+    suites["field_bijection"] = checks.gate(r_bij, tol(checks.ROUNDTRIP), np.abs(field).max())
 
     # Z U Z*, the fibered form of u: it commutes with multiplication by the
     # characters of Gamma, probed both through the determining set and blockwise
     uhat = zak(ctx, zak(ctx, u).reshape(n, n).conj().T).reshape(n, n).conj().T
-    r_mult = checks.largest(
-        multiplication_preserving_check(ctx, uhat, mode).residual for mode in ("determining-set", "full")
-    )
-    record("multiplication_preserving", r_mult, cfg.abs_tol(checks.COMMUTE))
+    modes = [multiplication_preserving_check(ctx, uhat, mode) for mode in ("determining-set", "full")]
+    r_mult = checks.largest(verdict.residual for verdict in modes)
+    suites["multiplication_preserving"] = checks.gate(r_mult, tol(checks.COMMUTE), modes[0].scale)
 
-    return suites
+    return {name: verdict.to_dict() for name, verdict in suites.items()}
 
 
 def cmd_check(args) -> int:
@@ -306,8 +285,9 @@ def cmd_check(args) -> int:
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--tol-rel", type=float, default=None, help="override relative tolerances")
-    sub.add_argument("--tol-abs", type=float, default=None, help="override absolute tolerances")
+    sub.add_argument(
+        "--tol", type=float, default=None, help="override the gate tolerances (not positivity, rank or invariance)"
+    )
     sub.add_argument("--seed", type=int, default=0, help="random seed for sampled suites")
     sub.add_argument("--json", action="store_true", help="print the JSON report to stdout")
     sub.add_argument("--out", type=str, default=None, help="write the JSON report to a file")

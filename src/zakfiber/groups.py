@@ -70,9 +70,6 @@ class GroupSpec:
     def neg(self, a: Element) -> Element:
         return tuple((-x) % n for x, n in zip(a, self.orders))
 
-    def sub(self, a: Element, b: Element) -> Element:
-        return tuple((x - y) % n for x, y, n in zip(a, b, self.orders))
-
 
 def make_group(orders) -> GroupSpec:
     """Build the group Z_{n_1} x ... x Z_{n_m} from a list of positive orders."""

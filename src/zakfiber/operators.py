@@ -50,25 +50,32 @@ class RangeSolveError(Exception):
 
 @dataclass
 class VerificationReport:
-    """Named residuals, values and verdicts for one identity check; a
-    per-fiber value is a 1-D array indexed by omega."""
+    """One identity check: the verdicts that decide it, and the values they
+    compare. The report passes iff every verdict passes; a one-sided gate
+    that a verdict compares, or that admits a clause, is a value."""
 
-    passed: bool
     verdicts: dict
-    residuals: dict
     values: dict
     witness: object | None = None
     skipped: tuple[str, ...] = ()
 
+    @property
+    def passed(self) -> bool:
+        return all(self.verdicts.values())
+
     def to_dict(self) -> dict:
-        return {
-            "passed": bool(self.passed),
-            "verdicts": {k: bool(v) for k, v in self.verdicts.items()},
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
-            "values": self.values,
-            "witness": self.witness,
-            "skipped": list(self.skipped),
-        }
+        return _plain(
+            {"verdicts": self.verdicts, "values": self.values, "witness": self.witness, "skipped": list(self.skipped)}
+        )
+
+
+def _plain(value):
+    """A report value with every :class:`checks.Verdict` in it written as its dict."""
+    if isinstance(value, checks.Verdict):
+        return value.to_dict()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 def as_operator(ctx: FiberContext, u) -> np.ndarray:
@@ -83,12 +90,13 @@ def check_translation_preserving(ctx: FiberContext, u, tol: float = checks.COMMU
     """Max-entry commutator test against the subgroup generators.
 
     Commuting with the generators implies commuting with every subgroup
-    element, so generators are the only probes needed. A failed verdict
-    stops at the first failing probe t, with witness ``(t, (i, j))`` at the
-    largest commutator entry.
+    element, so generators are the only probes needed. The scale is
+    ``max|U|``. A failed verdict stops at the first failing probe t, with
+    witness ``(t, (i, j))`` at the largest commutator entry.
     """
     u = as_operator(ctx, u)
     g = ctx.group
+    scale = _max_entry(u)
     residuals = []
     for t in ctx.gamma.generators or ctx.gamma.elements:
         # T_t u permutes the rows of u; u T_t = (T_{-t} u^T)^T permutes its
@@ -96,10 +104,10 @@ def check_translation_preserving(ctx: FiberContext, u, tol: float = checks.COMMU
         comm = np.abs(translate(g, u.T, g.neg(t)).T - translate(g, u, t))
         r = comm.max()
         residuals.append(r)
-        if not checks.passes(r, tol):
+        if not checks.passes(r, tol, scale):
             i, j = np.unravel_index(int(np.argmax(comm)), comm.shape)
-            return checks.gate(r, tol, witness=(t, (int(i), int(j))))
-    return checks.gate(checks.largest(residuals), tol)
+            return checks.gate(r, tol, scale, witness=(t, (int(i), int(j))))
+    return checks.gate(checks.largest(residuals), tol, scale)
 
 
 def solve_range_field(ctx: FiberContext, u, basis):
@@ -124,13 +132,14 @@ def extract_range_operator(ctx: FiberContext, u) -> np.ndarray:
 
     Raises :class:`NotTranslationPreservingError` (with the commutator
     witness) when u fails the commutation test, and :class:`RangeSolveError`
-    when the fiber solve leaves an off-fiber residual above ``checks.SOLVE``.
+    when the fiber solve leaves an off-fiber residual above
+    ``checks.SOLVE * max|U|``.
     """
     verdict = check_translation_preserving(ctx, u)
     if not verdict:
         raise NotTranslationPreservingError(verdict)
     field, residual = solve_range_field(ctx, u, space_from_range(ctx, full_range_function(ctx)))
-    if not checks.passes(residual, checks.SOLVE):
+    if not checks.passes(residual, checks.SOLVE, verdict.scale):
         raise RangeSolveError(residual)
     return field
 
@@ -175,22 +184,25 @@ def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determ
     commuting with every element's. ``full`` probes every omega-indicator,
     which is the same as requiring the matrix to be block diagonal over
     omega, and names the largest off-diagonal block ``(wi, wj)``. The two
-    modes agree on every input away from the tolerance edge.
+    modes agree on every input away from the tolerance edge. The scale is
+    ``max|uhat|``.
     """
     nc = ctx.n_c
     uhat = _array(uhat, "fibered operator", (ctx.group.size, ctx.group.size))
+    scale = _max_entry(uhat)
     if mode == "determining-set":
         residuals = []
         for t in ctx.gamma.generators or ctx.gamma.elements:
             diag = np.repeat(determining_function(ctx, t), nc)
             r = np.abs(uhat * diag[None, :] - diag[:, None] * uhat).max()
             residuals.append(r)
-            if not checks.passes(r, checks.COMMUTE):
-                return checks.gate(r, checks.COMMUTE, witness=t)
-        return checks.gate(checks.largest(residuals), checks.COMMUTE)
+            if not checks.passes(r, checks.COMMUTE, scale):
+                return checks.gate(r, checks.COMMUTE, scale, witness=t)
+        return checks.gate(checks.largest(residuals), checks.COMMUTE, scale)
     if mode == "full":
         r, block = _off_block_max(ctx, uhat)
-        return checks.gate(r, checks.COMMUTE, witness=None if checks.passes(r, checks.COMMUTE) else block)
+        passed = checks.passes(r, checks.COMMUTE, scale)
+        return checks.gate(r, checks.COMMUTE, scale, witness=None if passed else block)
     raise ValueError(f"unknown mode {mode!r}; expected 'determining-set' or 'full'")
 
 
@@ -199,11 +211,12 @@ class OperatorSummary:
     """What the reports read of U on the full signal space, built from U and
     the Zak basis B = Z*, never from a field.
 
-    ``norm`` is NaN exactly when U B has a non-finite entry.
+    ``norm`` is NaN exactly when U B has a non-finite entry, and then the
+    singular values are one NaN.
     """
 
     norm: float
-    rank: int
+    singular_values: np.ndarray  # of U B, descending
     hs_entrywise: float  # ||U B||_F^2
     hs_frame: float  # ||U||_F^2, U on the standard basis
     trace_basis: float  # Re tr B^H U B, as an entrywise sum
@@ -218,11 +231,12 @@ class FiberSummary:
     """What the reports read of a field, one entry per fiber, never from the
     operator.
 
-    A fiber norm is NaN exactly when that fiber R(omega) has a non-finite entry.
+    A fiber norm is NaN exactly when that fiber R(omega) has a non-finite
+    entry, and so is each of that fiber's singular values.
     """
 
     norms: np.ndarray  # float64
-    ranks: np.ndarray  # int
+    singular_values: np.ndarray  # (|Omega|, |C|), each row descending
     hs_terms: np.ndarray  # float64
     trace_terms: np.ndarray  # float64
     isometry_residual: float  # largest entry of R^H R - I, over the fibers
@@ -255,7 +269,7 @@ def operator_summary(ctx: FiberContext, u, basis) -> OperatorSummary:
     s = np.linalg.svd(restricted, compute_uv=False) if finite else np.full(1, math.nan)
     return OperatorSummary(
         norm=float(s[0]),
-        rank=int(_rank_cut(s)),
+        singular_values=s,
         hs_entrywise=float(np.linalg.norm(restricted) ** 2),
         hs_frame=float(np.sum(np.abs(u) ** 2)),
         trace_basis=float(np.sum(basis.conj() * restricted).real),
@@ -278,7 +292,7 @@ def fiber_summary(field) -> FiberSummary:
     adjoint = field.conj().swapaxes(1, 2)
     return FiberSummary(
         norms=s.max(axis=1, initial=0.0),
-        ranks=_rank_cut(s),
+        singular_values=s,
         hs_terms=np.sum(field.real**2 + field.imag**2, axis=(1, 2)),
         trace_terms=np.trace(field, axis1=1, axis2=2).real,
         isometry_residual=_max_entry(adjoint @ field - np.eye(field.shape[1])),
@@ -289,14 +303,11 @@ def fiber_summary(field) -> FiberSummary:
 def norm_identity_report(
     op: OperatorSummary, fib: FiberSummary, tol: float = checks.NORM
 ) -> VerificationReport:
-    """Operator norm on the space versus the largest fiber operator norm."""
+    """Operator norm on the space versus the largest fiber operator norm,
+    measured against the operator norm."""
     fiber_max = checks.largest(fib.norms)
-    gap = abs(op.norm - fiber_max)
-    ok = checks.passes(gap, tol, op.norm)
     return VerificationReport(
-        passed=ok,
-        verdicts={"norm_identity": ok},
-        residuals={"norm_gap": gap},
+        verdicts={"norm_identity": checks.gate(abs(op.norm - fiber_max), tol, op.norm)},
         values={"operator_norm": op.norm, "max_fiber_norm": fiber_max, "fiber_norms": fib.norms},
         witness=int(np.argmax(fib.norms)) if fib.norms.size else None,
     )
@@ -307,38 +318,25 @@ def hs_trace_report(op: OperatorSummary, fib: FiberSummary, tol: float = checks.
 
     The squared HS norm of u is compared entrywise through the Zak basis,
     on the standard basis (the full space's Parseval frame), and as a sum of
-    fiber HS norms. When u passes the positivity gate the trace is compared
-    the same three ways; otherwise the trace clause is skipped and flagged.
+    fiber HS norms. When u passes the positivity gates (Hermitian gap and
+    negative smallest eigenvalue against the operator norm) the trace is
+    compared the same three ways; otherwise the trace clause is skipped and
+    flagged.
     """
     hs_values = {"entrywise": op.hs_entrywise, "frame": op.hs_frame, "fiber": float(sum(fib.hs_terms))}
-    hs_res = _pairwise_gap(hs_values.values())
-    hs_ok = checks.passes(hs_res, tol, op.hs_entrywise)
-
-    verdicts = {"hs_agree": hs_ok}
-    residuals = {"hs_pairwise_gap": hs_res}
-    values: dict = {"hs_squared": hs_values, "hs_fiber_terms": fib.hs_terms}
-
-    positive = checks.passes(op.hermitian_gap, checks.POSITIVITY) and checks.passes(
-        -op.min_eigenvalue, checks.POSITIVITY, op.norm
-    )
-    values["positivity"] = {
-        "hermitian_gap": op.hermitian_gap, "min_eigenvalue": op.min_eigenvalue, "positive": positive
+    verdicts = {"hs_agree": checks.gate(_pairwise_gap(hs_values.values()), tol, op.hs_entrywise)}
+    positivity = {
+        "hermitian": checks.gate(op.hermitian_gap, checks.POSITIVITY, op.norm),
+        "semidefinite": checks.gate(-op.min_eigenvalue, checks.POSITIVITY, op.norm),
     }
+    values: dict = {"hs_squared": hs_values, "hs_fiber_terms": fib.hs_terms, "positivity": positivity}
+    positive = all(positivity.values())
     if positive:
         tr_values = {"basis": op.trace_basis, "frame": op.trace_frame, "fiber": float(sum(fib.trace_terms))}
         values["trace_fiber_terms"] = fib.trace_terms
-        tr_res = _pairwise_gap(tr_values.values())
-        tr_ok = checks.passes(tr_res, tol, abs(op.trace_basis))
-        verdicts["trace_agree"] = tr_ok
-        residuals["trace_pairwise_gap"] = tr_res
         values["trace"] = tr_values
-    return VerificationReport(
-        passed=all(verdicts.values()),
-        verdicts=verdicts,
-        residuals=residuals,
-        values=values,
-        skipped=() if positive else ("trace",),
-    )
+        verdicts["trace_agree"] = checks.gate(_pairwise_gap(tr_values.values()), tol, abs(op.trace_basis))
+    return VerificationReport(verdicts=verdicts, values=values, skipped=() if positive else ("trace",))
 
 
 def _pairwise_gap(values) -> float:
@@ -346,43 +344,53 @@ def _pairwise_gap(values) -> float:
     return checks.largest(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1 :])
 
 
+def _rank_decision(s: np.ndarray) -> tuple[np.ndarray, dict]:
+    """The rank of each row of a stack of singular values, and what decided
+    it: the cut, the smallest value kept and the largest dropped (None where
+    there is none)."""
+    keep, cut = _rank_cut(s)
+    kept, dropped = s[keep], s[s <= cut]
+    return keep.sum(axis=-1), {
+        "cut": cut,
+        "smallest_kept": float(kept.min()) if kept.size else None,
+        "largest_dropped": float(dropped.max()) if dropped.size else None,
+    }
+
+
 def structural_flags(
     op: OperatorSummary, fib: FiberSummary, tol: float = checks.STRUCT
 ) -> VerificationReport:
     """Isometry, self-adjointness and rank compared between the two pictures.
 
-    The report passes when the operator-level and fiber-level verdicts agree
-    (both ways of each biconditional) and the rank on the space equals the
-    sum of the fiber ranks.
+    Each side decides isometry (absolute) and self-adjointness (against its
+    own norm), and cuts its rank at its own largest singular value. The
+    report passes when the two sides agree on each biconditional and the
+    rank on the space equals the sum of the fiber ranks.
     """
     # a non-finite field or basis leaves the comparison undefined: no verdict
     # that compares the two sides passes, and no rank is reported
     finite = bool(np.isfinite([op.norm, *fib.norms]).all())
-    iso_op = checks.passes(op.isometry_residual, tol)
-    iso_fib = checks.passes(fib.isometry_residual, tol)
-    sa_op = checks.passes(op.hermitian_gap, tol)
-    sa_fib = checks.passes(fib.selfadjoint_residual, tol)
-    rank_op = op.rank if finite else None
-    fiber_ranks = fib.ranks if finite else None
-    rank_fib = int(fiber_ranks.sum()) if finite else None
-
-    verdicts = {
-        "isometry_operator": iso_op,
-        "isometry_fibers": iso_fib,
-        "isometry_agree": finite and iso_op == iso_fib,
-        "selfadjoint_operator": sa_op,
-        "selfadjoint_fibers": sa_fib,
-        "selfadjoint_agree": finite and sa_op == sa_fib,
-        "rank_agree": finite and rank_op == rank_fib,
+    sides = {
+        "isometry_operator": checks.gate(op.isometry_residual, tol, 1.0),
+        "isometry_fibers": checks.gate(fib.isometry_residual, tol, 1.0),
+        "selfadjoint_operator": checks.gate(op.hermitian_gap, tol, op.norm),
+        "selfadjoint_fibers": checks.gate(fib.selfadjoint_residual, tol, checks.largest(fib.norms)),
+    }
+    rank_op, cut_op = _rank_decision(op.singular_values)
+    fiber_ranks, cut_fib = _rank_decision(fib.singular_values)
+    rank_op, rank_fib = int(rank_op), int(fiber_ranks.sum())
+    disagreements = {
+        "isometry_agree": sides["isometry_operator"].passed != sides["isometry_fibers"].passed,
+        "selfadjoint_agree": sides["selfadjoint_operator"].passed != sides["selfadjoint_fibers"].passed,
+        "rank_agree": abs(rank_op - rank_fib),
     }
     return VerificationReport(
-        passed=verdicts["isometry_agree"] and verdicts["selfadjoint_agree"] and verdicts["rank_agree"],
-        verdicts=verdicts,
-        residuals={
-            "isometry_operator": op.isometry_residual,
-            "isometry_fibers": fib.isometry_residual,
-            "selfadjoint_operator": op.hermitian_gap,
-            "selfadjoint_fibers": fib.selfadjoint_residual,
+        verdicts={name: checks.gate(d if finite else math.nan, 0.0, 1.0) for name, d in disagreements.items()},
+        values={
+            **sides,
+            "rank_operator": rank_op if finite else None,
+            "rank_fiber_sum": rank_fib if finite else None,
+            "fiber_ranks": fiber_ranks if finite else None,
+            "rank_cut": {"operator": cut_op, "fibers": cut_fib},
         },
-        values={"rank_operator": rank_op, "rank_fiber_sum": rank_fib, "fiber_ranks": fiber_ranks},
     )

@@ -50,23 +50,26 @@ class RangeFunction:
         return b @ b.conj().T
 
 
-def _rank_cut(s: np.ndarray):
-    """Number of singular values above checks.RANK * max(1, sigma_max), each
-    row of s sorted descending along its last axis; an int array for a stack."""
-    return np.sum(s > checks.threshold(checks.RANK, s[..., :1]), axis=-1)
+def _rank_cut(s: np.ndarray) -> tuple[np.ndarray, float]:
+    """Which singular values of a stack count toward the rank (those above
+    the cut), and the cut: checks.RANK times the stack's largest finite
+    value, one cut for every block, never a block's own largest."""
+    cut = checks.RANK * float(s[np.isfinite(s)].max(initial=0.0))
+    return s > cut, cut
 
 
 def _column_spans(stacked: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the numerical column span of each stacked matrix.
 
     One SVD over the whole ``(|Omega|, |C|, k)`` stack; per matrix, the left
-    singular directions above its rank cut, each rotated so its
+    singular directions above the stack's rank cut, each rotated so its
     largest-modulus entry is real positive. The rotation keeps
     orthonormality and makes the basis reproducible across LAPACK builds.
     """
+    left, s = np.linalg.svd(stacked, full_matrices=False)[:2]
     spans = []
-    for u, s in zip(*np.linalg.svd(stacked, full_matrices=False)[:2]):
-        u = u[:, : _rank_cut(s)]
+    for u, rank in zip(left, _rank_cut(s)[0].sum(axis=-1)):
+        u = u[:, :rank]
         pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
         spans.append(u * (pivots.conj() / np.abs(pivots)))
     return spans
@@ -119,17 +122,17 @@ def is_translation_invariant(ctx: FiberContext, basis) -> checks.Verdict:
     """
     basis = _array(basis, "basis", (ctx.group.size, None))
     if basis.shape[1] == 0:
-        return checks.gate(0.0, checks.INVARIANCE)
+        return checks.gate(0.0, checks.INVARIANCE, 1.0)
     residuals = []
     for t in ctx.gamma.generators or ctx.gamma.elements:
         shifted = translate(ctx.group, basis, t)
         resid = np.abs(shifted - basis @ (basis.conj().T @ shifted)).max(axis=0)  # per column
-        over = np.flatnonzero(~checks.passes(resid, checks.INVARIANCE))
+        over = np.flatnonzero(~checks.passes(resid, checks.INVARIANCE, 1.0))
         if over.size:
             j = int(over[0])
-            return checks.gate(resid[j], checks.INVARIANCE, witness=(t, j))
+            return checks.gate(resid[j], checks.INVARIANCE, 1.0, witness=(t, j))
         residuals.append(resid.max())
-    return checks.gate(checks.largest(residuals), checks.INVARIANCE)
+    return checks.gate(checks.largest(residuals), checks.INVARIANCE, 1.0)
 
 
 def principal_decomposition(ctx: FiberContext, basis):

@@ -143,7 +143,7 @@ def test_norm_formula(tp_samples):
         for field, u in zip(fields, ops):
             report = norm_identity_report(*summaries(ctx, u, field))
             scale = max(1.0, report.values["operator_norm"])
-            worst = max(worst, report.residuals["norm_gap"] / scale)
+            worst = max(worst, report.verdicts["norm_identity"].residual / scale)
     ok_samples = worst <= 1e-8
 
     g = make_group([8])
@@ -256,9 +256,9 @@ def test_structural_biconditionals_and_rank():
             cases += 1
             if not report.passed:
                 failures += 1
-            if kind == "isometry" and report.verdicts["isometry_operator"]:
+            if kind == "isometry" and report.values["isometry_operator"]:
                 positives_seen["isometry"] += 1
-            if kind == "selfadjoint" and report.verdicts["selfadjoint_operator"]:
+            if kind == "selfadjoint" and report.values["selfadjoint_operator"]:
                 positives_seen["selfadjoint"] += 1
     constructed_ok = (
         positives_seen["isometry"] == 10 * len(BATTERY)

@@ -14,47 +14,62 @@ NAN = float("nan")
 
 class TestPasses:
     def test_absolute_bound_is_inclusive(self):
-        assert checks.passes(1e-10, 1e-10)
-        assert not checks.passes(np.nextafter(1e-10, 1.0), 1e-10)
+        assert checks.passes(1e-10, 1e-10, 1.0)
+        assert not checks.passes(np.nextafter(1e-10, 1.0), 1e-10, 1.0)
 
-    def test_scale_below_one_leaves_the_bound_absolute(self):
-        assert checks.passes(1e-8, 1e-8, scale=1e-6)
-        assert not checks.passes(2e-8, 1e-8, scale=0.5)
+    @pytest.mark.parametrize("scale", [1e-150, 1e-6, 0.5, 1.0, 1e3, 1e150])
+    def test_bound_is_tol_times_scale_at_every_scale(self, scale):
+        # no floor at scale 1: a residual is held to its own magnitude, so a
+        # verdict on s * x equals the verdict on x
+        assert checks.passes(1e-8 * scale, 1e-8, scale)
+        assert not checks.passes(2e-8 * scale, 1e-8, scale)
 
-    def test_scale_above_one_makes_the_bound_relative(self):
-        assert checks.passes(1e-5, 1e-8, scale=1e3)
-        assert not checks.passes(2e-5, 1e-8, scale=1e3)
+    def test_zero_scale_passes_only_a_zero_residual(self):
+        assert checks.passes(0.0, 1e-8, 0.0)
+        assert not checks.passes(5e-324, 1e-8, 0.0)
+
+    def test_scale_is_required(self):
+        with pytest.raises(TypeError):
+            checks.passes(0.0, 1e-8)
+        with pytest.raises(TypeError):
+            checks.gate(0.0, 1e-8)
 
     @pytest.mark.parametrize("residual", [NAN, math.inf])
     def test_non_finite_residual_fails(self, residual):
-        assert checks.passes(residual, 1.0) is False
-        assert checks.passes(residual, 1.0, scale=1e300) is False
+        assert checks.passes(residual, 1.0, 1.0) is False
+        assert checks.passes(residual, 1.0, 1e300) is False
 
     def test_nan_scale_fails(self):
-        assert checks.passes(0.0, 1e-8, scale=NAN) is False
+        assert checks.passes(0.0, 1e-8, NAN) is False
 
     def test_elementwise_on_arrays(self):
-        ok = checks.passes(np.array([0.0, 1e-9, 1.0, NAN]), 1e-9)
+        ok = checks.passes(np.array([0.0, 1e-9, 1.0, NAN]), 1e-9, 1.0)
         assert ok.tolist() == [True, True, False, False]
 
     def test_returns_a_plain_bool(self):
-        assert type(checks.passes(np.float64(0.0), 1e-9)) is bool
+        assert type(checks.passes(np.float64(0.0), 1e-9, 1.0)) is bool
 
 
 class TestGate:
     def test_verdict_records_the_decision(self):
-        verdict = checks.gate(np.float64(3e-9), 1e-9, witness=(1, 2))
-        assert verdict == Verdict(False, 3e-9, 1e-9, (1, 2))
+        verdict = checks.gate(np.float64(3e-9), 1e-9, 2.0, witness=(1, 2))
+        assert verdict == Verdict(False, 3e-9, 1e-9, 2.0, 2e-9, 2e-9 - 3e-9, (1, 2))
         assert not verdict
-        assert type(verdict.residual) is float
+        assert all(type(getattr(verdict, f)) is float for f in ("residual", "tolerance", "scale", "bound", "margin"))
 
     def test_passing_verdict_is_truthy(self):
-        verdict = checks.gate(1e-8, 1e-8)
-        assert verdict and verdict.passed and verdict.witness is None
+        verdict = checks.gate(1e-8, 1e-8, 1.0)
+        assert verdict and verdict.passed and verdict.witness is None and verdict.margin == 0.0
 
     def test_nan_residual_fails(self):
-        verdict = checks.gate(NAN, 1e-8)
-        assert not verdict and math.isnan(verdict.residual)
+        verdict = checks.gate(NAN, 1e-8, 1.0)
+        assert not verdict and math.isnan(verdict.residual) and math.isnan(verdict.margin)
+
+    def test_dict_has_the_seven_fields(self):
+        record = checks.gate(1e-9, 1e-8, 4.0, witness=3).to_dict()
+        assert list(record) == ["passed", "residual", "tolerance", "scale", "bound", "margin", "witness"]
+        assert record["bound"] == record["tolerance"] * record["scale"]
+        assert record["margin"] == record["bound"] - record["residual"]
 
 
 class TestLargest:

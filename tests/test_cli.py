@@ -50,7 +50,8 @@ class TestAnalyze:
         report = read_report(capsys)
         assert code == 1
         assert report["translation_preserving"]["passed"] is False
-        assert report["translation_preserving"]["witness_gamma"] == [2]
+        # the witness is the failing probe of Gamma and the largest commutator entry
+        assert report["translation_preserving"]["witness"][0] == [2]
 
     def test_nan_solve_residual_fails(self, tmp_path, f1_spec, capsys, monkeypatch):
         solve = cli.solve_range_field
@@ -91,8 +92,7 @@ class TestAnalyze:
         assert "pairs of numbers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
-    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
-    def test_non_finite_tolerance_is_usage_error(self, tmp_path, flag, value):
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, value):
         # a non-commuting operator fails at the default tolerances; an
         # infinite or NaN tolerance must not turn that into a pass
         spec = tmp_path / "z8.json"
@@ -100,8 +100,13 @@ class TestAnalyze:
         rng = np.random.default_rng(3)
         op = write_operator(tmp_path, "rand.json", rng.standard_normal((8, 8)))
         assert main(["analyze", str(spec), op]) == 1
-        assert main(["analyze", str(spec), op, flag, value]) == 2
-        assert main(["analyze", str(spec), op, "--tol-abs", value, "--tol-rel", value]) == 2
+        assert main(["analyze", str(spec), op, "--tol", value]) == 2
+
+    @pytest.mark.parametrize("flag", ["--tol-abs", "--tol-rel"])
+    def test_split_tolerance_flags_are_gone(self, f1_spec, flag, capsys):
+        # one --tol overrides every gate tolerance; the old pair is a usage error
+        assert main(["check", f1_spec, flag, "1e-20"]) == 2
+        assert flag in capsys.readouterr().err
 
     def test_text_summary_stays_small(self, tmp_path, capsys):
         # |C| = 32: the range field alone is ~100 kB of JSON
@@ -276,10 +281,10 @@ class TestCheck:
 
     def test_tolerance_gate_below_machine_epsilon(self, f1_spec):
         # float limits make every suite fail at 1e-20
-        assert main(["check", f1_spec, "--tol-abs", "1e-20", "--tol-rel", "1e-20"]) == 1
+        assert main(["check", f1_spec, "--tol", "1e-20"]) == 1
 
     def test_nonpositive_tolerance_is_usage_error(self, f1_spec):
-        assert main(["check", f1_spec, "--tol-abs", "-1"]) == 2
+        assert main(["check", f1_spec, "--tol", "-1"]) == 2
 
 
 class TestContract:
@@ -290,7 +295,7 @@ class TestContract:
     def test_parser_is_built_once(self, f1_spec):
         assert cli.build_parser() is cli.build_parser()
         assert main(["check", f1_spec]) == 0
-        assert main(["check", f1_spec, "--tol-abs", "1e-20"]) == 1
+        assert main(["check", f1_spec, "--tol", "1e-20"]) == 1
         assert main(["check", f1_spec]) == 0
 
     def test_commands_are_looked_up_per_call(self, f1_spec, monkeypatch):
@@ -377,7 +382,8 @@ class TestBlasThreads:
                 assert hs1[kind][route] == pytest.approx(hs2[kind][route], rel=1e-12, abs=0), (kind, route)
         # an eigenvalue is computed to rounding relative to the operator norm,
         # the scale the positivity gate measures it against
-        lam1, lam2 = hs1["positivity"]["min_eigenvalue"], hs2["positivity"]["min_eigenvalue"]
+        # (the semidefinite gate's residual is -min_eigenvalue)
+        lam1, lam2 = (-hs["positivity"]["semidefinite"]["residual"] for hs in (hs1, hs2))
         assert abs(lam1 - lam2) <= 1e-12 * norm
         assert hs1["hs_squared"]["frame"] == hs2["hs_squared"]["frame"]
         assert hs1["trace"]["frame"] == hs2["trace"]["frame"]

@@ -128,7 +128,7 @@ class TestExtract:
         u = rand_signal(rng, 16).reshape(4, 4)
         field, residual = solve_range_field(f1_ctx, u, full_space(f1_ctx))
         assert residual > 1e-3
-        passing = operators.checks.Verdict(True, 0.0, np.inf)
+        passing = operators.checks.gate(0.0, np.inf, 1.0)
         monkeypatch.setattr(operators, "check_translation_preserving", lambda *args: passing)
         with pytest.raises(RangeSolveError):
             extract_range_operator(f1_ctx, u)
@@ -265,7 +265,7 @@ class TestNormIdentity:
         u = np.eye(4, dtype=complex)
         report = norm_identity_report(*summaries(f1_ctx, u, nan_field(f1_ctx, u)))
         assert not report.passed and not report.verdicts["norm_identity"]
-        assert np.isnan(report.values["fiber_norms"][0]) and np.isnan(report.residuals["norm_gap"])
+        assert np.isnan(report.values["fiber_norms"][0]) and np.isnan(report.verdicts["norm_identity"].residual)
         assert report.witness == 0
 
     def test_identity(self, f1_ctx):
@@ -402,11 +402,11 @@ class TestStructuralFlags:
         # report, and it has no fiber rank
         u = 2 * np.eye(4, dtype=complex)
         report = structural_flags(*summaries(f1_ctx, u, nan_field(f1_ctx, u)))
-        assert not report.verdicts["isometry_operator"] and not report.verdicts["isometry_fibers"]
+        assert not report.values["isometry_operator"] and not report.values["isometry_fibers"]
         assert not report.verdicts["isometry_agree"] and not report.verdicts["rank_agree"]
         assert not report.passed
         assert report.values["fiber_ranks"] is None and report.values["rank_fiber_sum"] is None
-        assert np.isnan(report.residuals["isometry_fibers"])
+        assert np.isnan(report.values["isometry_fibers"].residual)
 
     def test_nan_basis_fails(self, f1_ctx):
         # a NaN in the Zak basis makes every value read through it NaN: the
@@ -428,7 +428,7 @@ class TestStructuralFlags:
         field = extract_range_operator(f1_ctx, u)
         report = structural_flags(*summaries(f1_ctx, u, field))
         assert report.passed
-        assert report.verdicts["isometry_operator"] and report.verdicts["isometry_fibers"]
+        assert report.values["isometry_operator"] and report.values["isometry_fibers"]
 
     def test_difference_operator_selfadjoint(self, f1_ctx):
         u = diff_operator(f1_ctx, (2,))
@@ -437,7 +437,7 @@ class TestStructuralFlags:
         field = extract_range_operator(f1_ctx, u)
         report = structural_flags(*summaries(f1_ctx, u, field))
         assert report.passed
-        assert report.verdicts["selfadjoint_operator"] and report.verdicts["selfadjoint_fibers"]
+        assert report.values["selfadjoint_operator"] and report.values["selfadjoint_fibers"]
 
     def test_projection_rank_splits_over_fibers(self, f1_ctx):
         sub = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
@@ -463,8 +463,8 @@ class TestStructuralFlags:
             u = synthesize_operator(f2_ctx, field_in)
             field = extract_range_operator(f2_ctx, u)
             report = structural_flags(*summaries(f2_ctx, u, field))
-            assert report.verdicts["isometry_operator"] is expected
-            assert report.verdicts["isometry_fibers"] is expected
+            assert report.values["isometry_operator"].passed is expected
+            assert report.values["isometry_fibers"].passed is expected
             assert report.verdicts["isometry_agree"]
 
     def test_adjoint_covariance(self, ctx):
@@ -524,21 +524,26 @@ class TestSummaries:
 
     def test_fiber_summary_reads_each_fiber_alone(self, ctx):
         # the stacked SVD against one SVD per fiber, and a NaN fiber is NaN
-        # on its own: its neighbours keep their norms and ranks
+        # on its own: its neighbours keep their norms and spectra
         rng = np.random.default_rng(67)
         field = rand_field(rng, ctx, full_range_function(ctx))
         field[0] = np.outer(field[0, :, 0], field[0, 0])  # a rank-one fiber
         fib = fiber_summary(field)
         spectra = [np.linalg.svd(mat, compute_uv=False) for mat in field]
         assert np.array_equal(fib.norms, [s[0] for s in spectra])
-        assert fib.ranks.tolist() == [int(np.sum(s > 1e-9 * max(1.0, s[0]))) for s in spectra]
-        assert fib.ranks[0] == 1
+        assert np.array_equal(fib.singular_values, spectra)
+        # every fiber is cut at one scale, the largest singular value of all
+        cut = 1e-9 * max(s[0] for s in spectra)
+        ranks = structural_flags(*summaries(ctx, synthesize_operator(ctx, field), field)).values["fiber_ranks"]
+        assert ranks.tolist() == [int(np.sum(s > cut)) for s in spectra]
+        assert ranks[0] == 1
         assert fib.hs_terms == pytest.approx([np.linalg.norm(mat) ** 2 for mat in field], rel=1e-12)
         assert np.array_equal(fib.trace_terms, [np.trace(mat).real for mat in field])
         field[-1, 0, 0] = np.nan
         broken = fiber_summary(field)
         assert np.isnan(broken.norms[-1]) and np.array_equal(broken.norms[:-1], fib.norms[:-1])
-        assert np.array_equal(broken.ranks[:-1], fib.ranks[:-1])
+        assert np.isnan(broken.singular_values[-1]).all()
+        assert np.array_equal(broken.singular_values[:-1], fib.singular_values[:-1])
 
     @pytest.mark.parametrize("hermitian", [False, True], ids=["general", "hermitian-psd"])
     def test_pipeline_takes_each_dense_kernel_once(self, monkeypatch, hermitian):

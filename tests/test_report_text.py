@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from zakfiber import cli, jsonio
+from zakfiber import cli, fiber_context, jsonio, make_group, subgroup_from_generators
 
 from conftest import battery_contexts, rand_tp_operator
 
@@ -150,3 +150,52 @@ def test_pieces_stay_joined(tmp_path, monkeypatch):
         assert len(arrays) >= 12
         bound = 2 * len(arrays) + 1 + sum(a.shape[0] for a in arrays if a.ndim >= 3)
         assert len(list(jsonio.report_chunks(report))) <= bound
+
+
+VERDICT_KEYS = {"passed", "residual", "tolerance", "scale", "bound", "margin", "witness"}
+
+
+def verdict_records(node, path=()):
+    """Every dict below the top level of a report that carries ``passed``."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if isinstance(value, dict) and "passed" in value:
+            yield (*path, key), value
+        yield from verdict_records(value, (*path, key))
+
+
+def same(a, b) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def test_every_verdict_is_one_record(tmp_path):
+    # analyze (commuting, Hermitian PSD and perturbed), demo-diffop and check:
+    # every decision below the top level is a Verdict of exactly seven keys,
+    # with its bound and margin derived from the other fields
+    ctx = fiber_context(make_group([8]), subgroup_from_generators(make_group([8]), [(2,)]))
+    w = rand_tp_operator(np.random.default_rng(8), ctx)
+    operators = {"commuting": w, "psd": w.conj().T @ w, "perturbed": w + 1e-3 * np.eye(8)[::-1]}
+    specs = {
+        "z8": {"orders": [8], "gamma_generators": [[2]]},
+        "z4xz6": {"orders": [4, 6], "gamma_generators": [[1, 0], [0, 2]]},
+    }
+    for name, spec in specs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+    runs = [["demo-diffop", "8", "2"]] + [["check", str(tmp_path / f"{name}.json")] for name in specs]
+    for name, u in operators.items():
+        path = tmp_path / f"op-{name}.json"
+        path.write_text(json.dumps({"matrix": jsonio.matrix_to_json(u)}, default=np.ndarray.tolist))
+        runs.append(["analyze", str(tmp_path / "z8.json"), str(path)])
+    counts = []
+    for argv in runs:
+        out = tmp_path / "report.json"
+        cli.main([*argv, "--out", str(out)])
+        records = list(verdict_records(json.loads(out.read_text())))
+        counts.append(len(records))
+        for path, record in records:
+            assert set(record) == VERDICT_KEYS, (argv, path)
+            assert type(record["passed"]) is bool, (argv, path)
+            assert same(record["bound"], record["tolerance"] * record["scale"]), (argv, path)
+            assert same(record["margin"], record["bound"] - record["residual"]), (argv, path)
+    # demo, two checks, three analyze runs; the perturbed one stops at the commutation check
+    assert counts == [15, 8, 8, 13, 14, 1]
