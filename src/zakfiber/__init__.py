@@ -1,7 +1,7 @@
 """Fiberization of signal spaces on finite abelian groups.
 
 The library represents translation-invariant subspaces by range functions
-(one subspace of the coset fiber space per dual coset) and realizes the
+(one array of fiber projections, one per dual coset) and realizes the
 one-to-one correspondence between translation-commuting operators and
 block-diagonal fields of fiber operators, with verification reports for the
 norm, Hilbert-Schmidt, trace, isometry and self-adjointness identities.
@@ -13,6 +13,7 @@ from .fiberization import (
     determining_function,
     fiber_context,
     zak,
+    zak_basis,
     zak_inverse,
     zak_matrix,
 )
@@ -46,8 +47,6 @@ from .operators import (
 )
 from .spaces import (
     NotTranslationInvariantError,
-    RangeFunction,
-    full_range_function,
     is_translation_invariant,
     principal_decomposition,
     range_function,
@@ -60,7 +59,6 @@ __all__ = [
     "GroupSpec",
     "NotTranslationInvariantError",
     "NotTranslationPreservingError",
-    "RangeFunction",
     "RangeSolveError",
     "Subgroup",
     "Transversal",
@@ -73,7 +71,6 @@ __all__ = [
     "extract_range_operator",
     "fiber_context",
     "fiber_summary",
-    "full_range_function",
     "hs_trace_report",
     "is_translation_invariant",
     "make_group",
@@ -93,6 +90,7 @@ __all__ = [
     "translation_matrix",
     "transversal",
     "zak",
+    "zak_basis",
     "zak_inverse",
     "zak_matrix",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, jsonio
-from .fiberization import fiber_context, determining_function, zak, zak_inverse
+from .fiberization import fiber_context, determining_function, zak, zak_basis, zak_inverse
 from .groups import make_group, pairing, subgroup_from_generators, translate, translation_matrix
 from .operators import (
     check_translation_preserving,
@@ -34,7 +34,7 @@ from .operators import (
     structural_flags,
     synthesize_operator,
 )
-from .spaces import full_range_function, range_function, space_from_range
+from .spaces import range_function, space_from_range
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
     if not commute:
         return report, False, None
     # one basis, the Zak basis Z*, serves the solve and the operator side
-    basis = space_from_range(ctx, full_range_function(ctx))
+    basis = zak_basis(ctx)
     field, solve_residual = solve_range_field(ctx, u, basis)
     # the leakage is measured against max|U|, the commutation check's scale
     solve = checks.gate(solve_residual, cfg.tolerance(checks.SOLVE), commute.scale)
@@ -172,11 +172,13 @@ def cmd_demo_diffop(args) -> int:
 
     body, ok, field = _pipeline(ctx, u, cfg)
     expected = [1.0 - pairing(g, step, w) for w in ctx.omega.reps]
-    if field is None:
-        field = np.zeros((0, ctx.n_c, ctx.n_c), dtype=complex)
-    symbols = field[:, 0, 0]
-    symbol_gap = checks.largest(abs(s - e) for s, e in zip(symbols, expected)) if symbols.size else math.inf
-    scalar_gap = checks.largest(np.abs(field - symbols[:, None, None] * np.eye(ctx.n_c)).max(axis=(1, 2)))
+    if field is None:  # no field to read: neither gate passes on no fibers
+        symbols = np.zeros(0, dtype=complex)
+        symbol_gap = scalar_gap = math.inf
+    else:
+        symbols = field[:, 0, 0]
+        symbol_gap = checks.largest(abs(s - e) for s, e in zip(symbols, expected))
+        scalar_gap = checks.largest(np.abs(field - symbols[:, None, None] * np.eye(ctx.n_c)).max(axis=(1, 2)))
     tol = cfg.tolerance(checks.SYMBOL)  # absolute gates: |1 - pairing(d, w)| <= 2
     symbol_gates = {"symbols": checks.gate(symbol_gap, tol, 1.0), "scalar_fibers": checks.gate(scalar_gap, tol, 1.0)}
     ok = ok and all(symbol_gates.values())
@@ -224,7 +226,7 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
             zak(ctx, translate(ctx.group, signals[:, :5], t))
             - determining_function(ctx, t)[:, None, None] * fibered[..., :5]
         ).max()
-        for t in ctx.gamma.generators or ctx.gamma.elements
+        for t in ctx.gamma.probes
     )
     suites["zak_intertwining"] = checks.gate(r_inter, tol(checks.TRANSFORM), 1.0)
 
@@ -232,9 +234,8 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     # point from the omega labels: neither the exponent table nor the phase
     # table the transform reads, so a wrong sign or label in those shows here.
     # Each term t_j w_j / n_j is reduced mod 1 before the sum is scaled by 2 pi.
-    probes = ctx.gamma.generators or ctx.gamma.elements
-    table = np.column_stack([determining_function(ctx, t) for t in probes])  # (|Omega|, probes)
-    terms = np.array(ctx.omega.reps)[:, None, :] * np.array(probes) / np.array(ctx.group.orders)
+    table = np.column_stack([determining_function(ctx, t) for t in ctx.gamma.probes])  # (|Omega|, probes)
+    terms = np.array(ctx.omega.reps)[:, None, :] * np.array(ctx.gamma.probes) / np.array(ctx.group.orders)
     r_char = np.abs(table - np.exp(2j * np.pi * (terms % 1.0).sum(axis=-1))).max()
     suites["character_table"] = checks.gate(r_char, tol(checks.TRANSFORM), 1.0)
 
@@ -247,8 +248,7 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     gaps = []
     for gens in (delta0[:, None], signals[:, :2]):
         rangefn = range_function(ctx, gens)
-        rangefn2 = range_function(ctx, space_from_range(ctx, rangefn))
-        gaps += [np.abs(rangefn.projection(wi) - rangefn2.projection(wi)).max() for wi in range(ctx.n_omega)]
+        gaps.append(np.abs(rangefn - range_function(ctx, space_from_range(ctx, rangefn))).max())
     suites["range_roundtrip"] = checks.gate(checks.largest(gaps), tol(checks.ROUNDTRIP), 1.0)
 
     z = rng.standard_normal((ctx.n_omega, 2, ctx.n_c, ctx.n_c))

@@ -133,6 +133,13 @@ def zak_inverse(ctx: FiberContext, fibers) -> np.ndarray:
     return out.T
 
 
+def zak_basis(ctx: FiberContext) -> np.ndarray:
+    """The Zak basis Z* of the full signal space, a ``(|G|, |G|)`` matrix whose
+    column omega*|C| + c has the one nonzero fiber entry 1 at (omega, c)."""
+    n = ctx.group.size
+    return zak_inverse(ctx, np.eye(n, dtype=complex).reshape(ctx.fiber_shape() + (n,)))
+
+
 def zak_matrix(ctx: FiberContext) -> np.ndarray:
     """The unitary matrix of the fiberization, rows flattened as omega*|C| + c.
 

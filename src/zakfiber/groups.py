@@ -137,6 +137,11 @@ class Subgroup:
     def size(self) -> int:
         return len(self.elements)
 
+    @property
+    def probes(self) -> tuple[Element, ...]:
+        """What a translation check probes: the generators, or the trivial subgroup's one element."""
+        return self.generators or self.elements
+
     def __contains__(self, x) -> bool:
         return tuple(x) in self._members
 

@@ -155,11 +155,6 @@ def report_chunks(report):
         yield "".join(pieces)
 
 
-def report_text(report) -> str:
-    """The report text of :func:`report_chunks` as one string."""
-    return "".join(report_chunks(report))
-
-
 def _template(shape, newline: str) -> str:
     """The brackets and indentation of a box of the given shape, one ``{}`` per leaf."""
     template = "{}"

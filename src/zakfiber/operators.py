@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks
-from .fiberization import FiberContext, determining_function, zak, zak_inverse
+from .fiberization import FiberContext, determining_function, zak, zak_basis, zak_inverse
 from .groups import _array, translate
-from .spaces import _rank_cut, full_range_function, space_from_range
+from .spaces import _rank_cut
 
 
 class NotTranslationPreservingError(Exception):
@@ -98,7 +98,7 @@ def check_translation_preserving(ctx: FiberContext, u, tol: float = checks.COMMU
     g = ctx.group
     scale = _max_entry(u)
     residuals = []
-    for t in ctx.gamma.generators or ctx.gamma.elements:
+    for t in ctx.gamma.probes:
         # T_t u permutes the rows of u; u T_t = (T_{-t} u^T)^T permutes its
         # columns. Both are exact gathers, so no translation matrix is formed.
         comm = np.abs(translate(g, u.T, g.neg(t)).T - translate(g, u, t))
@@ -112,7 +112,7 @@ def check_translation_preserving(ctx: FiberContext, u, tol: float = checks.COMMU
 
 def solve_range_field(ctx: FiberContext, u, basis):
     """Fiberwise solve for the field of u, given the ``(|G|, |G|)`` Zak basis
-    B = Z*, ``space_from_range(ctx, full_range_function(ctx))``.
+    B = Z*, ``zak_basis(ctx)``.
 
     Returns ``(field, residual)``: the diagonal |C| x |C| blocks of
     Z U Z* = zak(U B) as the ``(|Omega|, |C|, |C|)`` field, and the largest
@@ -138,7 +138,7 @@ def extract_range_operator(ctx: FiberContext, u) -> np.ndarray:
     verdict = check_translation_preserving(ctx, u)
     if not verdict:
         raise NotTranslationPreservingError(verdict)
-    field, residual = solve_range_field(ctx, u, space_from_range(ctx, full_range_function(ctx)))
+    field, residual = solve_range_field(ctx, u, zak_basis(ctx))
     if not checks.passes(residual, checks.SOLVE, verdict.scale):
         raise RangeSolveError(residual)
     return field
@@ -192,7 +192,7 @@ def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determ
     scale = _max_entry(uhat)
     if mode == "determining-set":
         residuals = []
-        for t in ctx.gamma.generators or ctx.gamma.elements:
+        for t in ctx.gamma.probes:
             diag = np.repeat(determining_function(ctx, t), nc)
             r = np.abs(uhat * diag[None, :] - diag[:, None] * uhat).max()
             residuals.append(r)
@@ -250,7 +250,7 @@ def _max_entry(mat: np.ndarray) -> float:
 
 def operator_summary(ctx: FiberContext, u, basis) -> OperatorSummary:
     """Summarize u on the full signal space, given the ``(|G|, |G|)`` Zak
-    basis B = Z*, ``space_from_range(ctx, full_range_function(ctx))``.
+    basis B = Z*, ``zak_basis(ctx)``.
 
     Three readings of u, none through a field: the frame route reads u on
     the standard basis, the entrywise route reads U B, and the self-adjoint

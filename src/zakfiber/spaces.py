@@ -1,14 +1,12 @@
 """Translation-invariant subspaces represented fiberwise by range functions.
 
 A family of signals (generators, bases, frames) is one ``(|G|, k)`` ndarray
-with one signal per column. A range function keeps a tuple of per-omega
-bases, because their widths differ from fiber to fiber; on a context it
-must have one ``(|C|, k)`` basis per omega.
+with one signal per column. A range function is one ``(|Omega|, |C|, |C|)``
+ndarray, the field of the orthogonal projections onto the space's fibers,
+so fibers of different dimensions share one array.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,26 +26,6 @@ class NotTranslationInvariantError(ValueError):
             f"space is not translation invariant: translating basis column "
             f"{witness_column} by {witness_gamma!r} leaves the span (residual {residual:.3e})"
         )
-
-
-@dataclass(frozen=True, eq=False)
-class RangeFunction:
-    """One orthonormal basis matrix per omega; zero-dimensional fibers keep
-    an explicit |C| x 0 matrix so sums over omega stay total."""
-
-    bases: tuple[np.ndarray, ...]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(b.shape[1] for b in self.bases)
-
-    @property
-    def dim_total(self) -> int:
-        return sum(self.dims)
-
-    def projection(self, omega_index: int) -> np.ndarray:
-        b = self.bases[omega_index]
-        return b @ b.conj().T
 
 
 def _rank_cut(s: np.ndarray) -> tuple[np.ndarray, float]:
@@ -75,41 +53,29 @@ def _column_spans(stacked: np.ndarray) -> list[np.ndarray]:
     return spans
 
 
-def _check_fits(ctx: FiberContext, rangefn: RangeFunction) -> None:
-    """Require one ``(|C|, k)`` basis per omega of the context."""
-    if len(rangefn.bases) != ctx.n_omega:
-        raise ValueError(f"range function has {len(rangefn.bases)} fibers, the context {ctx.n_omega}")
-    for basis in rangefn.bases:
-        _array(basis, "range function basis", (ctx.n_c, None))
-
-
-def range_function(ctx: FiberContext, generators) -> RangeFunction:
-    """Per-omega orthonormalized span of the fibers of the generators, the
-    columns of a ``(|G|, k)`` matrix; k = 0 yields the zero range function."""
+def range_function(ctx: FiberContext, generators) -> np.ndarray:
+    """Per omega, the projection onto the span of the fibers of the generators
+    (the columns of a ``(|G|, k)`` matrix) above the stack's rank cut; k = 0
+    yields the zero range function."""
     generators = _array(generators, "generators", (ctx.group.size, None))
-    # zak(...)[wi] holds the omega-fibers of all generators as columns
-    return RangeFunction(tuple(_column_spans(zak(ctx, generators))))
+    # zak(...)[wi] holds the omega-fibers of all generators as columns; a
+    # projection does not depend on which singular directions span its range
+    left, s = np.linalg.svd(zak(ctx, generators), full_matrices=False)[:2]
+    spans = left * _rank_cut(s)[0][:, None, :]
+    return spans @ spans.conj().swapaxes(-1, -2)
 
 
-def full_range_function(ctx: FiberContext) -> RangeFunction:
-    """The range function of the whole signal space: every fiber is full."""
-    eye = np.eye(ctx.n_c, dtype=complex)
-    return RangeFunction(tuple(eye.copy() for _ in range(ctx.n_omega)))
-
-
-def space_from_range(ctx: FiberContext, rangefn: RangeFunction) -> np.ndarray:
+def space_from_range(ctx: FiberContext, rangefn) -> np.ndarray:
     """Orthonormal basis (as matrix columns) of the signals whose fibers lie
-    in the range function, ordered by omega then by basis column.
-
-    Each basis vector is supported on a single fiber, which downstream fiber
-    solves rely on.
+    in the range function, ordered by omega; dim V columns in all, each
+    supported on a single fiber.
     """
-    _check_fits(ctx, rangefn)
-    fibers = np.zeros(ctx.fiber_shape() + (rangefn.dim_total,), dtype=complex)
-    col = 0
-    for wi, basis in enumerate(rangefn.bases):
-        fibers[wi, :, col : col + basis.shape[1]] = basis
-        col += basis.shape[1]
+    rangefn = _array(rangefn, "range function", ctx.fiber_shape() + (ctx.n_c,))
+    values, vectors = np.linalg.eigh(rangefn)
+    # a projection's eigenvalues are 0 or 1, so 1/2 is no tolerance
+    wi, col = np.nonzero(values > 0.5)
+    fibers = np.zeros(ctx.fiber_shape() + (wi.size,), dtype=complex)
+    fibers[wi, :, np.arange(wi.size)] = vectors[wi, :, col]
     return zak_inverse(ctx, fibers)
 
 
@@ -124,7 +90,7 @@ def is_translation_invariant(ctx: FiberContext, basis) -> checks.Verdict:
     if basis.shape[1] == 0:
         return checks.gate(0.0, checks.INVARIANCE, 1.0)
     residuals = []
-    for t in ctx.gamma.generators or ctx.gamma.elements:
+    for t in ctx.gamma.probes:
         shifted = translate(ctx.group, basis, t)
         resid = np.abs(shifted - basis @ (basis.conj().T @ shifted)).max(axis=0)  # per column
         over = np.flatnonzero(~checks.passes(resid, checks.INVARIANCE, 1.0))
@@ -144,6 +110,8 @@ def principal_decomposition(ctx: FiberContext, basis):
     allows it and a zero fiber otherwise. Consequences, enforced by tests: every nonzero fiber has
     unit norm, for fixed omega the nonzero fibers are orthonormal, and the
     translate families of distinct generators are mutually orthogonal.
+    Where fiber singular values are degenerate, as on the full space, rounding
+    in the SVD picks which rotation of the valid generators is returned.
     """
     verdict = is_translation_invariant(ctx, basis)
     if not verdict:

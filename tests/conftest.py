@@ -9,12 +9,11 @@ from zakfiber import (
     all_subgroups,
     fiber_context,
     fiber_summary,
-    full_range_function,
     make_group,
     operator_summary,
-    space_from_range,
     subgroup_from_generators,
     synthesize_operator,
+    zak_basis,
 )
 
 # Orders 4, 8, 12 and 16, with one non-cyclic group; every subgroup of each.
@@ -80,27 +79,23 @@ def rand_signal(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def full_range(context):
+    """The range function of the whole signal space: the identity on every fiber."""
+    return np.tile(np.eye(context.n_c, dtype=complex), (context.n_omega, 1, 1))
+
+
 def rand_field(rng, context, rangefn):
-    """Random field supported on the range function: Y B* per fiber."""
-    mats = []
-    for basis in rangefn.bases:
-        d = basis.shape[1]
-        y = rand_signal(rng, context.n_c * d).reshape(context.n_c, d) if d else np.zeros((context.n_c, 0))
-        mats.append(y @ basis.conj().T)
-    return np.stack(mats)
+    """Random field supported on the range function: Y P(omega) per fiber."""
+    nc = context.n_c
+    return np.stack([rand_signal(rng, nc * nc).reshape(nc, nc) @ projection for projection in rangefn])
 
 
 def rand_tp_operator(rng, context):
     """Random translation-commuting operator, synthesized from a dense field."""
-    return synthesize_operator(context, rand_field(rng, context, full_range_function(context)))
-
-
-def full_space(context):
-    """The Zak basis Z* of the full signal space, a ``(|G|, |G|)`` matrix."""
-    return space_from_range(context, full_range_function(context))
+    return synthesize_operator(context, rand_field(rng, context, full_range(context)))
 
 
 def summaries(context, u, field):
     """The operator summary of u, through the Zak basis of the full space,
     and the fiber summary of its field."""
-    return operator_summary(context, u, full_space(context)), fiber_summary(field)
+    return operator_summary(context, u, zak_basis(context)), fiber_summary(field)

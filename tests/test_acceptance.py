@@ -15,7 +15,6 @@ from zakfiber import (
     determining_function,
     extract_range_operator,
     fiber_context,
-    full_range_function,
     hs_trace_report,
     make_group,
     multiplication_preserving_check,
@@ -32,11 +31,12 @@ from zakfiber import (
     translate_parseval_frame,
     translation_matrix,
     zak,
+    zak_basis,
     zak_matrix,
 )
 from zakfiber.cli import main
 
-from conftest import battery_contexts, delta, rand_field, rand_signal, summaries
+from conftest import battery_contexts, delta, full_range, rand_field, rand_signal, summaries
 
 BATTERY = battery_contexts()
 
@@ -53,10 +53,9 @@ def tp_samples():
     samples = []
     for label, ctx in BATTERY:
         rng = np.random.default_rng(zlib.crc32(label.encode()))
-        rangefn = full_range_function(ctx)
-        fields = [rand_field(rng, ctx, rangefn) for _ in range(50)]
+        fields = [rand_field(rng, ctx, full_range(ctx)) for _ in range(50)]
         ops = [synthesize_operator(ctx, f) for f in fields]
-        samples.append((label, ctx, space_from_range(ctx, rangefn), fields, ops))
+        samples.append((label, ctx, zak_basis(ctx), fields, ops))
     return samples
 
 
@@ -172,7 +171,7 @@ def test_hs_norm_and_trace_routes():
     worst_hs, worst_tr = 0.0, 0.0
     for label, ctx in BATTERY:
         rng = np.random.default_rng(404)
-        rangefn = full_range_function(ctx)
+        rangefn = full_range(ctx)
         n = ctx.group.size
         generators = principal_decomposition(ctx, np.eye(n, dtype=complex))
         frame = translate_parseval_frame(ctx, generators)
@@ -201,30 +200,18 @@ def test_hs_norm_and_trace_routes():
     )
 
 
-def _unitary_fiber_field(rng, ctx, rangefn):
-    mats = []
-    for basis in rangefn.bases:
-        d = basis.shape[1]
-        if d:
-            q, _ = np.linalg.qr(rand_signal(rng, ctx.n_c * d).reshape(ctx.n_c, d))
-            mats.append(q[:, :d] @ basis.conj().T)
-        else:
-            mats.append(np.zeros((ctx.n_c, ctx.n_c), dtype=complex))
-    return np.stack(mats)
+def _unitary_fiber_field(rng, ctx):
+    """A random unitary |C| x |C| matrix on every fiber."""
+    nc = ctx.n_c
+    return np.stack([np.linalg.qr(rand_signal(rng, nc * nc).reshape(nc, nc))[0] for _ in range(ctx.n_omega)])
 
 
-def _hermitian_fiber_field(rng, ctx, rangefn, rank=None):
-    mats = []
-    for basis in rangefn.bases:
-        d = basis.shape[1]
-        if d:
-            r = d if rank is None else min(rank, d)
-            half = rand_signal(rng, d * r).reshape(d, r)
-            h = half @ half.conj().T
-            mats.append(basis @ h @ basis.conj().T)
-        else:
-            mats.append(np.zeros((ctx.n_c, ctx.n_c), dtype=complex))
-    return np.stack(mats)
+def _hermitian_fiber_field(rng, ctx, rank=None):
+    """A random positive semidefinite matrix of the given rank (full by default) on every fiber."""
+    nc = ctx.n_c
+    r = nc if rank is None else min(rank, nc)
+    halves = [rand_signal(rng, nc * r).reshape(nc, r) for _ in range(ctx.n_omega)]
+    return np.stack([half @ half.conj().T for half in halves])
 
 
 def test_structural_biconditionals_and_rank():
@@ -236,17 +223,17 @@ def test_structural_biconditionals_and_rank():
     positives_seen = {"isometry": 0, "selfadjoint": 0}
     for label, ctx in BATTERY:
         rng = np.random.default_rng(505)
-        rangefn = full_range_function(ctx)
+        rangefn = full_range(ctx)
         fields = []
         for i in range(20):  # positive cases: 10 unitary, 10 hermitian fields
             if i % 2 == 0:
-                fields.append(("isometry", _unitary_fiber_field(rng, ctx, rangefn)))
+                fields.append(("isometry", _unitary_fiber_field(rng, ctx)))
             else:
-                fields.append(("selfadjoint", _hermitian_fiber_field(rng, ctx, rangefn)))
+                fields.append(("selfadjoint", _hermitian_fiber_field(rng, ctx)))
         for i in range(20):  # negative cases, some of them rank deficient
             rank = 1 if (i % 4 == 0 and ctx.n_c > 1) else None
             if rank:
-                fields.append((None, _hermitian_fiber_field(rng, ctx, rangefn, rank=rank)))
+                fields.append((None, _hermitian_fiber_field(rng, ctx, rank=rank)))
             else:
                 fields.append((None, rand_field(rng, ctx, rangefn)))
         for kind, field_in in fields:
@@ -286,10 +273,8 @@ def test_invariant_space_machinery():
         for gens in gen_sets:
             rangefn = range_function(ctx, gens)
             basis = space_from_range(ctx, rangefn)
-            redone = range_function(ctx, basis)
-            for b1, b2 in zip(rangefn.bases, redone.bases):
-                gap = np.abs(b1 @ b1.conj().T - b2 @ b2.conj().T).max()
-                worst_proj = max(worst_proj, float(gap))
+            gap = np.abs(rangefn - range_function(ctx, basis)).max()
+            worst_proj = max(worst_proj, float(gap))
 
             generators = principal_decomposition(ctx, basis)
             for phi in generators.T:

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zakfiber import cli, fiber_context, full_range_function, jsonio, make_group, subgroup_from_generators
+from zakfiber import cli, fiber_context, jsonio, make_group, subgroup_from_generators
 from zakfiber.cli import main
 
-from conftest import rand_field, rand_tp_operator
+from conftest import full_range, rand_field, rand_tp_operator
 
 
 @pytest.fixture
@@ -157,6 +158,17 @@ class TestDemoDiffop:
         assert code == 0
         assert all(abs(complex(re, im)) <= 1e-12 for re, im in report["fiber_symbols"])
         assert report["operator_norm"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("modulus, step", [(8, 2), (128, 1), (256, 4)])
+    def test_no_field_fails_both_symbol_gates(self, capsys, modulus, step):
+        # the solve fails at this tolerance, so there is no field: neither
+        # gate may pass on no fibers (scalar_fibers once passed with residual 0)
+        code = main(["demo-diffop", str(modulus), str(step), "--tol", "1e-20", "--json"])
+        report = read_report(capsys)
+        assert code == 1 and not report["fiber_solve"]["passed"]
+        assert report["fiber_symbols"] == []
+        for gate in ("symbols", "scalar_fibers"):
+            assert report[gate]["passed"] is False and report[gate]["residual"] == math.inf
 
     def test_small_modulus_is_input_error(self):
         assert main(["demo-diffop", "1", "1"]) == 2
@@ -410,7 +422,7 @@ class TestStreamedReport:
         g = make_group([256])
         ctx = fiber_context(g, subgroup_from_generators(g, [(128,)]))
         assert (ctx.n_omega, ctx.n_c) == (2, 128)
-        field = rand_field(np.random.default_rng(5), ctx, full_range_function(ctx))
+        field = rand_field(np.random.default_rng(5), ctx, full_range(ctx))
         field_bytes = field.nbytes
         cfg = cli.RunConfig(json_out=True, out_path=str(tmp_path / "r.json"))
         with open(tmp_path / "stdout.json", "w", encoding="utf-8") as stdout, contextlib.redirect_stdout(stdout):

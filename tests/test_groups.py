@@ -194,6 +194,15 @@ class TestSubgroups:
                 for b in sub.elements:
                     assert g.add(a, b) in sub
 
+    def test_probes_are_the_generators_or_the_one_element(self):
+        # a translation check probes the generators; the trivial subgroup has
+        # none, so its one element stands in
+        g = make_group([4, 2])
+        assert all_subgroups(g)[0].probes == ((0, 0),)
+        assert subgroup_from_generators(g, []).probes == ((0, 0),)
+        assert subgroup_from_generators(g, [(2, 1), (0, 1)]).probes == ((2, 1), (0, 1))
+        assert all(sub.probes == sub.generators for sub in all_subgroups(g)[1:])
+
     def test_subgroup_counts(self):
         # divisor counts for cyclic groups, five subgroups of the Klein group
         assert len(all_subgroups(make_group([4]))) == 3

@@ -8,12 +8,11 @@ import pytest
 from zakfiber import jsonio
 from zakfiber import (
     fiber_context,
-    full_range_function,
     make_group,
     subgroup_from_generators,
 )
 
-from conftest import rand_field, rand_signal
+from conftest import full_range, rand_field, rand_signal
 
 
 @pytest.fixture
@@ -107,8 +106,7 @@ def test_operator_rejects_wrong_shape(z8_ctx):
 
 def test_field_roundtrip(z8_ctx):
     rng = np.random.default_rng(72)
-    rangefn = full_range_function(z8_ctx)
-    field = rand_field(rng, z8_ctx, rangefn)
+    field = rand_field(rng, z8_ctx, full_range(z8_ctx))
     obj = _reload(jsonio.field_to_json(field))
     assert sorted(obj) == ["matrices"]
     assert len(obj["matrices"]) == z8_ctx.n_omega

@@ -13,7 +13,6 @@ from zakfiber import (
     extract_range_operator,
     fiber_context,
     fiber_summary,
-    full_range_function,
     hs_trace_report,
     make_group,
     multiplication_preserving_check,
@@ -30,12 +29,13 @@ from zakfiber import (
     translate_parseval_frame,
     translation_matrix,
     zak,
+    zak_basis,
     zak_matrix,
 )
 
 from zakfiber import cli, operators, spaces
 
-from conftest import battery_contexts, delta, full_space, rand_field, rand_signal, rand_tp_operator, summaries
+from conftest import battery_contexts, delta, full_range, rand_field, rand_signal, rand_tp_operator, summaries
 
 
 def diff_operator(ctx, step):
@@ -68,7 +68,7 @@ class TestCheckTranslationPreserving:
             u = rand_signal(rng, g.size * g.size).reshape(g.size, g.size)
             verdict = check_translation_preserving(ctx, u)
             worst, witness = 0.0, (None, None)
-            for t in ctx.gamma.generators or ctx.gamma.elements:
+            for t in ctx.gamma.probes:
                 tmat = translation_matrix(g, t)
                 comm = np.abs(u @ tmat - tmat @ u)
                 worst = max(worst, float(comm.max()))
@@ -126,7 +126,7 @@ class TestExtract:
         # skip the commutation gate to reach the solve residual detector
         rng = np.random.default_rng(51)
         u = rand_signal(rng, 16).reshape(4, 4)
-        field, residual = solve_range_field(f1_ctx, u, full_space(f1_ctx))
+        field, residual = solve_range_field(f1_ctx, u, zak_basis(f1_ctx))
         assert residual > 1e-3
         passing = operators.checks.gate(0.0, np.inf, 1.0)
         monkeypatch.setattr(operators, "check_translation_preserving", lambda *args: passing)
@@ -134,7 +134,7 @@ class TestExtract:
             extract_range_operator(f1_ctx, u)
 
     def test_nan_solve_residual_is_a_failure(self, f1_ctx, monkeypatch):
-        field, _ = solve_range_field(f1_ctx, np.eye(4, dtype=complex), full_space(f1_ctx))
+        field, _ = solve_range_field(f1_ctx, np.eye(4, dtype=complex), zak_basis(f1_ctx))
         monkeypatch.setattr(operators, "solve_range_field", lambda *args: (field, float("nan")))
         with pytest.raises(RangeSolveError):
             extract_range_operator(f1_ctx, np.eye(4, dtype=complex))
@@ -176,10 +176,9 @@ class TestSynthesize:
 
     def test_bijection_roundtrips(self, ctx):
         rng = np.random.default_rng(53)
-        rangefn = full_range_function(ctx)
-        basis = space_from_range(ctx, rangefn)
+        basis = zak_basis(ctx)
         for _ in range(5):
-            field = rand_field(rng, ctx, rangefn)
+            field = rand_field(rng, ctx, full_range(ctx))
             u = synthesize_operator(ctx, field)
             recovered = extract_range_operator(ctx, u)
             for a, b in zip(recovered, field):
@@ -189,13 +188,12 @@ class TestSynthesize:
 
 
 def subspace_fields(ctx, seed):
-    """The range function J of one random generator, its fiber projections
-    P_J, and two fields that vanish off J: R = Y P_J and P_J M P_J."""
+    """The range function of one random generator, the fiber projections P_J
+    onto its J(omega), and two fields that vanish off J: R = Y P_J and P_J M P_J."""
     rng = np.random.default_rng(seed)
-    sub = range_function(ctx, rand_signal(rng, ctx.group.size)[:, None])
-    projections = np.stack([sub.projection(wi) for wi in range(ctx.n_omega)])
+    projections = range_function(ctx, rand_signal(rng, ctx.group.size)[:, None])
     y, m = (rand_signal(rng, projections.size).reshape(projections.shape) for _ in range(2))
-    return sub, projections, (y @ projections, projections @ m @ projections)
+    return projections, (y @ projections, projections @ m @ projections)
 
 
 class TestInvariantSubspace:
@@ -205,24 +203,24 @@ class TestInvariantSubspace:
     range operator vanishes off J(omega)."""
 
     def test_extract_recovers_the_field(self, ctx):
-        for field in subspace_fields(ctx, 303)[2]:
+        for field in subspace_fields(ctx, 303)[1]:
             assert np.abs(extract_range_operator(ctx, synthesize_operator(ctx, field)) - field).max() <= 1e-9
 
     def test_operator_vanishes_off_the_space(self, ctx):
-        sub, _, fields = subspace_fields(ctx, 304)
-        basis = space_from_range(ctx, sub)
+        projections, fields = subspace_fields(ctx, 304)
+        basis = space_from_range(ctx, projections)
         off = np.eye(ctx.group.size) - basis @ basis.conj().T  # I - P_V
         for field in fields:
             assert np.abs(synthesize_operator(ctx, field) @ off).max() <= 1e-9
 
     def test_adjoint_field_is_the_fiberwise_adjoint(self, ctx):
-        for field in subspace_fields(ctx, 62)[2]:
+        for field in subspace_fields(ctx, 62)[1]:
             adjoint = extract_range_operator(ctx, synthesize_operator(ctx, field).conj().T)
             assert np.abs(adjoint - field.conj().swapaxes(1, 2)).max() <= 1e-9
 
     def test_identity_on_j_is_the_projection(self, ctx):
-        sub, projections, _ = subspace_fields(ctx, 305)
-        basis = space_from_range(ctx, sub)
+        projections = subspace_fields(ctx, 305)[0]
+        basis = space_from_range(ctx, projections)
         assert np.abs(synthesize_operator(ctx, projections) - basis @ basis.conj().T).max() <= 1e-10
 
 
@@ -233,20 +231,20 @@ def cyclic_context(n, step):
 
 # (|G|, step) of the context, (|G|, step) of the range function's context, the error
 MISFITS = {
-    "Z4/<2> on Z8/<2>": ((8, 2), (4, 2), r"range function has 2 fibers, the context 4"),
-    "Z8/<2> on Z4/<2>": ((4, 2), (8, 2), r"range function has 4 fibers, the context 2"),
-    "Z8/<4> on Z4/<2>": ((4, 2), (8, 4), r"range function basis must be a \(2, k\) array, got shape \(4, 4\)"),
+    "Z4/<2> on Z8/<2>": ((8, 2), (4, 2), r"range function must be a \(4, 2, 2\) array, got shape \(2, 2, 2\)"),
+    "Z8/<2> on Z4/<2>": ((4, 2), (8, 2), r"range function must be a \(2, 2, 2\) array, got shape \(4, 2, 2\)"),
+    "Z8/<4> on Z4/<2>": ((4, 2), (8, 4), r"range function must be a \(2, 2, 2\) array, got shape \(2, 4, 4\)"),
 }
 
 
 class TestFiberCount:
-    """A range function meets a context only when it has one basis of |C| rows per fiber."""
+    """A range function meets a context only when it has one |C| x |C| projection per fiber."""
 
     @pytest.mark.parametrize("own, other, error", MISFITS.values(), ids=MISFITS)
     def test_range_function_must_fit_its_context(self, own, other, error):
         # unchecked, Z4/<2>'s range function on Z8/<2> gave a space over two of
         # the four fibers, and the reverse direction indexed past the fibers
-        ctx, rangefn = cyclic_context(*own), full_range_function(cyclic_context(*other))
+        ctx, rangefn = cyclic_context(*own), full_range(cyclic_context(*other))
         with pytest.raises(ValueError, match=error):
             space_from_range(ctx, rangefn)
 
@@ -413,7 +411,7 @@ class TestStructuralFlags:
         # norm, the entrywise HS and trace values and the isometry residual
         u = np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, u)
-        basis = space_from_range(f1_ctx, full_range_function(f1_ctx))
+        basis = zak_basis(f1_ctx)
         basis[0, 0] = np.nan
         op = operator_summary(f1_ctx, u, basis)
         assert np.isnan([op.norm, op.hs_entrywise, op.trace_basis, op.isometry_residual]).all()
@@ -470,8 +468,7 @@ class TestStructuralFlags:
     def test_adjoint_covariance(self, ctx):
         # the field of U* is the fiberwise adjoint when U maps the space to itself
         rng = np.random.default_rng(58)
-        rangefn = full_range_function(ctx)
-        field = rand_field(rng, ctx, rangefn)
+        field = rand_field(rng, ctx, full_range(ctx))
         u = synthesize_operator(ctx, field)
         adj_field = extract_range_operator(ctx, u.conj().T)
         for a, b in zip(adj_field, field):
@@ -492,10 +489,9 @@ class TestSummaries:
         assert list(inspect.signature(operator_summary).parameters) == ["ctx", "u", "basis"]
         assert list(inspect.signature(fiber_summary).parameters) == ["field"]
         rng = np.random.default_rng(63)
-        rangefn = full_range_function(f2_ctx)
         u = rand_tp_operator(rng, f2_ctx)
         field = extract_range_operator(f2_ctx, u)
-        basis = space_from_range(f2_ctx, rangefn)
+        basis = zak_basis(f2_ctx)
         op, fib = operator_summary(f2_ctx, u, basis), fiber_summary(field)
 
         mats = [mat.copy() for mat in field]
@@ -526,7 +522,7 @@ class TestSummaries:
         # the stacked SVD against one SVD per fiber, and a NaN fiber is NaN
         # on its own: its neighbours keep their norms and spectra
         rng = np.random.default_rng(67)
-        field = rand_field(rng, ctx, full_range_function(ctx))
+        field = rand_field(rng, ctx, full_range(ctx))
         field[0] = np.outer(field[0, :, 0], field[0, 0])  # a rank-one fiber
         fib = fiber_summary(field)
         spectra = [np.linalg.svd(mat, compute_uv=False) for mat in field]
@@ -572,8 +568,8 @@ class TestSummaries:
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         for module in (cli, operators):
-            build = module.space_from_range
-            monkeypatch.setattr(module, "space_from_range", lambda *a, build=build: basis_builds.append(1) or build(*a))
+            build = module.zak_basis
+            monkeypatch.setattr(module, "zak_basis", lambda *a, build=build: basis_builds.append(1) or build(*a))
 
         body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
         assert ok and (body["hs_trace"]["skipped"] == []) is hermitian
@@ -581,7 +577,7 @@ class TestSummaries:
         # the fiber side takes one SVD over the whole stack of fibers
         assert shapes == [(n, n), (ctx.n_omega, ctx.n_c, ctx.n_c)]
         assert eigvalsh_calls == [(n, n)]
-        assert len(basis_builds) <= 2
+        assert len(basis_builds) == 1
 
     @pytest.mark.parametrize("hermitian", [False, True], ids=["commuting", "hermitian-psd"])
     def test_pipeline_takes_the_full_space_frame_in_closed_form(self, monkeypatch, hermitian):
@@ -605,7 +601,7 @@ class TestSummaries:
 class TestMultiplicationPreserving:
     def test_block_diagonal_passes_both_modes(self, f1_ctx):
         rng = np.random.default_rng(59)
-        field = rand_field(rng, f1_ctx, full_range_function(f1_ctx))
+        field = rand_field(rng, f1_ctx, full_range(f1_ctx))
         uhat = np.zeros((4, 4), dtype=complex)
         uhat[:2, :2] = field[0]
         uhat[2:, 2:] = field[1]

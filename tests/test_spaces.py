@@ -13,7 +13,6 @@ from zakfiber import (
     extract_range_operator,
     fiber_summary,
     is_translation_invariant,
-    full_range_function,
     multiplication_preserving_check,
     operator_summary,
     principal_decomposition,
@@ -24,10 +23,12 @@ from zakfiber import (
     translate,
     translate_parseval_frame,
     zak,
+    zak_basis,
     zak_inverse,
+    zak_matrix,
 )
 
-from conftest import delta, full_space, rand_signal, rand_tp_operator
+from conftest import delta, full_range, rand_signal, rand_tp_operator
 
 
 def projection_of(basis):
@@ -37,35 +38,38 @@ def projection_of(basis):
 def project_via_fibers(ctx, rangefn, f):
     """Z* P Z f with P the range function's projection on each fiber: the
     fiber-side route to the projection onto the space of the range function."""
-    fibers = zak(ctx, f)
-    return zak_inverse(ctx, np.stack([rangefn.projection(wi) @ fiber for wi, fiber in enumerate(fibers)]))
+    return zak_inverse(ctx, (rangefn @ zak(ctx, f)[..., None])[..., 0])
+
+
+def fiber_dims(rangefn):
+    """The dimension of each fiber of a range function, the trace of its projection."""
+    return np.rint(np.trace(rangefn, axis1=1, axis2=2).real).astype(int).tolist()
 
 
 class TestRangeFunction:
     def test_single_delta_generator(self, f1_ctx):
         rangefn = range_function(f1_ctx, delta(f1_ctx.group, (0,))[:, None])
-        assert rangefn.dims == (1, 1)
+        assert rangefn.shape == (2, 2, 2)
+        assert fiber_dims(rangefn) == [1, 1]
         # zak(delta_0) points along the first coordinate axis in every fiber
-        for wi in range(2):
-            assert np.allclose(rangefn.projection(wi), [[1, 0], [0, 0]], atol=1e-12)
+        assert np.allclose(rangefn, [[1, 0], [0, 0]], atol=1e-12)
 
     def test_empty_generators(self, f1_ctx):
         rangefn = range_function(f1_ctx, np.zeros((4, 0)))
-        assert rangefn.dims == (0, 0)
-        assert all(b.shape == (2, 0) for b in rangefn.bases)
+        assert rangefn.shape == (2, 2, 2) and not rangefn.any()
 
     def test_all_deltas_fill_every_fiber(self, ctx):
         gens = np.column_stack([delta(ctx.group, x) for x in ctx.group.elements()])
         rangefn = range_function(ctx, gens)
-        assert rangefn.dims == (ctx.n_c,) * ctx.n_omega
+        assert fiber_dims(rangefn) == [ctx.n_c] * ctx.n_omega
+        assert np.abs(rangefn - np.eye(ctx.n_c)).max() <= 1e-10
 
-    def test_bases_orthonormal(self, ctx):
+    def test_fibers_are_orthogonal_projections(self, ctx):
         rng = np.random.default_rng(41)
         gens = np.column_stack([rand_signal(rng, ctx.group.size) for _ in range(2)])
         rangefn = range_function(ctx, gens)
-        for basis in rangefn.bases:
-            d = basis.shape[1]
-            assert np.abs(basis.conj().T @ basis - np.eye(d)).max() <= 1e-10
+        assert np.abs(rangefn @ rangefn - rangefn).max() <= 1e-10
+        assert np.abs(rangefn - rangefn.conj().swapaxes(1, 2)).max() <= 1e-12
 
 
 def per_fiber_spans(stacked):
@@ -86,8 +90,10 @@ class TestStackedSpans:
         rng = np.random.default_rng(48)
         gens = np.stack([rand_signal(rng, ctx.group.size) for _ in range(k)], axis=1)
         rangefn = range_function(ctx, gens)
-        for got, want in zip(rangefn.bases, per_fiber_spans(zak(ctx, gens)), strict=True):
-            assert np.array_equal(got, want)
+        spans = per_fiber_spans(zak(ctx, gens))
+        assert len(spans) == len(rangefn)
+        for got, span in zip(rangefn, spans):
+            assert np.abs(got - projection_of(span)).max() <= 1e-12
 
     def test_principal_generators_match_per_fiber_svd(self, ctx):
         rng = np.random.default_rng(49)
@@ -107,10 +113,22 @@ class TestSpaceFromRange:
         assert basis.shape == (4, 0)
 
     def test_full_range_recovers_everything(self, ctx):
-        basis = space_from_range(ctx, full_range_function(ctx))
+        basis = space_from_range(ctx, full_range(ctx))
         n = ctx.group.size
         assert basis.shape == (n, n)
         assert np.abs(projection_of(basis) - np.eye(n)).max() <= 1e-10
+
+    def test_columns_are_orthonormal_and_one_fiber_each_by_omega(self, ctx):
+        rng = np.random.default_rng(40)
+        gens = np.column_stack([rand_signal(rng, ctx.group.size) for _ in range(2)])
+        rangefn = range_function(ctx, gens)
+        basis = space_from_range(ctx, rangefn)
+        assert np.abs(basis.conj().T @ basis - np.eye(basis.shape[1])).max() <= 1e-10
+        live = np.linalg.norm(zak(ctx, basis), axis=1) > 1e-9  # (|Omega|, dim V)
+        assert (live.sum(axis=0) == 1).all()
+        omegas = np.argmax(live, axis=0)
+        assert (np.diff(omegas) >= 0).all()
+        assert np.bincount(omegas, minlength=ctx.n_omega).tolist() == fiber_dims(rangefn)
 
     def test_delta_generator_spans_its_translates(self, f1_ctx):
         # brute-force span of the translates of delta_0
@@ -129,7 +147,7 @@ class TestSpaceFromRange:
         gens = rand_signal(rng, ctx.group.size)[:, None]
         rangefn = range_function(ctx, gens)
         basis = space_from_range(ctx, rangefn)
-        assert basis.shape[1] == rangefn.dim_total
+        assert basis.shape[1] == sum(fiber_dims(rangefn))
 
     def test_correspondence_roundtrip(self, ctx):
         rng = np.random.default_rng(43)
@@ -137,9 +155,33 @@ class TestSpaceFromRange:
             gens = np.column_stack([rand_signal(rng, ctx.group.size) for _ in range(n_gens)])
             rangefn = range_function(ctx, gens)
             basis = space_from_range(ctx, rangefn)
-            rangefn2 = range_function(ctx, basis)
-            for b1, b2 in zip(rangefn.bases, rangefn2.bases):
-                assert np.abs(projection_of(b1) - projection_of(b2)).max() <= 1e-9
+            assert np.abs(rangefn - range_function(ctx, basis)).max() <= 1e-9
+
+
+def translate_span(ctx, gens):
+    """Orthonormal basis of the span of every Gamma-translate of the
+    generators, read from the translates by an SVD, with no transform."""
+    translates = np.concatenate([translate(ctx.group, gens, t) for t in ctx.gamma.elements], axis=1)
+    u, s, _ = np.linalg.svd(translates, full_matrices=False)
+    return u[:, s > 1e-9 * s[0]]
+
+
+class TestRangeFunctionIdentity:
+    """The correspondence on an invariant space V: the orthogonal projection
+    onto V has the range operator omega -> P_J(omega), the projection onto
+    V's range function J, and J gives V back."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_projection_onto_the_space_has_the_range_function_as_its_field(self, ctx, k):
+        rng = np.random.default_rng(70 + k)
+        gens = np.column_stack([rand_signal(rng, ctx.group.size) for _ in range(k)])
+        q = translate_span(ctx, gens)
+        rangefn = range_function(ctx, gens)
+        assert np.abs(extract_range_operator(ctx, q @ q.conj().T) - rangefn).max() <= 1e-9
+        assert np.abs(projection_of(space_from_range(ctx, rangefn)) - q @ q.conj().T).max() <= 1e-9
+
+    def test_zak_basis_is_the_adjoint_of_the_zak_matrix(self, ctx):
+        assert np.array_equal(zak_basis(ctx), zak_matrix(ctx).conj().T)
 
 
 class TestProjectViaFibers:
@@ -329,7 +371,7 @@ class TestFullSpaceFrame:
         # singular values are degenerate, so the values are compared, not the frames
         w = rand_tp_operator(np.random.default_rng(48), ctx)
         u = w.conj().T @ w if hermitian else w
-        basis = space_from_range(ctx, full_range_function(ctx))
+        basis = zak_basis(ctx)
         computed = translate_parseval_frame(ctx, principal_decomposition(ctx, basis))
         closed = operator_summary(ctx, u, basis)
         images = u @ computed
@@ -372,15 +414,16 @@ ARRAY_ARGUMENTS = [
     ("zak", "f", zak, BAD_SIGNALS, SIGNAL),
     ("zak_inverse", "fibers", zak_inverse, BAD_FIBERS, r"fibers must be a \(2, 2\) or \(2, 2, k\) array"),
     ("range_function", "generators", range_function, BAD_FAMILIES, FAMILY),
+    ("space_from_range", "rangefn", space_from_range, BAD_FIELDS, r"range function must be a \(2, 2, 2\) array"),
     ("translate_parseval_frame", "generators", translate_parseval_frame, BAD_FAMILIES, FAMILY),
     ("is_translation_invariant", "basis", is_translation_invariant, BAD_FAMILIES, FAMILY),
     ("principal_decomposition", "basis", principal_decomposition, BAD_FAMILIES, FAMILY),
     ("check_translation_preserving", "u", check_translation_preserving, BAD_OPERATORS, OPERATOR),
     ("extract_range_operator", "u", extract_range_operator, BAD_OPERATORS, OPERATOR),
-    ("solve_range_field", "u", lambda ctx, bad: solve_range_field(ctx, bad, full_space(ctx)), BAD_OPERATORS, OPERATOR),
+    ("solve_range_field", "u", lambda ctx, bad: solve_range_field(ctx, bad, zak_basis(ctx)), BAD_OPERATORS, OPERATOR),
     ("solve_range_field", "basis", lambda ctx, bad: solve_range_field(ctx, EYE, bad), BAD_OPERATORS,
      r"basis must be a \(4, 4\) array"),
-    ("operator_summary", "u", lambda ctx, bad: operator_summary(ctx, bad, full_space(ctx)), BAD_OPERATORS, OPERATOR),
+    ("operator_summary", "u", lambda ctx, bad: operator_summary(ctx, bad, zak_basis(ctx)), BAD_OPERATORS, OPERATOR),
     ("operator_summary", "basis", lambda ctx, bad: operator_summary(ctx, EYE, bad), BAD_OPERATORS,
      r"basis must be a \(4, 4\) array"),
     ("synthesize_operator", "field", synthesize_operator, BAD_FIELDS, r"field must be a \(2, 2, 2\) array"),
@@ -398,8 +441,8 @@ REJECTED = [
     for kind, bad in bads.items()
 ]
 # the parameter names under which public functions take signals, families,
-# fibered arrays, fields and operators
-ARRAY_PARAMETERS = {"f", "fibers", "u", "uhat", "basis", "frame", "generators", "field"}
+# fibered arrays, fields, range functions and operators
+ARRAY_PARAMETERS = {"f", "fibers", "u", "uhat", "basis", "frame", "generators", "field", "rangefn"}
 
 
 class TestFamilyFormat:
@@ -410,8 +453,7 @@ class TestFamilyFormat:
         g = f1_ctx.group
         rangefn = range_function(f1_ctx, only_column_v())
         single = range_function(f1_ctx, V[:, None])
-        for wi in range(f1_ctx.n_omega):
-            assert np.abs(rangefn.projection(wi) - single.projection(wi)).max() <= 1e-12
+        assert np.abs(rangefn - single).max() <= 1e-12
         q, _ = np.linalg.qr(np.column_stack([translate(g, V, t) for t in f1_ctx.gamma.elements]))
         basis = space_from_range(f1_ctx, rangefn)
         assert np.abs(projection_of(basis) - projection_of(q)).max() <= 1e-12
