@@ -23,6 +23,8 @@ from . import checks, jsonio
 from .fiberization import fiber_context, determining_function, zak, zak_basis, zak_inverse
 from .groups import make_group, pairing, subgroup_from_generators, translate, translation_matrix
 from .operators import (
+    NotTranslationPreservingError,
+    RangeSolveError,
     check_translation_preserving,
     extract_range_operator,
     fiber_summary,
@@ -243,10 +245,8 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     r_det = np.abs(chars @ chars.conj().T / ctx.gamma.size - np.eye(ctx.n_omega)).max()
     suites["determining_set"] = checks.gate(r_det, tol(checks.TRANSFORM), 1.0)
 
-    delta0 = np.zeros(n, dtype=complex)
-    delta0[0] = 1.0
     gaps = []
-    for gens in (delta0[:, None], signals[:, :2]):
+    for gens in (np.eye(n, 1, dtype=complex), signals[:, :2]):  # delta_0, then two random generators
         rangefn = range_function(ctx, gens)
         gaps.append(np.abs(rangefn - range_function(ctx, space_from_range(ctx, rangefn))).max())
     suites["range_roundtrip"] = checks.gate(checks.largest(gaps), tol(checks.ROUNDTRIP), 1.0)
@@ -254,7 +254,10 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     z = rng.standard_normal((ctx.n_omega, 2, ctx.n_c, ctx.n_c))
     field = z[:, 0] + 1j * z[:, 1]
     u = synthesize_operator(ctx, field)
-    r_bij = np.abs(extract_range_operator(ctx, u) - field).max()
+    try:
+        r_bij = np.abs(extract_range_operator(ctx, u) - field).max()
+    except (NotTranslationPreservingError, RangeSolveError):  # no field to compare: the suite fails
+        r_bij = math.inf
     suites["field_bijection"] = checks.gate(r_bij, tol(checks.ROUNDTRIP), np.abs(field).max())
 
     # Z U Z*, the fibered form of u: it commutes with multiplication by the
@@ -327,10 +330,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        code = exc.code
-        if code in (None, 0):
-            return 0
-        return 2
+        return 0 if exc.code in (None, 0) else 2
     # looked up per call, so a command rebound on the module is the one run
     commands = {"analyze": cmd_analyze, "demo-diffop": cmd_demo_diffop, "check": cmd_check}
     try:

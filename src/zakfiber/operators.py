@@ -52,29 +52,29 @@ class RangeSolveError(Exception):
 class VerificationReport:
     """One identity check: the verdicts that decide it, and the values they
     compare. The report passes iff every verdict passes; a one-sided gate
-    that a verdict compares, or that admits a clause, is a value."""
+    that a verdict compares, or that decides nothing, is a value."""
 
     verdicts: dict
     values: dict
     witness: object | None = None
-    skipped: tuple[str, ...] = ()
 
     @property
     def passed(self) -> bool:
         return all(self.verdicts.values())
 
     def to_dict(self) -> dict:
-        return _plain(
-            {"verdicts": self.verdicts, "values": self.values, "witness": self.witness, "skipped": list(self.skipped)}
-        )
+        return _plain({"verdicts": self.verdicts, "values": self.values, "witness": self.witness})
 
 
 def _plain(value):
-    """A report value with every :class:`checks.Verdict` in it written as its dict."""
+    """A report value as written: every :class:`checks.Verdict` in it as its
+    dict, every complex number or array as ``[re, im]`` pairs on a last axis."""
     if isinstance(value, checks.Verdict):
         return value.to_dict()
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}
+    if np.iscomplexobj(value):
+        return np.stack([np.real(value), np.imag(value)], axis=-1)
     return value
 
 
@@ -219,8 +219,8 @@ class OperatorSummary:
     singular_values: np.ndarray  # of U B, descending
     hs_entrywise: float  # ||U B||_F^2
     hs_frame: float  # ||U||_F^2, U on the standard basis
-    trace_basis: float  # Re tr B^H U B, as an entrywise sum
-    trace_frame: float  # Re tr U
+    trace_basis: complex  # tr B^H U B, as an entrywise sum
+    trace_frame: complex  # tr U
     hermitian_gap: float  # largest entry of U - U^H
     min_eigenvalue: float  # of the Hermitian part of U
     isometry_residual: float  # largest entry of (U B)^H U B - I
@@ -238,7 +238,7 @@ class FiberSummary:
     norms: np.ndarray  # float64
     singular_values: np.ndarray  # (|Omega|, |C|), each row descending
     hs_terms: np.ndarray  # float64
-    trace_terms: np.ndarray  # float64
+    trace_terms: np.ndarray  # complex128
     isometry_residual: float  # largest entry of R^H R - I, over the fibers
     selfadjoint_residual: float  # largest entry of R - R^H, over the fibers
 
@@ -272,8 +272,8 @@ def operator_summary(ctx: FiberContext, u, basis) -> OperatorSummary:
         singular_values=s,
         hs_entrywise=float(np.linalg.norm(restricted) ** 2),
         hs_frame=float(np.sum(np.abs(u) ** 2)),
-        trace_basis=float(np.sum(basis.conj() * restricted).real),
-        trace_frame=float(np.trace(u).real),
+        trace_basis=complex(np.sum(basis.conj() * restricted)),
+        trace_frame=complex(np.trace(u)),
         hermitian_gap=_max_entry(u - adjoint),
         min_eigenvalue=float(np.linalg.eigvalsh((u + adjoint) / 2.0).min()),
         isometry_residual=_max_entry(restricted.conj().T @ restricted - np.eye(n)),
@@ -294,7 +294,7 @@ def fiber_summary(field) -> FiberSummary:
         norms=s.max(axis=1, initial=0.0),
         singular_values=s,
         hs_terms=np.sum(field.real**2 + field.imag**2, axis=(1, 2)),
-        trace_terms=np.trace(field, axis1=1, axis2=2).real,
+        trace_terms=np.trace(field, axis1=1, axis2=2),
         isometry_residual=_max_entry(adjoint @ field - np.eye(field.shape[1])),
         selfadjoint_residual=_max_entry(field - adjoint),
     )
@@ -318,25 +318,24 @@ def hs_trace_report(op: OperatorSummary, fib: FiberSummary, tol: float = checks.
 
     The squared HS norm of u is compared entrywise through the Zak basis,
     on the standard basis (the full space's Parseval frame), and as a sum of
-    fiber HS norms. When u passes the positivity gates (Hermitian gap and
-    negative smallest eigenvalue against the operator norm) the trace is
-    compared the same three ways; otherwise the trace clause is skipped and
-    flagged.
+    fiber HS norms. The complex trace, which every operator on a finite
+    group has, is compared the same three ways against the nuclear norm of
+    u: |tr u| on a positive u, and zero only at u = 0. The positivity gates
+    are reported values and decide nothing.
     """
     hs_values = {"entrywise": op.hs_entrywise, "frame": op.hs_frame, "fiber": float(sum(fib.hs_terms))}
-    verdicts = {"hs_agree": checks.gate(_pairwise_gap(hs_values.values()), tol, op.hs_entrywise)}
+    tr_values = {"basis": op.trace_basis, "frame": op.trace_frame, "fiber": complex(sum(fib.trace_terms))}
+    verdicts = {
+        "hs_agree": checks.gate(_pairwise_gap(hs_values.values()), tol, op.hs_entrywise),
+        "trace_agree": checks.gate(_pairwise_gap(tr_values.values()), tol, float(np.sum(op.singular_values))),
+    }
     positivity = {
         "hermitian": checks.gate(op.hermitian_gap, checks.POSITIVITY, op.norm),
         "semidefinite": checks.gate(-op.min_eigenvalue, checks.POSITIVITY, op.norm),
     }
-    values: dict = {"hs_squared": hs_values, "hs_fiber_terms": fib.hs_terms, "positivity": positivity}
-    positive = all(positivity.values())
-    if positive:
-        tr_values = {"basis": op.trace_basis, "frame": op.trace_frame, "fiber": float(sum(fib.trace_terms))}
-        values["trace_fiber_terms"] = fib.trace_terms
-        values["trace"] = tr_values
-        verdicts["trace_agree"] = checks.gate(_pairwise_gap(tr_values.values()), tol, abs(op.trace_basis))
-    return VerificationReport(verdicts=verdicts, values=values, skipped=() if positive else ("trace",))
+    values = {"hs_squared": hs_values, "trace": tr_values, "positivity": positivity}
+    values.update(hs_fiber_terms=fib.hs_terms, trace_fiber_terms=fib.trace_terms)
+    return VerificationReport(verdicts, values)
 
 
 def _pairwise_gap(values) -> float:

@@ -166,21 +166,25 @@ def test_norm_formula(tp_samples):
 def test_hs_norm_and_trace_routes():
     # squared HS norm agrees entrywise, on the standard basis, over a random
     # orthonormal basis, over the scaled translate frame of the principal
-    # generators, and over the fiber sums; trace agrees over the
-    # basis/frame/translate-frame/fiber routes for positive operators
+    # generators, and over the fiber sums; the complex trace agrees over the
+    # basis/frame/translate-frame/fiber routes on every operator: positive,
+    # general commuting, and the traceless translation by a unit vector
+    # (T_1 on Z_8 with Gamma = G among them)
     worst_hs, worst_tr = 0.0, 0.0
     for label, ctx in BATTERY:
         rng = np.random.default_rng(404)
         rangefn = full_range(ctx)
-        n = ctx.group.size
+        g, n = ctx.group, ctx.group.size
         generators = principal_decomposition(ctx, np.eye(n, dtype=complex))
         frame = translate_parseval_frame(ctx, generators)
+        ops = [translation_matrix(g, (1,) + (0,) * (len(g.orders) - 1))]
         for _ in range(3):
             w = synthesize_operator(ctx, rand_field(rng, ctx, rangefn))
-            u = w.conj().T @ w  # positive by construction
+            ops += [w.conj().T @ w, w]  # positive by construction, and not
+        for u in ops:
             field = extract_range_operator(ctx, u)
             report = hs_trace_report(*summaries(ctx, u, field))
-            assert "trace" not in report.skipped
+            assert report.passed, label
             routes = dict(report.values["hs_squared"])
             q, _ = np.linalg.qr(rand_signal(rng, n * n).reshape(n, n))
             routes["random_basis"] = float(
@@ -191,8 +195,9 @@ def test_hs_norm_and_trace_routes():
             vals = list(routes.values())
             scale = max(1.0, *vals)
             worst_hs = max(worst_hs, (max(vals) - min(vals)) / scale)
-            tr = [*report.values["trace"].values(), float(np.vdot(frame, images).real)]
-            worst_tr = max(worst_tr, (max(tr) - min(tr)) / max(1.0, *tr))
+            tr = [*report.values["trace"].values(), complex(np.vdot(frame, images))]
+            gap = max(abs(a - b) for a in tr for b in tr)
+            worst_tr = max(worst_tr, gap / max(1.0, *map(abs, tr)))
     _verdict(
         "Hilbert-Schmidt and trace route agreement",
         worst_hs <= 1e-8 and worst_tr <= 1e-8,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zakfiber import cli, fiber_context, jsonio, make_group, subgroup_from_generators
+from zakfiber import cli, fiber_context, jsonio, make_group, subgroup_from_generators, translation_matrix
 from zakfiber.cli import main
 
 from conftest import full_range, rand_field, rand_tp_operator
@@ -60,6 +60,31 @@ class TestAnalyze:
         op = write_operator(tmp_path, "id.json", np.eye(4))
         assert main(["analyze", f1_spec, op, "--json"]) == 1
         assert read_report(capsys)["fiber_solve"]["passed"] is False
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [np.conj, lambda field: field.conj().swapaxes(1, 2)],
+        ids=["conjugated", "adjoint"],
+    )
+    def test_trace_catches_a_conjugated_or_adjoint_field(self, tmp_path, capsys, monkeypatch, corrupt):
+        # conj R and R^H keep every fiber's singular values, HS norm and
+        # self-adjointness, but conjugate its trace: on a commuting U that is
+        # not self-adjoint and has a non-real trace, only the trace routes see it
+        spec = tmp_path / "z8.json"
+        spec.write_text(json.dumps({"orders": [8], "gamma_generators": [[2]]}))
+        g = make_group([8])
+        u = (1 + 0.5j) * np.eye(8) + 0.5 * translation_matrix(g, (2,)) + 0.3j * translation_matrix(g, (1,))
+        op = write_operator(tmp_path, "u.json", u)
+        assert main(["analyze", str(spec), op, "--json"]) == 0
+        assert read_report(capsys)["hs_trace"]["verdicts"]["trace_agree"]["passed"] is True
+        solve = cli.solve_range_field
+        monkeypatch.setattr(cli, "solve_range_field", lambda *args: (corrupt(solve(*args)[0]), solve(*args)[1]))
+        assert main(["analyze", str(spec), op, "--json"]) == 1
+        report = read_report(capsys)
+        assert report["translation_preserving"]["passed"] and report["fiber_solve"]["passed"]
+        comparisons = ("norm_identity", "hs_trace", "structural")
+        failed = [(c, name) for c in comparisons for name, v in report[c]["verdicts"].items() if not v["passed"]]
+        assert failed == [("hs_trace", "trace_agree")]
 
     def test_shape_mismatch_is_input_error(self, tmp_path, f1_spec):
         op = write_operator(tmp_path, "small.json", np.eye(3))
@@ -291,6 +316,27 @@ class TestCheck:
         assert [name for name, entry in suites.items() if not entry["passed"]] == ["character_table"]
         assert suites["character_table"]["residual"] == pytest.approx(2.0)
 
+    def test_field_bijection_fails_closed_when_extraction_raises(self, tmp_path, capsys, monkeypatch):
+        # a synthesis that does not commute has no field to extract: the suite
+        # fails with residual Infinity, the other suites still run, and the
+        # report is written
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"orders": [8], "gamma_generators": [[2]]}))
+        synthesize = cli.synthesize_operator
+
+        def broken(*args):
+            u = synthesize(*args)
+            u[0, 1] += 1.0
+            return u
+
+        monkeypatch.setattr(cli, "synthesize_operator", broken)
+        assert main(["check", str(path), "--json"]) == 1
+        suites = read_report(capsys)["suites"]
+        assert suites["field_bijection"]["passed"] is False and suites["field_bijection"]["residual"] == math.inf
+        # the fibered form of the broken operator is not block diagonal either
+        failed = {name for name, entry in suites.items() if not entry["passed"]}
+        assert failed == {"field_bijection", "multiplication_preserving"} and len(suites) == 8
+
     def test_tolerance_gate_below_machine_epsilon(self, f1_spec):
         # float limits make every suite fail at 1e-20
         assert main(["check", f1_spec, "--tol", "1e-20"]) == 1
@@ -391,7 +437,10 @@ class TestBlasThreads:
         assert norm == pytest.approx(two["norm_identity"]["values"]["operator_norm"], rel=1e-12, abs=0)
         for kind in ("hs_squared", "trace"):
             for route in hs1[kind]:
-                assert hs1[kind][route] == pytest.approx(hs2[kind][route], rel=1e-12, abs=0), (kind, route)
+                # a trace is an [re, im] pair, compared as one complex number:
+                # its imaginary part is rounding noise on this Hermitian U
+                one_value, two_value = np.array(hs1[kind][route]), np.array(hs2[kind][route])
+                assert np.linalg.norm(one_value - two_value) <= 1e-12 * np.linalg.norm(one_value), (kind, route)
         # an eigenvalue is computed to rounding relative to the operator norm,
         # the scale the positivity gate measures it against
         # (the semidefinite gate's residual is -min_eigenvalue)

@@ -1,5 +1,6 @@
 """Operator/field correspondence: extraction, synthesis, and the identity reports."""
 
+import copy
 import dataclasses
 import inspect
 
@@ -33,7 +34,7 @@ from zakfiber import (
     zak_matrix,
 )
 
-from zakfiber import cli, operators, spaces
+from zakfiber import cli, fiberization, operators, spaces
 
 from conftest import battery_contexts, delta, full_range, rand_field, rand_signal, rand_tp_operator, summaries
 
@@ -317,7 +318,7 @@ class TestHsTrace:
         u = 2.0 * np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, u)
         report = hs_trace_report(*summaries(f1_ctx, u, field))
-        assert report.passed and "trace" not in report.skipped
+        assert report.passed
         assert report.values["trace"]["basis"] == pytest.approx(8.0, abs=1e-9)
         assert report.values["trace_fiber_terms"] == pytest.approx([4.0, 4.0], abs=1e-9)
 
@@ -330,17 +331,35 @@ class TestHsTrace:
         assert report.passed
         assert report.values["hs_squared"]["entrywise"] == pytest.approx(8.0, abs=1e-9)
         assert report.values["hs_fiber_terms"] == pytest.approx([0.0, 8.0], abs=1e-9)
-        # I - T_2 is Hermitian with eigenvalues {0, 2}, so the positivity gate
-        # admits it and the trace routes agree at 4 = 0 + 4
-        assert "trace" not in report.skipped
+        # I - T_2 has eigenvalues {0, 2}: the trace routes agree at 4 = 0 + 4
         assert report.values["trace"]["basis"] == pytest.approx(4.0, abs=1e-9)
+        assert report.values["trace_fiber_terms"] == pytest.approx([0.0, 4.0], abs=1e-9)
 
-    def test_trace_skipped_for_non_selfadjoint(self, f1_ctx):
-        u = diff_operator(f1_ctx, (1,))  # adjoint is I - T_3, not equal
+    def test_trace_compared_for_non_selfadjoint(self, f1_ctx):
+        # I - T_1 is not self-adjoint (its adjoint is I - T_3), so it fails the
+        # positivity gates; those are reported, and the trace is compared anyway
+        u = diff_operator(f1_ctx, (1,))
         field = extract_range_operator(f1_ctx, u)
         report = hs_trace_report(*summaries(f1_ctx, u, field))
-        assert report.skipped == ("trace",)
-        assert "trace" not in report.values
+        assert not report.values["positivity"]["hermitian"]
+        assert report.passed and report.verdicts["trace_agree"]
+        for route in ("basis", "frame", "fiber"):
+            assert report.values["trace"][route] == pytest.approx(4.0, abs=1e-9), route
+        assert sum(report.values["trace_fiber_terms"]) == pytest.approx(4.0, abs=1e-9)
+
+    def test_traceless_translation_and_zero_pass(self):
+        # T_1 on Z_8 with Gamma = G has trace 0, so |tr U| cannot be the scale;
+        # the nuclear norm is 8, the sum of its singular values (all 1). U = 0
+        # has scale 0, and its three traces are exactly 0
+        g = make_group([8])
+        ctx = fiber_context(g, subgroup_from_generators(g, [(1,)]))
+        for u, nuclear in ((translation_matrix(g, (1,)), 8.0), (np.zeros((8, 8), dtype=complex), 0.0)):
+            report = hs_trace_report(*summaries(ctx, u, extract_range_operator(ctx, u)))
+            verdict = report.verdicts["trace_agree"]
+            assert verdict.passed and report.passed
+            assert verdict.scale == pytest.approx(nuclear, rel=1e-12, abs=0)
+            assert abs(report.values["trace"]["frame"]) == 0.0
+            assert verdict.residual <= 1e-14
 
     def test_routes_disagree_on_a_mismatched_field(self, f1_ctx):
         # the operator routes read only u and the fiber routes only the field,
@@ -389,8 +408,9 @@ class TestHsTrace:
         u = w.conj().T @ w
         field = extract_range_operator(ctx, u)
         report = hs_trace_report(*summaries(ctx, u, field))
-        assert report.passed
-        assert "trace" not in report.skipped
+        assert report.passed and report.verdicts["trace_agree"]
+        # on a positive operator the nuclear norm is the trace: the scale |tr U|
+        assert report.verdicts["trace_agree"].scale == pytest.approx(abs(np.trace(u)), rel=1e-9)
 
 
 class TestStructuralFlags:
@@ -508,7 +528,7 @@ class TestSummaries:
         assert not hs_trace_report(moved, fib).passed
 
     def test_frame_route_is_u_on_the_standard_basis(self):
-        # the frame route forms no product: ||U||_F^2 and Re tr U, read off u
+        # the frame route forms no product: ||U||_F^2 and tr U, read off u
         rng = np.random.default_rng(66)
         for label, ctx in battery_contexts():
             w = rand_tp_operator(rng, ctx)
@@ -516,7 +536,8 @@ class TestSummaries:
             body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
             assert ok, label
             assert body["hs_trace"]["values"]["hs_squared"]["frame"] == np.sum(np.abs(u) ** 2), label
-            assert body["hs_trace"]["values"]["trace"]["frame"] == np.trace(u).real, label
+            tr = np.trace(u)
+            assert body["hs_trace"]["values"]["trace"]["frame"].tolist() == [tr.real, tr.imag], label
 
     def test_fiber_summary_reads_each_fiber_alone(self, ctx):
         # the stacked SVD against one SVD per fiber, and a NaN fiber is NaN
@@ -534,7 +555,7 @@ class TestSummaries:
         assert ranks.tolist() == [int(np.sum(s > cut)) for s in spectra]
         assert ranks[0] == 1
         assert fib.hs_terms == pytest.approx([np.linalg.norm(mat) ** 2 for mat in field], rel=1e-12)
-        assert np.array_equal(fib.trace_terms, [np.trace(mat).real for mat in field])
+        assert np.array_equal(fib.trace_terms, [np.trace(mat) for mat in field])
         field[-1, 0, 0] = np.nan
         broken = fiber_summary(field)
         assert np.isnan(broken.norms[-1]) and np.array_equal(broken.norms[:-1], fib.norms[:-1])
@@ -572,7 +593,9 @@ class TestSummaries:
             monkeypatch.setattr(module, "zak_basis", lambda *a, build=build: basis_builds.append(1) or build(*a))
 
         body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
-        assert ok and (body["hs_trace"]["skipped"] == []) is hermitian
+        # the trace clause runs on both; the positivity gates only report
+        assert ok and body["hs_trace"]["verdicts"]["trace_agree"]["passed"]
+        assert all(gate["passed"] for gate in body["hs_trace"]["values"]["positivity"].values()) is hermitian
         assert shapes.count((n, n)) == 1
         # the fiber side takes one SVD over the whole stack of fibers
         assert shapes == [(n, n), (ctx.n_omega, ctx.n_c, ctx.n_c)]
@@ -595,7 +618,37 @@ class TestSummaries:
             u = w.conj().T @ w if hermitian else w
             body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
             assert ok, label
-            assert ("trace" in body["hs_trace"]["values"]) is hermitian, label
+            assert body["hs_trace"]["verdicts"]["trace_agree"]["passed"], label
+
+
+def conjugated_phase(ctx):
+    """A copy of ctx whose phase table is conjugated: the transforms built on
+    it carry the wrong sign in the exponent."""
+    clone = copy.copy(ctx)
+    object.__setattr__(clone, "_phase", ctx._phase.conj())
+    return clone
+
+
+class TestTransformCrossCheck:
+    # the solve reads zak(U B) with B = zak_basis(ctx), built by zak_inverse:
+    # it mixes the two transforms, and it is the one place analyze can see a
+    # phase-sign error in either, since every operator-side value is
+    # invariant under any unitary basis. Each mutant stops the pipeline at
+    # fiber_solve
+    @pytest.mark.parametrize("name", ["zak_inverse", "zak"])
+    def test_a_sign_error_in_one_transform_fails_the_solve(self, monkeypatch, name):
+        g = make_group([16])
+        ctx = fiber_context(g, subgroup_from_generators(g, [(4,)]))
+        u = rand_tp_operator(np.random.default_rng(70), ctx)
+        body, ok, field = cli._pipeline(ctx, u, cli.RunConfig())
+        assert ok and body["fiber_solve"]["passed"]
+        honest = getattr(fiberization, name)
+        for module in (fiberization, operators, cli):
+            monkeypatch.setattr(module, name, lambda c, x: honest(conjugated_phase(c), x))
+        body, ok, field = cli._pipeline(ctx, u, cli.RunConfig())
+        assert not ok and field is None
+        assert body["translation_preserving"]["passed"] and not body["fiber_solve"]["passed"]
+        assert "range_field" not in body
 
 
 class TestMultiplicationPreserving:

@@ -117,7 +117,7 @@ def decisions(body, ok) -> dict:
     """Every decision of a pipeline report by its path, except the one-sided
     isometry gates: isometry against I is absolute, so only their agreement
     is scale-free."""
-    found = {(): ok, ("skipped",): body.get("hs_trace", {}).get("skipped")}
+    found = {(): ok}
 
     def walk(node, path):
         if isinstance(node, dict):
@@ -152,9 +152,10 @@ def test_verdicts_are_scale_free(index, kind, exponent):
 
 def test_every_kind_meets_its_gates():
     # the property runs over reports that reach every gate: the trace clause
-    # on the PSD operators, and dropped singular values on the deficient ones
+    # on every commuting kind, and dropped singular values on the deficient ones
     label, ctx = next((label, ctx) for label, ctx in CONTEXTS if ctx.n_c > 1 and ctx.n_omega > 1)
     bodies = {kind: pipeline(ctx, battery_operator(label, ctx, kind))[0] for kind in KINDS}
-    assert "trace_agree" in bodies["hermitian-psd"]["hs_trace"]["verdicts"]
+    for kind in ("commuting", "hermitian-psd", "rank-deficient"):
+        assert bodies[kind]["hs_trace"]["verdicts"]["trace_agree"]["passed"], kind
     assert bodies["rank-deficient"]["structural"]["values"]["rank_cut"]["fibers"]["largest_dropped"] is not None
     assert "structural" not in bodies["non-commuting"]

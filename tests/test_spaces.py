@@ -376,7 +376,7 @@ class TestFullSpaceFrame:
         closed = operator_summary(ctx, u, basis)
         images = u @ computed
         assert closed.hs_frame == pytest.approx(np.linalg.norm(images) ** 2, rel=1e-12, abs=0)
-        assert closed.trace_frame == pytest.approx(np.vdot(computed, images).real, rel=1e-12, abs=0)
+        assert closed.trace_frame == pytest.approx(np.vdot(computed, images), rel=1e-12, abs=0)
 
 
 V = np.array([1, 2, 0.5, -1], dtype=complex)

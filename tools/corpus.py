@@ -1,0 +1,144 @@
+"""The verdict corpus: the exit code and every boolean of 864 CLI runs.
+
+    python3 tools/corpus.py OUT.json [--src DIR]
+    python3 tools/corpus.py --compare A.json B.json
+
+The first form executes the corpus in this process through ``zakfiber.cli.main``,
+with BLAS pinned to one thread, and writes one record per run to OUT.json:
+its exit code and every boolean of its JSON report, keyed by the report path
+(``hs_trace.verdicts.trace_agree.passed``). ``--src`` names the source tree
+whose ``zakfiber`` runs (default: this checkout's ``src``), so a copy of
+another commit can be measured with this script. The runs are:
+
+- the bench ``analyze`` workload at seeds 1 and 2, its perturbed operators
+  and its ``demo-diffop`` ops included (60 runs);
+- ``demo-diffop 8 2``, ``128 1`` and ``256 4`` (3 runs);
+- ``check --seed 1`` on every subgroup of every bench ``subgroup-sweep``
+  group (369 runs);
+- each of these again at ``--tol 1e-20``.
+
+``--compare`` lists every run whose exit code or booleans differ between two
+records, then counts each boolean change by its path. It exits 0 when the
+records agree and 1 otherwise.
+
+The inputs come from ``bench/workloads.py``, imported without writing
+bytecode so that nothing under ``bench/`` changes. Input files and reports
+go to a temporary directory. This script is not part of the test suite: a
+run takes 10-15 s on a 2-vCPU host.
+"""
+
+from __future__ import annotations
+
+import os
+
+# pinned before numpy loads: the report bytes of a BLAS product depend on it
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import collections  # noqa: E402
+import contextlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parents[1]
+SEEDS = (1, 2)
+DIFFOPS = ((8, 2), (128, 1), (256, 4))
+CHECK_SEED = 1
+STRICT_TOL = "1e-20"
+
+
+def corpus_argvs(workloads, groups, workdir: Path):
+    """``(run id, argv)`` for every run at the default tolerances, with the
+    input files written into workdir."""
+    for seed in SEEDS:
+        sub = workdir / f"analyze-{seed}"
+        for op in workloads.build("analyze", seed, sub)["ops"]:
+            argv = [str(sub / arg) if arg.endswith(".json") else arg for arg in op["argv"]]
+            yield f"analyze-{seed}/{op['id']}", argv
+    for n, d in DIFFOPS:
+        yield f"demo-diffop/{n}-{d}", ["demo-diffop", str(n), str(d)]
+    for orders in workloads.SWEEP:
+        name = "x".join(map(str, orders))
+        for j, subgroup in enumerate(groups.all_subgroups(groups.make_group(orders))):
+            spec = workdir / f"spec-{name}-{j}.json"
+            spec.write_text(json.dumps({"orders": orders, "gamma_generators": [list(t) for t in subgroup.generators]}))
+            yield f"check/{name}-{j}", ["check", str(spec), "--seed", str(CHECK_SEED)]
+
+
+def booleans(node, path: str = "") -> dict:
+    """Every boolean of a JSON report, by its dotted path."""
+    if isinstance(node, bool):
+        return {path: node}
+    found = {}
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        found.update(booleans(value, f"{path}.{key}" if path else str(key)))
+    return found
+
+
+def run_corpus(src: Path) -> dict:
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [str(src), str(ROOT / "bench")]
+    import workloads
+    from zakfiber import cli, groups
+
+    records = {}
+    with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as devnull:
+        workdir = Path(tmp)
+        out = workdir / "report.json"
+        for run_id, argv in corpus_argvs(workloads, groups, workdir):
+            for suffix, extra in (("", []), (f" --tol {STRICT_TOL}", ["--tol", STRICT_TOL])):
+                out.unlink(missing_ok=True)
+                with contextlib.redirect_stdout(devnull), contextlib.redirect_stderr(devnull):
+                    code = cli.main([*argv, *extra, "--out", str(out)])
+                report = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+                records[run_id + suffix] = {"exit": code, "booleans": booleans(report)}
+    return {"src": str(src), "runs": records}
+
+
+def compare(a: dict, b: dict) -> list[str]:
+    """One line per differing run, then one per boolean change with its count."""
+    lines, tally = [], collections.Counter()
+    runs_a, runs_b = a["runs"], b["runs"]
+    for run_id in sorted(runs_a.keys() | runs_b.keys()):
+        if run_id not in runs_a or run_id not in runs_b:
+            lines.append(f"{run_id}: only in {'B' if run_id in runs_b else 'A'}")
+            continue
+        one, two = runs_a[run_id], runs_b[run_id]
+        if one["exit"] != two["exit"]:
+            lines.append(f"{run_id}: exit {one['exit']} -> {two['exit']}")
+        for path in sorted(one["booleans"].keys() | two["booleans"].keys()):
+            old, new = one["booleans"].get(path, "absent"), two["booleans"].get(path, "absent")
+            if old != new:
+                lines.append(f"{run_id}: {path} {old} -> {new}")
+                tally[path, old, new] += 1
+    for (path, old, new), count in sorted(tally.items(), key=str):
+        lines.append(f"{count} runs: {path} {old} -> {new}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Exit codes and booleans of the 864-run verdict corpus.")
+    parser.add_argument("out", nargs="?", help="run the corpus and write its record to this JSON file")
+    parser.add_argument("--src", default=str(ROOT / "src"), help="source tree whose zakfiber runs")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="list the runs whose exit code or booleans differ")
+    args = parser.parse_args(argv)
+    if (args.out is None) == (args.compare is None):
+        parser.error("give either OUT or --compare A B")
+    if args.out is not None:
+        record = run_corpus(Path(args.src).resolve())
+        Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        exits = collections.Counter(entry["exit"] for entry in record["runs"].values())
+        print(f"{len(record['runs'])} runs, exit codes {dict(sorted(exits.items()))}")
+        return 0
+    a, b = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.compare)
+    lines = compare(a, b)
+    print("\n".join(lines) if lines else f"{len(a['runs'])} runs agree")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
