@@ -22,10 +22,9 @@ import numpy as np
 
 COMMUTE = 1e-10  # commutator entries, against max|U| (max|uhat| for a fibered operator)
 SOLVE = 1e-8  # off-fiber leakage of the field solve, against max|U|
-STRUCT = 1e-9  # isometry (absolute); self-adjointness, against the operator norm or the largest fiber norm
+STRUCT = 1e-9  # isometry (absolute); self-adjointness, positivity: against the operator or largest fiber norm
 NORM = 1e-8  # operator norm against the largest fiber norm, relative to the operator norm
 HS = 1e-8  # HS and trace route agreement, against the entrywise HS value and the nuclear norm
-POSITIVITY = 1e-9  # Hermitian gap and -lam_min, reported only, against the operator norm
 RANK = 1e-9  # rank cut: singular values above RANK * the largest of their side count
 INVARIANCE = 1e-9  # distance of a translated basis vector from the span (absolute)
 SYMBOL = 1e-10  # demo-diffop: fiber symbols against 1 - pairing(d, w), and their scalar form (absolute)

@@ -289,7 +289,7 @@ def cmd_check(args) -> int:
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--tol", type=float, default=None, help="override the gate tolerances (not positivity, rank or invariance)"
+        "--tol", type=float, default=None, help="override the gate tolerances (not rank or invariance)"
     )
     sub.add_argument("--seed", type=int, default=0, help="random seed for sampled suites")
     sub.add_argument("--json", action="store_true", help="print the JSON report to stdout")

@@ -52,7 +52,7 @@ class RangeSolveError(Exception):
 class VerificationReport:
     """One identity check: the verdicts that decide it, and the values they
     compare. The report passes iff every verdict passes; a one-sided gate
-    that a verdict compares, or that decides nothing, is a value."""
+    that a verdict compares is a value."""
 
     verdicts: dict
     values: dict
@@ -222,7 +222,6 @@ class OperatorSummary:
     trace_basis: complex  # tr B^H U B, as an entrywise sum
     trace_frame: complex  # tr U
     hermitian_gap: float  # largest entry of U - U^H
-    min_eigenvalue: float  # of the Hermitian part of U
     isometry_residual: float  # largest entry of (U B)^H U B - I
 
 
@@ -254,15 +253,13 @@ def operator_summary(ctx: FiberContext, u, basis) -> OperatorSummary:
 
     Three readings of u, none through a field: the frame route reads u on
     the standard basis, the entrywise route reads U B, and the self-adjoint
-    and positivity values read u's Hermitian part, which has the spectrum
-    of B^H U B's. One product U B and its Gram product are formed, and one
-    SVD and one Hermitian eigensolve are taken.
+    gap reads U - U^H. One product U B and its Gram product are formed, and
+    one SVD is taken, whose singular values are U's, B being unitary.
     """
     u = as_operator(ctx, u)
     n = ctx.group.size
     basis = _array(basis, "basis", (n, n))
     restricted = u @ basis
-    adjoint = u.conj().T
     # NaN stands in for the spectrum of a non-finite matrix, on which the SVD
     # would not converge
     finite = np.isfinite(restricted).all()
@@ -274,8 +271,7 @@ def operator_summary(ctx: FiberContext, u, basis) -> OperatorSummary:
         hs_frame=float(np.sum(np.abs(u) ** 2)),
         trace_basis=complex(np.sum(basis.conj() * restricted)),
         trace_frame=complex(np.trace(u)),
-        hermitian_gap=_max_entry(u - adjoint),
-        min_eigenvalue=float(np.linalg.eigvalsh((u + adjoint) / 2.0).min()),
+        hermitian_gap=_max_entry(u - u.conj().T),
         isometry_residual=_max_entry(restricted.conj().T @ restricted - np.eye(n)),
     )
 
@@ -320,8 +316,7 @@ def hs_trace_report(op: OperatorSummary, fib: FiberSummary, tol: float = checks.
     on the standard basis (the full space's Parseval frame), and as a sum of
     fiber HS norms. The complex trace, which every operator on a finite
     group has, is compared the same three ways against the nuclear norm of
-    u: |tr u| on a positive u, and zero only at u = 0. The positivity gates
-    are reported values and decide nothing.
+    u: |tr u| on a positive u, and zero only at u = 0.
     """
     hs_values = {"entrywise": op.hs_entrywise, "frame": op.hs_frame, "fiber": float(sum(fib.hs_terms))}
     tr_values = {"basis": op.trace_basis, "frame": op.trace_frame, "fiber": complex(sum(fib.trace_terms))}
@@ -329,11 +324,7 @@ def hs_trace_report(op: OperatorSummary, fib: FiberSummary, tol: float = checks.
         "hs_agree": checks.gate(_pairwise_gap(hs_values.values()), tol, op.hs_entrywise),
         "trace_agree": checks.gate(_pairwise_gap(tr_values.values()), tol, float(np.sum(op.singular_values))),
     }
-    positivity = {
-        "hermitian": checks.gate(op.hermitian_gap, checks.POSITIVITY, op.norm),
-        "semidefinite": checks.gate(-op.min_eigenvalue, checks.POSITIVITY, op.norm),
-    }
-    values = {"hs_squared": hs_values, "trace": tr_values, "positivity": positivity}
+    values = {"hs_squared": hs_values, "trace": tr_values}
     values.update(hs_fiber_terms=fib.hs_terms, trace_fiber_terms=fib.trace_terms)
     return VerificationReport(verdicts, values)
 
@@ -359,21 +350,30 @@ def _rank_decision(s: np.ndarray) -> tuple[np.ndarray, dict]:
 def structural_flags(
     op: OperatorSummary, fib: FiberSummary, tol: float = checks.STRUCT
 ) -> VerificationReport:
-    """Isometry, self-adjointness and rank compared between the two pictures.
+    """Isometry, self-adjointness, positivity and rank compared between the sides.
 
-    Each side decides isometry (absolute) and self-adjointness (against its
-    own norm), and cuts its rank at its own largest singular value. The
-    report passes when the two sides agree on each biconditional and the
-    rank on the space equals the sum of the fiber ranks.
+    Each side decides isometry (absolute), self-adjointness and positivity
+    (against its own norm), and cuts its rank at its own largest singular
+    value. A square A has Re tr A <= ||A||_*, the sum of its singular values,
+    with equality iff A >= 0, and each fiber's deficit is >= 0, so their sum
+    is 0 iff every fiber is positive. The deficit grows only quadratically
+    in a skew-Hermitian part, so positivity gates it with the self-adjoint
+    residual. The report passes when the two sides agree on each
+    biconditional and the rank on the space equals the sum of the fiber ranks.
     """
     # a non-finite field or basis leaves the comparison undefined: no verdict
     # that compares the two sides passes, and no rank is reported
     finite = bool(np.isfinite([op.norm, *fib.norms]).all())
+    fiber_norm = checks.largest(fib.norms)
+    deficit_op = np.sum(op.singular_values) - op.trace_frame.real
+    deficit_fib = np.sum(fib.singular_values) - np.sum(fib.trace_terms).real
     sides = {
         "isometry_operator": checks.gate(op.isometry_residual, tol, 1.0),
         "isometry_fibers": checks.gate(fib.isometry_residual, tol, 1.0),
         "selfadjoint_operator": checks.gate(op.hermitian_gap, tol, op.norm),
-        "selfadjoint_fibers": checks.gate(fib.selfadjoint_residual, tol, checks.largest(fib.norms)),
+        "selfadjoint_fibers": checks.gate(fib.selfadjoint_residual, tol, fiber_norm),
+        "positive_operator": checks.gate(checks.largest([op.hermitian_gap, deficit_op]), tol, op.norm),
+        "positive_fibers": checks.gate(checks.largest([fib.selfadjoint_residual, deficit_fib]), tol, fiber_norm),
     }
     rank_op, cut_op = _rank_decision(op.singular_values)
     fiber_ranks, cut_fib = _rank_decision(fib.singular_values)
@@ -381,6 +381,7 @@ def structural_flags(
     disagreements = {
         "isometry_agree": sides["isometry_operator"].passed != sides["isometry_fibers"].passed,
         "selfadjoint_agree": sides["selfadjoint_operator"].passed != sides["selfadjoint_fibers"].passed,
+        "positive_agree": sides["positive_operator"].passed != sides["positive_fibers"].passed,
         "rank_agree": abs(rank_op - rank_fib),
     }
     return VerificationReport(

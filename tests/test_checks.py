@@ -89,7 +89,7 @@ class TestLargest:
 
 def test_every_tolerance_is_positive_and_finite():
     names = [n for n in dir(checks) if n.isupper()]
-    assert len(names) == 11
+    assert len(names) == 10
     for name in names:
         value = getattr(checks, name)
         assert isinstance(value, float) and math.isfinite(value) and value > 0, name

@@ -61,6 +61,31 @@ class TestAnalyze:
         assert main(["analyze", f1_spec, op, "--json"]) == 1
         assert read_report(capsys)["fiber_solve"]["passed"] is False
 
+    def test_positivity_catches_a_polar_factor_field(self, tmp_path, capsys, monkeypatch):
+        # (R^H R)^(1/2) keeps every fiber's singular values, HS norm, rank and
+        # self-adjointness on a Hermitian U, but it is positive where R is not
+        spec = tmp_path / "z8.json"
+        spec.write_text(json.dumps({"orders": [8], "gamma_generators": [[2]]}))
+        t = lambda k: translation_matrix(make_group([8]), (k,))
+        op = write_operator(tmp_path, "u.json", np.eye(8) + t(2) / 2 + t(6) / 2 - 0.9 * t(4))
+        assert main(["analyze", str(spec), op, "--json"]) == 0
+        structural = read_report(capsys)["structural"]
+        assert structural["verdicts"]["positive_agree"]["passed"] is True
+        assert structural["values"]["positive_operator"]["passed"] is False
+
+        def polar(field):
+            values, vectors = np.linalg.eigh(field.conj().swapaxes(1, 2) @ field)
+            return (vectors * np.sqrt(np.clip(values, 0.0, None))[:, None, :]) @ vectors.conj().swapaxes(1, 2)
+
+        solve = cli.solve_range_field
+        monkeypatch.setattr(cli, "solve_range_field", lambda *args: (polar(solve(*args)[0]), solve(*args)[1]))
+        assert main(["analyze", str(spec), op, "--json"]) == 1
+        report = read_report(capsys)
+        assert report["structural"]["values"]["positive_fibers"]["passed"] is True
+        comparisons = ("norm_identity", "hs_trace", "structural")
+        failed = [(c, name) for c in comparisons for name, v in report[c]["verdicts"].items() if not v["passed"]]
+        assert failed == [("hs_trace", "trace_agree"), ("structural", "positive_agree")]
+
     @pytest.mark.parametrize(
         "corrupt",
         [np.conj, lambda field: field.conj().swapaxes(1, 2)],
@@ -441,11 +466,10 @@ class TestBlasThreads:
                 # its imaginary part is rounding noise on this Hermitian U
                 one_value, two_value = np.array(hs1[kind][route]), np.array(hs2[kind][route])
                 assert np.linalg.norm(one_value - two_value) <= 1e-12 * np.linalg.norm(one_value), (kind, route)
-        # an eigenvalue is computed to rounding relative to the operator norm,
-        # the scale the positivity gate measures it against
-        # (the semidefinite gate's residual is -min_eigenvalue)
-        lam1, lam2 = (-hs["positivity"]["semidefinite"]["residual"] for hs in (hs1, hs2))
-        assert abs(lam1 - lam2) <= 1e-12 * norm
+        # the positivity residual is computed to rounding relative to the
+        # operator norm, the scale its gate measures it against
+        residual1, residual2 = (run["structural"]["values"]["positive_operator"]["residual"] for run in (one, two))
+        assert abs(residual1 - residual2) <= 1e-12 * norm
         assert hs1["hs_squared"]["frame"] == hs2["hs_squared"]["frame"]
         assert hs1["trace"]["frame"] == hs2["trace"]["frame"]
 

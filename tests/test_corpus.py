@@ -1,0 +1,70 @@
+"""The verdict corpus's comparison, on hand-written records."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "corpus.py"
+
+
+@pytest.fixture
+def corpus(monkeypatch):
+    # the tool pins the BLAS thread variables when it loads: pinned here the
+    # same way, they are restored after the test
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("corpus", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(code, **booleans):
+    return {"exit": code, "booleans": booleans}
+
+
+BEFORE = {
+    "runs": {
+        "exit-change": run(0, passed=True),
+        "flip": run(0, passed=True, **{"a.passed": True}),
+        "key-moved": run(0, passed=True, **{"old.passed": True}),
+        "same": run(1, passed=False),
+        "only-before": run(0),
+    }
+}
+AFTER = {
+    "runs": {
+        "exit-change": run(1, passed=False),
+        "flip": run(0, passed=False, **{"a.passed": True}),
+        "key-moved": run(0, passed=True, **{"new.passed": False}),
+        "same": run(1, passed=False),
+        "only-after": run(0),
+    }
+}
+
+
+def test_compare_lists_each_difference_then_the_tally(corpus):
+    assert corpus.compare(BEFORE, AFTER) == [
+        "exit-change: exit 0 -> 1",
+        "exit-change: passed True -> False",
+        "flip: passed True -> False",
+        "key-moved: new.passed absent -> False",
+        "key-moved: old.passed True -> absent",
+        "only-after: only in B",
+        "only-before: only in A",
+        "1 runs: new.passed absent -> False",
+        "1 runs: old.passed True -> absent",
+        "2 runs: passed True -> False",
+    ]
+
+
+def test_main_prints_the_lines_and_exits_by_agreement(corpus, tmp_path, capsys):
+    before, after = tmp_path / "before.json", tmp_path / "after.json"
+    before.write_text(json.dumps(BEFORE))
+    after.write_text(json.dumps(AFTER))
+    assert corpus.main(["--compare", str(before), str(after)]) == 1
+    assert capsys.readouterr().out.splitlines() == corpus.compare(BEFORE, AFTER)
+    assert corpus.main(["--compare", str(before), str(before)]) == 0
+    assert capsys.readouterr().out == "5 runs agree\n"

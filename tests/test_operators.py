@@ -88,7 +88,29 @@ class TestCheckTranslationPreserving:
             check_translation_preserving(f1_ctx, np.eye(3))
 
 
+def closed_form_field(ctx, u):
+    """The field of a commuting u in closed form, R(w)[c, c'] =
+    sum_{r in Gamma} U[c, c' + r] conj(pairing(r, w)): the |C| rows of u at
+    the transversal, summed against characters taken from their definition,
+    with no transform and no phase table."""
+    g = ctx.group
+    field = np.zeros(ctx.fiber_shape() + (ctx.n_c,), dtype=complex)
+    for wi, w in enumerate(ctx.omega.reps):
+        for r in ctx.gamma.elements:
+            character = pairing(g, r, w).conjugate()
+            for ci, c in enumerate(ctx.c_section.reps):
+                for di, d in enumerate(ctx.c_section.reps):
+                    field[wi, ci, di] += u[g.index(c), g.index(g.add(d, r))] * character
+    return field
+
+
 class TestExtract:
+    def test_solved_field_is_the_closed_form(self, ctx):
+        # a second route to the field, from u's entries and the characters alone
+        u = rand_tp_operator(np.random.default_rng(52), ctx)
+        field, _ = solve_range_field(ctx, u, zak_basis(ctx))
+        assert np.abs(field - closed_form_field(ctx, u)).max() <= 1e-12 * np.abs(u).max()
+
     def test_identity_gives_identity_fibers(self, f1_ctx):
         field = extract_range_operator(f1_ctx, np.eye(4, dtype=complex))
         for mat in field:
@@ -336,12 +358,14 @@ class TestHsTrace:
         assert report.values["trace_fiber_terms"] == pytest.approx([0.0, 4.0], abs=1e-9)
 
     def test_trace_compared_for_non_selfadjoint(self, f1_ctx):
-        # I - T_1 is not self-adjoint (its adjoint is I - T_3), so it fails the
-        # positivity gates; those are reported, and the trace is compared anyway
+        # I - T_1 is not self-adjoint (its adjoint is I - T_3), so neither side
+        # finds it positive; the trace is compared anyway
         u = diff_operator(f1_ctx, (1,))
         field = extract_range_operator(f1_ctx, u)
+        structural = structural_flags(*summaries(f1_ctx, u, field))
+        assert not structural.values["positive_operator"] and not structural.values["positive_fibers"]
+        assert structural.verdicts["positive_agree"]
         report = hs_trace_report(*summaries(f1_ctx, u, field))
-        assert not report.values["positivity"]["hermitian"]
         assert report.passed and report.verdicts["trace_agree"]
         for route in ("basis", "frame", "fiber"):
             assert report.values["trace"][route] == pytest.approx(4.0, abs=1e-9), route
@@ -422,6 +446,7 @@ class TestStructuralFlags:
         report = structural_flags(*summaries(f1_ctx, u, nan_field(f1_ctx, u)))
         assert not report.values["isometry_operator"] and not report.values["isometry_fibers"]
         assert not report.verdicts["isometry_agree"] and not report.verdicts["rank_agree"]
+        assert not report.verdicts["positive_agree"]
         assert not report.passed
         assert report.values["fiber_ranks"] is None and report.values["rank_fiber_sum"] is None
         assert np.isnan(report.values["isometry_fibers"].residual)
@@ -484,6 +509,41 @@ class TestStructuralFlags:
             assert report.values["isometry_operator"].passed is expected
             assert report.values["isometry_fibers"].passed is expected
             assert report.verdicts["isometry_agree"]
+
+    def test_positive_operator_is_positive_on_both_sides(self, ctx):
+        w = rand_tp_operator(np.random.default_rng(59), ctx)
+        u = w.conj().T @ w
+        report = structural_flags(*summaries(ctx, u, extract_range_operator(ctx, u)))
+        assert report.passed
+        assert report.values["positive_operator"] and report.values["positive_fibers"]
+
+    def test_hermitian_indefinite_operator_is_positive_on_neither_side(self, f2_ctx):
+        # eigenvalues 1 + cos(pi k / 2) - 0.9 (-1)^k, from -0.9 to 1.9
+        t = lambda k: translation_matrix(f2_ctx.group, (k,))
+        u = np.eye(8) + t(2) / 2 + t(6) / 2 - 0.9 * t(4)
+        assert np.linalg.eigvalsh(u).min() == pytest.approx(-0.9)
+        report = structural_flags(*summaries(f2_ctx, u, extract_range_operator(f2_ctx, u)))
+        assert report.passed and report.verdicts["positive_agree"]
+        assert report.values["selfadjoint_operator"] and report.values["selfadjoint_fibers"]
+        assert not report.values["positive_operator"] and not report.values["positive_fibers"]
+        # the deficit Re tr A <= ||A||_* is twice the negative eigenvalues' sum
+        assert report.values["positive_operator"].residual == pytest.approx(4 * 0.9, rel=1e-12)
+        assert report.values["positive_fibers"].residual == pytest.approx(4 * 0.9, rel=1e-12)
+
+    def test_a_small_skew_part_fails_positivity(self):
+        # the deficit grows only quadratically in a skew-Hermitian part: alone
+        # it would pass W^H W + 1e-7 i ||U|| I, which is not self-adjoint
+        g = make_group([64])
+        ctx = fiber_context(g, subgroup_from_generators(g, [(8,)]))
+        w = rand_tp_operator(np.random.default_rng(60), ctx)
+        psd = w.conj().T @ w
+        u = psd + 1e-7j * np.linalg.norm(psd, 2) * np.eye(64)
+        op, fib = summaries(ctx, u, extract_range_operator(ctx, u))
+        assert np.sum(op.singular_values) - np.trace(u).real <= 1e-9 * op.norm
+        report = structural_flags(op, fib)
+        assert report.passed
+        for side in ("operator", "fibers"):
+            assert not report.values[f"selfadjoint_{side}"] and not report.values[f"positive_{side}"], side
 
     def test_adjoint_covariance(self, ctx):
         # the field of U* is the fiberwise adjoint when U maps the space to itself
@@ -569,8 +629,8 @@ class TestSummaries:
         n = g.size
         w = rand_tp_operator(np.random.default_rng(64), ctx)
         u = w.conj().T @ w if hermitian else w
-        shapes, eigvalsh_calls, basis_builds = [], [], []
-        svd, norm, eigvalsh = np.linalg.svd, np.linalg.norm, np.linalg.eigvalsh
+        shapes, eigensolves, basis_builds = [], [], []
+        svd, norm = np.linalg.svd, np.linalg.norm
 
         def counting_svd(a, *args, **kwargs):
             shapes.append(np.shape(a))
@@ -581,25 +641,32 @@ class TestSummaries:
                 shapes.append(np.shape(x))
             return norm(x, ord, *args, **kwargs)
 
-        def counting_eigvalsh(a, *args, **kwargs):
-            eigvalsh_calls.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
-
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(np.linalg, "norm", counting_norm)
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+
+        def counting_eigensolve(solve):
+            def counted(a, *args, **kwargs):
+                eigensolves.append(np.shape(a))
+                return solve(a, *args, **kwargs)
+
+            return counted
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counting_eigensolve(getattr(np.linalg, name)))
         for module in (cli, operators):
             build = module.zak_basis
             monkeypatch.setattr(module, "zak_basis", lambda *a, build=build: basis_builds.append(1) or build(*a))
 
         body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
-        # the trace clause runs on both; the positivity gates only report
+        # positivity is decided on both sides from the spectra the SVDs give
         assert ok and body["hs_trace"]["verdicts"]["trace_agree"]["passed"]
-        assert all(gate["passed"] for gate in body["hs_trace"]["values"]["positivity"].values()) is hermitian
+        structural = body["structural"]
+        assert structural["verdicts"]["positive_agree"]["passed"]
+        assert structural["values"]["positive_operator"]["passed"] is hermitian
         assert shapes.count((n, n)) == 1
         # the fiber side takes one SVD over the whole stack of fibers
         assert shapes == [(n, n), (ctx.n_omega, ctx.n_c, ctx.n_c)]
-        assert eigvalsh_calls == [(n, n)]
+        assert eigensolves == []
         assert len(basis_builds) == 1
 
     @pytest.mark.parametrize("hermitian", [False, True], ids=["commuting", "hermitian-psd"])

@@ -198,4 +198,4 @@ def test_every_verdict_is_one_record(tmp_path):
             assert same(record["bound"], record["tolerance"] * record["scale"]), (argv, path)
             assert same(record["margin"], record["bound"] - record["residual"]), (argv, path)
     # demo, two checks, three analyze runs; the perturbed one stops at the commutation check
-    assert counts == [16, 8, 8, 14, 14, 1]
+    assert counts == [17, 8, 8, 15, 15, 1]

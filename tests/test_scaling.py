@@ -104,6 +104,11 @@ def battery_operator(label, ctx, kind):
     if kind == "hermitian-psd":
         w = rand_tp_operator(rng, ctx)
         return w.conj().T @ w
+    if kind == "hermitian-indefinite":
+        # traceless, Hermitian and nonzero, so it has a negative eigenvalue
+        w = rand_tp_operator(rng, ctx)
+        h = w.conj().T @ w
+        return h - np.trace(h).real / n * np.eye(n)
     if kind == "rank-deficient":
         # rank-one fibers, and one zero fiber where there are several
         field = rand_field(rng, ctx, range_function(ctx, rand_signal(rng, n)[:, None]))
@@ -132,7 +137,8 @@ def decisions(body, ok) -> dict:
 
 
 CONTEXTS = battery_contexts()
-KINDS = ["commuting", "non-commuting", "hermitian-psd", "rank-deficient"]
+KINDS = ["commuting", "non-commuting", "hermitian-psd", "hermitian-indefinite", "rank-deficient"]
+POSITIVE = ("structural", "values", "positive_operator"), ("structural", "values", "positive_fibers")
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -148,14 +154,23 @@ def test_verdicts_are_scale_free(index, kind, exponent):
     assert decisions(*pipeline(ctx, 10.0**exponent * u)) == reference
     # every operator commutes with the trivial subgroup
     assert reference[()] is (kind != "non-commuting" or ctx.gamma.size == 1)
+    if kind.startswith("hermitian"):
+        # positive on both sides, or on neither, at every scale
+        assert reference[("structural", "verdicts", "positive_agree")]
+        assert [reference[path] for path in POSITIVE] == [kind == "hermitian-psd"] * 2
 
 
 def test_every_kind_meets_its_gates():
     # the property runs over reports that reach every gate: the trace clause
-    # on every commuting kind, and dropped singular values on the deficient ones
+    # and positivity on every commuting kind, positive sides that pass and
+    # fail, and dropped singular values on the deficient ones
     label, ctx = next((label, ctx) for label, ctx in CONTEXTS if ctx.n_c > 1 and ctx.n_omega > 1)
     bodies = {kind: pipeline(ctx, battery_operator(label, ctx, kind))[0] for kind in KINDS}
-    for kind in ("commuting", "hermitian-psd", "rank-deficient"):
+    for kind in ("commuting", "hermitian-psd", "hermitian-indefinite", "rank-deficient"):
         assert bodies[kind]["hs_trace"]["verdicts"]["trace_agree"]["passed"], kind
+        assert bodies[kind]["structural"]["verdicts"]["positive_agree"]["passed"], kind
+    for kind in ("hermitian-psd", "hermitian-indefinite"):
+        for path in POSITIVE:
+            assert decisions(bodies[kind], True)[path] is (kind == "hermitian-psd"), (kind, path)
     assert bodies["rank-deficient"]["structural"]["values"]["rank_cut"]["fibers"]["largest_dropped"] is not None
     assert "structural" not in bodies["non-commuting"]
