@@ -7,11 +7,14 @@ residual and the bound alike, so no verdict depends on the units of U; U = 0
 is the one input with scale 0, where only a residual of exactly 0 passes. A
 NaN residual or scale fails, and :func:`largest` keeps a NaN, so no gate
 fails open. A biconditional (``*_agree``) is a gate at ``tol = 0`` on the
-disagreement. Gates that are not homogeneous stay absolute, ``scale = 1.0``:
-isometry, since ``A^H A - I`` does not scale with A; INVARIANCE, on an
-orthonormal basis; TRANSFORM and ROUNDTRIP, on the check suites'
-unit-variance signals, unit-modulus characters and projections; SYMBOL, on
-symbols ``1 - pairing(d, w)`` of modulus at most 2.
+disagreement. A value compared across the correspondence Z U Z* =
+blockdiag R(omega) is one the unitary Z leaves unchanged (a spectral or
+Frobenius norm, a trace), so both sides measure the same quantity whatever
+Gamma is; a largest-entry norm would not. Gates that are not homogeneous
+stay absolute, ``scale = 1.0``: isometry, since ``A^H A - I`` does not
+scale with A; INVARIANCE, on an orthonormal basis; TRANSFORM and ROUNDTRIP,
+on the check suites' unit-variance signals, unit-modulus characters and
+projections; SYMBOL, on symbols ``1 - pairing(d, w)`` of modulus at most 2.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ import numpy as np
 
 COMMUTE = 1e-10  # commutator entries, against max|U| (max|uhat| for a fibered operator)
 SOLVE = 1e-8  # off-fiber leakage of the field solve, against max|U|
-STRUCT = 1e-9  # isometry (absolute); self-adjointness, positivity: against the operator or largest fiber norm
+STRUCT = 1e-9  # isometry max|s^2 - 1| (absolute); ||A - A^H||_F and positivity: against the operator or largest fiber norm
 NORM = 1e-8  # operator norm against the largest fiber norm, relative to the operator norm
-HS = 1e-8  # HS and trace route agreement, against the entrywise HS value and the nuclear norm
+HS = 1e-8  # HS and trace, operator against fibers: against sum |U_ij|^2 and the nuclear norm
 RANK = 1e-9  # rank cut: singular values above RANK * the largest of their side count
 INVARIANCE = 1e-9  # distance of a translated basis vector from the span (absolute)
 SYMBOL = 1e-10  # demo-diffop: fiber symbols against 1 - pairing(d, w), and their scalar form (absolute)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, jsonio
-from .fiberization import fiber_context, determining_function, zak, zak_basis, zak_inverse
+from .fiberization import fiber_context, determining_function, zak, zak_inverse
 from .groups import make_group, pairing, subgroup_from_generators, translate, translation_matrix
 from .operators import (
     NotTranslationPreservingError,
@@ -119,9 +119,7 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
     report = {"translation_preserving": commute.to_dict()}
     if not commute:
         return report, False, None
-    # one basis, the Zak basis Z*, serves the solve and the operator side
-    basis = zak_basis(ctx)
-    field, solve_residual = solve_range_field(ctx, u, basis)
+    field, solve_residual = solve_range_field(ctx, u)
     # the leakage is measured against max|U|, the commutation check's scale
     solve = checks.gate(solve_residual, cfg.tolerance(checks.SOLVE), commute.scale)
     report["fiber_solve"] = solve.to_dict()
@@ -129,7 +127,7 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
         return report, False, None
     report["range_field"] = jsonio.field_to_json(field)
 
-    op = operator_summary(ctx, u, basis)
+    op = operator_summary(ctx, u)
     fib = fiber_summary(field)
     comparisons = {
         "norm_identity": norm_identity_report(op, fib, tol=cfg.tolerance(checks.NORM)),

@@ -135,7 +135,11 @@ def zak_inverse(ctx: FiberContext, fibers) -> np.ndarray:
 
 def zak_basis(ctx: FiberContext) -> np.ndarray:
     """The Zak basis Z* of the full signal space, a ``(|G|, |G|)`` matrix whose
-    column omega*|C| + c has the one nonzero fiber entry 1 at (omega, c)."""
+    column omega*|C| + c has the one nonzero fiber entry 1 at (omega, c).
+
+    Built by :func:`zak_inverse`, so the field solve, its one caller in the
+    package, fiberizes U Z* with :func:`zak` and checks each transform
+    against the other."""
     n = ctx.group.size
     return zak_inverse(ctx, np.eye(n, dtype=complex).reshape(ctx.fiber_shape() + (n,)))
 

@@ -9,8 +9,9 @@ commutation property, and extract and synthesize fields, on the full signal
 space, the space every command certifies: the field is the diagonal blocks
 of Z U Z*. The two summaries and the norm, Hilbert-Schmidt, trace, isometry,
 self-adjointness and rank reports that compare them describe that space too:
-the operator side reads U and the Zak basis Z*, the fiber side the blocks
-R(omega) alone.
+the operator side reads U alone, the fiber side the blocks R(omega) alone.
+Z is unitary, so each compared value is one that conjugation by Z leaves
+unchanged: a spectrum, a Frobenius norm or a trace, never a largest entry.
 Per-fiber values (norms, ranks, HS and trace terms) are 1-D arrays indexed
 by omega.
 """
@@ -110,18 +111,19 @@ def check_translation_preserving(ctx: FiberContext, u, tol: float = checks.COMMU
     return checks.gate(checks.largest(residuals), tol, scale)
 
 
-def solve_range_field(ctx: FiberContext, u, basis):
-    """Fiberwise solve for the field of u, given the ``(|G|, |G|)`` Zak basis
-    B = Z*, ``zak_basis(ctx)``.
+def solve_range_field(ctx: FiberContext, u):
+    """Fiberwise solve for the field of u.
 
     Returns ``(field, residual)``: the diagonal |C| x |C| blocks of
     Z U Z* = zak(U B) as the ``(|Omega|, |C|, |C|)`` field, and the largest
     entry off them. A residual at rounding scale certifies that the field
-    reproduces u; a large residual means no field exists.
+    reproduces u; a large residual means no field exists. The Zak basis
+    B = Z* is built by :func:`zak_inverse` and U B is fiberized by
+    :func:`zak`, so the solve is where the two transforms meet: a sign error
+    in either one leaks off the diagonal blocks.
     """
     u = as_operator(ctx, u)
-    basis = _array(basis, "basis", (ctx.group.size, ctx.group.size))
-    blocks = zak(ctx, u @ basis).reshape(ctx.fiber_shape() * 2)
+    blocks = zak(ctx, u @ zak_basis(ctx)).reshape(ctx.fiber_shape() * 2)
     diagonal = np.arange(ctx.n_omega)
     # contiguous, so the per-fiber sums downstream add in one fixed order
     return np.ascontiguousarray(blocks[diagonal, :, diagonal, :]), _off_block_max(ctx, blocks)[0]
@@ -138,7 +140,7 @@ def extract_range_operator(ctx: FiberContext, u) -> np.ndarray:
     verdict = check_translation_preserving(ctx, u)
     if not verdict:
         raise NotTranslationPreservingError(verdict)
-    field, residual = solve_range_field(ctx, u, zak_basis(ctx))
+    field, residual = solve_range_field(ctx, u)
     if not checks.passes(residual, checks.SOLVE, verdict.scale):
         raise RangeSolveError(residual)
     return field
@@ -208,21 +210,15 @@ def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determ
 
 @dataclass(frozen=True, eq=False)
 class OperatorSummary:
-    """What the reports read of U on the full signal space, built from U and
-    the Zak basis B = Z*, never from a field.
-
-    ``norm`` is NaN exactly when U B has a non-finite entry, and then the
-    singular values are one NaN.
-    """
+    """What the reports read of U on the full signal space, from U alone,
+    never from a field or a basis. Each value is unchanged by a unitary change
+    of basis, so it is also the value of Z U Z*."""
 
     norm: float
-    singular_values: np.ndarray  # of U B, descending
-    hs_entrywise: float  # ||U B||_F^2
-    hs_frame: float  # ||U||_F^2, U on the standard basis
-    trace_basis: complex  # tr B^H U B, as an entrywise sum
-    trace_frame: complex  # tr U
-    hermitian_gap: float  # largest entry of U - U^H
-    isometry_residual: float  # largest entry of (U B)^H U B - I
+    singular_values: np.ndarray  # descending
+    hs: float  # ||U||_F^2, the sum of |U_ij|^2
+    trace: complex  # tr U
+    hermitian_gap: float  # ||U - U^H||_F
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +234,7 @@ class FiberSummary:
     singular_values: np.ndarray  # (|Omega|, |C|), each row descending
     hs_terms: np.ndarray  # float64
     trace_terms: np.ndarray  # complex128
-    isometry_residual: float  # largest entry of R^H R - I, over the fibers
-    selfadjoint_residual: float  # largest entry of R - R^H, over the fibers
+    selfadjoint_residual: float  # (sum over the fibers of ||R - R^H||_F^2)^(1/2)
 
 
 def _max_entry(mat: np.ndarray) -> float:
@@ -247,52 +242,34 @@ def _max_entry(mat: np.ndarray) -> float:
     return float(np.abs(mat).max(initial=0.0))
 
 
-def operator_summary(ctx: FiberContext, u, basis) -> OperatorSummary:
-    """Summarize u on the full signal space, given the ``(|G|, |G|)`` Zak
-    basis B = Z*, ``zak_basis(ctx)``.
-
-    Three readings of u, none through a field: the frame route reads u on
-    the standard basis, the entrywise route reads U B, and the self-adjoint
-    gap reads U - U^H. One product U B and its Gram product are formed, and
-    one SVD is taken, whose singular values are U's, B being unitary.
-    """
+def operator_summary(ctx: FiberContext, u) -> OperatorSummary:
+    """Summarize u on the full signal space: one SVD of u, the sum of
+    |U_ij|^2, tr U and ||U - U^H||_F. No basis is read and no product formed."""
     u = as_operator(ctx, u)
-    n = ctx.group.size
-    basis = _array(basis, "basis", (n, n))
-    restricted = u @ basis
-    # NaN stands in for the spectrum of a non-finite matrix, on which the SVD
-    # would not converge
-    finite = np.isfinite(restricted).all()
-    s = np.linalg.svd(restricted, compute_uv=False) if finite else np.full(1, math.nan)
+    s = np.linalg.svd(u, compute_uv=False)
     return OperatorSummary(
         norm=float(s[0]),
         singular_values=s,
-        hs_entrywise=float(np.linalg.norm(restricted) ** 2),
-        hs_frame=float(np.sum(np.abs(u) ** 2)),
-        trace_basis=complex(np.sum(basis.conj() * restricted)),
-        trace_frame=complex(np.trace(u)),
-        hermitian_gap=_max_entry(u - u.conj().T),
-        isometry_residual=_max_entry(restricted.conj().T @ restricted - np.eye(n)),
+        hs=float(np.sum(np.abs(u) ** 2)),
+        trace=complex(np.trace(u)),
+        hermitian_gap=float(np.linalg.norm(u - u.conj().T)),
     )
 
 
 def fiber_summary(field) -> FiberSummary:
     """Summarize the field, a ``(k, c, c)`` array of fiber matrices R(omega):
-    one stacked SVD over its finite fibers, and batched traces, Grams and
-    R - R^H."""
+    one stacked SVD over its finite fibers, and batched traces and R - R^H."""
     nc = field.shape[-1] if isinstance(field, np.ndarray) and field.ndim == 3 else None
     field = _array(field, "field", (None, nc, nc))
     finite = np.isfinite(field).all(axis=(1, 2))
     s = np.full(field.shape[:2], math.nan)
     s[finite] = np.linalg.svd(field[finite], compute_uv=False)
-    adjoint = field.conj().swapaxes(1, 2)
     return FiberSummary(
         norms=s.max(axis=1, initial=0.0),
         singular_values=s,
         hs_terms=np.sum(field.real**2 + field.imag**2, axis=(1, 2)),
         trace_terms=np.trace(field, axis1=1, axis2=2),
-        isometry_residual=_max_entry(adjoint @ field - np.eye(field.shape[1])),
-        selfadjoint_residual=_max_entry(field - adjoint),
+        selfadjoint_residual=float(np.linalg.norm((field - field.conj().swapaxes(1, 2)).ravel())),
     )
 
 
@@ -310,28 +287,26 @@ def norm_identity_report(
 
 
 def hs_trace_report(op: OperatorSummary, fib: FiberSummary, tol: float = checks.HS) -> VerificationReport:
-    """Hilbert-Schmidt norm and trace computed three independent ways.
+    """Hilbert-Schmidt norm and trace computed two independent ways.
 
-    The squared HS norm of u is compared entrywise through the Zak basis,
-    on the standard basis (the full space's Parseval frame), and as a sum of
-    fiber HS norms. The complex trace, which every operator on a finite
-    group has, is compared the same three ways against the nuclear norm of
-    u: |tr u| on a positive u, and zero only at u = 0.
+    The squared HS norm of u, the sum of |U_ij|^2, is compared with the sum
+    of the fiber HS norms, measured against the former. The complex trace,
+    which every operator on a finite group has, is compared as tr U with the
+    sum of the fiber traces, against the nuclear norm of u: |tr u| on a
+    positive u, and zero only at u = 0.
     """
-    hs_values = {"entrywise": op.hs_entrywise, "frame": op.hs_frame, "fiber": float(sum(fib.hs_terms))}
-    tr_values = {"basis": op.trace_basis, "frame": op.trace_frame, "fiber": complex(sum(fib.trace_terms))}
+    hs_fiber, tr_fiber = float(sum(fib.hs_terms)), complex(sum(fib.trace_terms))
     verdicts = {
-        "hs_agree": checks.gate(_pairwise_gap(hs_values.values()), tol, op.hs_entrywise),
-        "trace_agree": checks.gate(_pairwise_gap(tr_values.values()), tol, float(np.sum(op.singular_values))),
+        "hs_agree": checks.gate(abs(op.hs - hs_fiber), tol, op.hs),
+        "trace_agree": checks.gate(abs(op.trace - tr_fiber), tol, float(np.sum(op.singular_values))),
     }
-    values = {"hs_squared": hs_values, "trace": tr_values}
-    values.update(hs_fiber_terms=fib.hs_terms, trace_fiber_terms=fib.trace_terms)
+    values = {
+        "hs_squared": {"entrywise": op.hs, "fiber": hs_fiber},
+        "trace": {"entrywise": op.trace, "fiber": tr_fiber},
+        "hs_fiber_terms": fib.hs_terms,
+        "trace_fiber_terms": fib.trace_terms,
+    }
     return VerificationReport(verdicts, values)
-
-
-def _pairwise_gap(values) -> float:
-    vals = list(values)
-    return checks.largest(abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1 :])
 
 
 def _rank_decision(s: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -354,22 +329,27 @@ def structural_flags(
 
     Each side decides isometry (absolute), self-adjointness and positivity
     (against its own norm), and cuts its rank at its own largest singular
-    value. A square A has Re tr A <= ||A||_*, the sum of its singular values,
+    value. Every residual is one that a unitary change of basis leaves
+    unchanged, so both sides measure the same quantity: the isometry residual
+    is ||A^H A - I||_2 = max |s_i^2 - 1| over the singular values (over all
+    fibers' values on the fiber side), and the self-adjoint residual is
+    ||U - U^H||_F against (sum over the fibers of ||R - R^H||_F^2)^(1/2).
+    A square A has Re tr A <= ||A||_*, the sum of its singular values,
     with equality iff A >= 0, and each fiber's deficit is >= 0, so their sum
     is 0 iff every fiber is positive. The deficit grows only quadratically
     in a skew-Hermitian part, so positivity gates it with the self-adjoint
     residual. The report passes when the two sides agree on each
     biconditional and the rank on the space equals the sum of the fiber ranks.
     """
-    # a non-finite field or basis leaves the comparison undefined: no verdict
-    # that compares the two sides passes, and no rank is reported
+    # a non-finite field leaves the comparison undefined: no verdict that
+    # compares the two sides passes, and no rank is reported
     finite = bool(np.isfinite([op.norm, *fib.norms]).all())
     fiber_norm = checks.largest(fib.norms)
-    deficit_op = np.sum(op.singular_values) - op.trace_frame.real
+    deficit_op = np.sum(op.singular_values) - op.trace.real
     deficit_fib = np.sum(fib.singular_values) - np.sum(fib.trace_terms).real
     sides = {
-        "isometry_operator": checks.gate(op.isometry_residual, tol, 1.0),
-        "isometry_fibers": checks.gate(fib.isometry_residual, tol, 1.0),
+        "isometry_operator": checks.gate(_max_entry(op.singular_values**2 - 1), tol, 1.0),
+        "isometry_fibers": checks.gate(_max_entry(fib.singular_values**2 - 1), tol, 1.0),
         "selfadjoint_operator": checks.gate(op.hermitian_gap, tol, op.norm),
         "selfadjoint_fibers": checks.gate(fib.selfadjoint_residual, tol, fiber_norm),
         "positive_operator": checks.gate(checks.largest([op.hermitian_gap, deficit_op]), tol, op.norm),

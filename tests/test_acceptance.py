@@ -31,7 +31,6 @@ from zakfiber import (
     translate_parseval_frame,
     translation_matrix,
     zak,
-    zak_basis,
     zak_matrix,
 )
 from zakfiber.cli import main
@@ -55,7 +54,7 @@ def tp_samples():
         rng = np.random.default_rng(zlib.crc32(label.encode()))
         fields = [rand_field(rng, ctx, full_range(ctx)) for _ in range(50)]
         ops = [synthesize_operator(ctx, f) for f in fields]
-        samples.append((label, ctx, zak_basis(ctx), fields, ops))
+        samples.append((label, ctx, fields, ops))
     return samples
 
 
@@ -91,7 +90,7 @@ def test_three_characterizations_agree(tp_samples):
     disagreements = 0
     checked = 0
     preserving, non_preserving = 0, 0
-    for label, ctx, basis, _, ops in tp_samples:
+    for label, ctx, _, ops in tp_samples:
         rng = np.random.default_rng(202)
         zmat = zak_matrix(ctx)
         n = ctx.group.size
@@ -103,7 +102,7 @@ def test_three_characterizations_agree(tp_samples):
                     ctx, zmat @ u @ zmat.conj().T, mode="determining-set"
                 )
             )
-            _, residual = solve_range_field(ctx, u, basis)
+            _, residual = solve_range_field(ctx, u)
             c = residual <= 1e-9
             checked += 1
             if a:
@@ -124,7 +123,7 @@ def test_field_operator_bijection(tp_samples):
     # extract(synthesize(field)) == field and synthesize(extract(op)) == op,
     # both to 1e-9 max entry
     worst = 0.0
-    for label, ctx, _, fields, ops in tp_samples:
+    for label, ctx, fields, ops in tp_samples:
         for field, u in zip(fields, ops):
             recovered = extract_range_operator(ctx, u)
             for a, b in zip(recovered, field):
@@ -138,7 +137,7 @@ def test_norm_formula(tp_samples):
     # restricted operator norm equals the largest fiber norm, and the cyclic
     # difference-operator analog on Z8 with step 2 has norm exactly 2
     worst = 0.0
-    for label, ctx, _, fields, ops in tp_samples:
+    for label, ctx, fields, ops in tp_samples:
         for field, u in zip(fields, ops):
             report = norm_identity_report(*summaries(ctx, u, field))
             scale = max(1.0, report.values["operator_norm"])
@@ -164,10 +163,10 @@ def test_norm_formula(tp_samples):
 
 
 def test_hs_norm_and_trace_routes():
-    # squared HS norm agrees entrywise, on the standard basis, over a random
+    # squared HS norm agrees entrywise on the standard basis, over a random
     # orthonormal basis, over the scaled translate frame of the principal
     # generators, and over the fiber sums; the complex trace agrees over the
-    # basis/frame/translate-frame/fiber routes on every operator: positive,
+    # entrywise/translate-frame/fiber routes on every operator: positive,
     # general commuting, and the traceless translation by a unit vector
     # (T_1 on Z_8 with Gamma = G among them)
     worst_hs, worst_tr = 0.0, 0.0

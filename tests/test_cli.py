@@ -437,8 +437,8 @@ class TestBlasThreads:
     def test_verdicts_agree_across_thread_counts(self, tmp_path):
         # a BLAS product split over threads may sum in another order, so the
         # report bytes hold only at a fixed thread count; the verdicts hold
-        # across counts, the values to rounding, and the frame route, which
-        # passes through no BLAS product, to the bit
+        # across counts, the values to rounding, and the operator's entrywise
+        # HS and trace values, which pass through no BLAS product, to the bit
         g = make_group([256])
         ctx = fiber_context(g, subgroup_from_generators(g, [(16,)]))
         w = rand_tp_operator(np.random.default_rng(69), ctx)
@@ -470,8 +470,8 @@ class TestBlasThreads:
         # operator norm, the scale its gate measures it against
         residual1, residual2 = (run["structural"]["values"]["positive_operator"]["residual"] for run in (one, two))
         assert abs(residual1 - residual2) <= 1e-12 * norm
-        assert hs1["hs_squared"]["frame"] == hs2["hs_squared"]["frame"]
-        assert hs1["trace"]["frame"] == hs2["trace"]["frame"]
+        assert hs1["hs_squared"]["entrywise"] == hs2["hs_squared"]["entrywise"]
+        assert hs1["trace"]["entrywise"] == hs2["trace"]["entrywise"]
 
 
 class TestStreamedReport:

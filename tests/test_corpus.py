@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -9,16 +10,24 @@ import pytest
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "corpus.py"
 
 
-@pytest.fixture
-def corpus(monkeypatch):
-    # the tool pins the BLAS thread variables when it loads: pinned here the
-    # same way, they are restored after the test
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
+def load_corpus():
     spec = importlib.util.spec_from_file_location("corpus", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def corpus():
+    return load_corpus()
+
+
+def test_import_leaves_the_environment_unchanged():
+    # the BLAS threads are pinned by main, before a corpus run loads numpy,
+    # so a process that imports the tool starts its subprocesses unpinned
+    before = dict(os.environ)
+    load_corpus()
+    assert dict(os.environ) == before
 
 
 def run(code, **booleans):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import inspect
+import json
 
 import numpy as np
 import pytest
@@ -34,7 +35,8 @@ from zakfiber import (
     zak_matrix,
 )
 
-from zakfiber import cli, fiberization, operators, spaces
+import zakfiber
+from zakfiber import cli, fiberization, jsonio, operators, spaces
 
 from conftest import battery_contexts, delta, full_range, rand_field, rand_signal, rand_tp_operator, summaries
 
@@ -108,7 +110,7 @@ class TestExtract:
     def test_solved_field_is_the_closed_form(self, ctx):
         # a second route to the field, from u's entries and the characters alone
         u = rand_tp_operator(np.random.default_rng(52), ctx)
-        field, _ = solve_range_field(ctx, u, zak_basis(ctx))
+        field, _ = solve_range_field(ctx, u)
         assert np.abs(field - closed_form_field(ctx, u)).max() <= 1e-12 * np.abs(u).max()
 
     def test_identity_gives_identity_fibers(self, f1_ctx):
@@ -149,7 +151,7 @@ class TestExtract:
         # skip the commutation gate to reach the solve residual detector
         rng = np.random.default_rng(51)
         u = rand_signal(rng, 16).reshape(4, 4)
-        field, residual = solve_range_field(f1_ctx, u, zak_basis(f1_ctx))
+        field, residual = solve_range_field(f1_ctx, u)
         assert residual > 1e-3
         passing = operators.checks.gate(0.0, np.inf, 1.0)
         monkeypatch.setattr(operators, "check_translation_preserving", lambda *args: passing)
@@ -157,7 +159,7 @@ class TestExtract:
             extract_range_operator(f1_ctx, u)
 
     def test_nan_solve_residual_is_a_failure(self, f1_ctx, monkeypatch):
-        field, _ = solve_range_field(f1_ctx, np.eye(4, dtype=complex), zak_basis(f1_ctx))
+        field, _ = solve_range_field(f1_ctx, np.eye(4, dtype=complex))
         monkeypatch.setattr(operators, "solve_range_field", lambda *args: (field, float("nan")))
         with pytest.raises(RangeSolveError):
             extract_range_operator(f1_ctx, np.eye(4, dtype=complex))
@@ -341,7 +343,7 @@ class TestHsTrace:
         field = extract_range_operator(f1_ctx, u)
         report = hs_trace_report(*summaries(f1_ctx, u, field))
         assert report.passed
-        assert report.values["trace"]["basis"] == pytest.approx(8.0, abs=1e-9)
+        assert report.values["trace"]["entrywise"] == pytest.approx(8.0, abs=1e-9)
         assert report.values["trace_fiber_terms"] == pytest.approx([4.0, 4.0], abs=1e-9)
 
     def test_difference_operator_hs_eight(self, f1_ctx):
@@ -354,7 +356,7 @@ class TestHsTrace:
         assert report.values["hs_squared"]["entrywise"] == pytest.approx(8.0, abs=1e-9)
         assert report.values["hs_fiber_terms"] == pytest.approx([0.0, 8.0], abs=1e-9)
         # I - T_2 has eigenvalues {0, 2}: the trace routes agree at 4 = 0 + 4
-        assert report.values["trace"]["basis"] == pytest.approx(4.0, abs=1e-9)
+        assert report.values["trace"]["entrywise"] == pytest.approx(4.0, abs=1e-9)
         assert report.values["trace_fiber_terms"] == pytest.approx([0.0, 4.0], abs=1e-9)
 
     def test_trace_compared_for_non_selfadjoint(self, f1_ctx):
@@ -367,14 +369,14 @@ class TestHsTrace:
         assert structural.verdicts["positive_agree"]
         report = hs_trace_report(*summaries(f1_ctx, u, field))
         assert report.passed and report.verdicts["trace_agree"]
-        for route in ("basis", "frame", "fiber"):
+        for route in ("entrywise", "fiber"):
             assert report.values["trace"][route] == pytest.approx(4.0, abs=1e-9), route
         assert sum(report.values["trace_fiber_terms"]) == pytest.approx(4.0, abs=1e-9)
 
     def test_traceless_translation_and_zero_pass(self):
         # T_1 on Z_8 with Gamma = G has trace 0, so |tr U| cannot be the scale;
         # the nuclear norm is 8, the sum of its singular values (all 1). U = 0
-        # has scale 0, and its three traces are exactly 0
+        # has scale 0, and its two traces are exactly 0
         g = make_group([8])
         ctx = fiber_context(g, subgroup_from_generators(g, [(1,)]))
         for u, nuclear in ((translation_matrix(g, (1,)), 8.0), (np.zeros((8, 8), dtype=complex), 0.0)):
@@ -382,18 +384,18 @@ class TestHsTrace:
             verdict = report.verdicts["trace_agree"]
             assert verdict.passed and report.passed
             assert verdict.scale == pytest.approx(nuclear, rel=1e-12, abs=0)
-            assert abs(report.values["trace"]["frame"]) == 0.0
+            assert abs(report.values["trace"]["entrywise"]) == 0.0
             assert verdict.residual <= 1e-14
 
     def test_routes_disagree_on_a_mismatched_field(self, f1_ctx):
-        # the operator routes read only u and the fiber routes only the field,
+        # the operator route reads only u and the fiber route only the field,
         # so a field of 2u against u must fail every identity
         u = np.eye(4, dtype=complex)
         field = extract_range_operator(f1_ctx, 2 * u)
         norm = norm_identity_report(*summaries(f1_ctx, u, field))
         hs = hs_trace_report(*summaries(f1_ctx, u, field))
         assert not norm.passed and not hs.verdicts["hs_agree"] and not hs.verdicts["trace_agree"]
-        assert hs.values["hs_squared"]["frame"] == pytest.approx(hs.values["hs_squared"]["entrywise"])
+        assert hs.values["hs_squared"]["entrywise"] == pytest.approx(4.0)
         assert hs.values["hs_squared"]["fiber"] == pytest.approx(16.0)
         assert not structural_flags(*summaries(f1_ctx, u, field)).passed
 
@@ -450,21 +452,6 @@ class TestStructuralFlags:
         assert not report.passed
         assert report.values["fiber_ranks"] is None and report.values["rank_fiber_sum"] is None
         assert np.isnan(report.values["isometry_fibers"].residual)
-
-    def test_nan_basis_fails(self, f1_ctx):
-        # a NaN in the Zak basis makes every value read through it NaN: the
-        # norm, the entrywise HS and trace values and the isometry residual
-        u = np.eye(4, dtype=complex)
-        field = extract_range_operator(f1_ctx, u)
-        basis = zak_basis(f1_ctx)
-        basis[0, 0] = np.nan
-        op = operator_summary(f1_ctx, u, basis)
-        assert np.isnan([op.norm, op.hs_entrywise, op.trace_basis, op.isometry_residual]).all()
-        fib = fiber_summary(field)
-        report = structural_flags(op, fib)
-        assert not report.passed and not report.verdicts["rank_agree"]
-        assert report.values["rank_operator"] is None
-        assert not norm_identity_report(op, fib).passed and not hs_trace_report(op, fib).verdicts["hs_agree"]
 
     def test_translation_is_isometry_with_unimodular_fibers(self, f1_ctx):
         u = translation_matrix(f1_ctx.group, (2,)).astype(complex)
@@ -555,6 +542,56 @@ class TestStructuralFlags:
             assert np.abs(a - b.conj().T).max() <= 1e-9
 
 
+Z64_GAMMAS = {"gamma-8": (8,), "gamma-32": (32,), "gamma-G": (1,)}
+
+
+def z64_structural(u, step):
+    """The structural values of the pipeline on Z_64 at Gamma = <step>, once it passes."""
+    g = make_group([64])
+    body, ok, _ = cli._pipeline(fiber_context(g, subgroup_from_generators(g, [step])), u, cli.RunConfig())
+    assert ok
+    return body["structural"]["values"]
+
+
+class TestGammaIndependence:
+    """Each structural residual is one the unitary Z leaves unchanged, so both
+    sides measure one value and no verdict depends on Gamma. A largest-entry
+    residual does not: on Z_64 it gave the fibers and the operator different
+    verdicts at Gamma = <8> and G, and the same ones at <32>."""
+
+    def test_a_small_skew_part_is_self_adjoint_on_neither_side(self, tmp_path, capsys):
+        # I + 1e-8 i J/64, J the all-ones matrix: ||U - U^H||_F = 2e-8, while
+        # its largest entry is 3.1e-10, under STRUCT
+        u = np.eye(64) + 1e-8j * np.ones((64, 64)) / 64
+        op = tmp_path / "u.json"
+        op.write_text(json.dumps({"matrix": jsonio.matrix_to_json(u)}, default=np.ndarray.tolist))
+        residuals = []
+        for label, step in Z64_GAMMAS.items():
+            spec = tmp_path / f"{label}.json"
+            spec.write_text(json.dumps({"orders": [64], "gamma_generators": [list(step)]}))
+            assert cli.main(["analyze", str(spec), str(op), "--json"]) == 0, label
+            values = json.loads(capsys.readouterr().out)["structural"]["values"]
+            for side in ("operator", "fibers"):
+                assert values[f"selfadjoint_{side}"]["passed"] is False, (label, side)
+                residuals.append(values[f"selfadjoint_{side}"]["residual"])
+        assert residuals[0] == pytest.approx(2e-8, rel=1e-12)
+        assert max(residuals) - min(residuals) <= 1e-12 * max(residuals)
+
+    @pytest.mark.parametrize("step", Z64_GAMMAS.values(), ids=Z64_GAMMAS.keys())
+    def test_a_near_isometry_is_an_isometry_on_neither_side(self, step):
+        # I + 5e-9 J/64 has ||U^H U - I||_2 = (1 + 5e-9)^2 - 1 = 1e-8, over STRUCT
+        values = z64_structural(np.eye(64) + 5e-9 * np.ones((64, 64)) / 64, step)
+        for side in ("operator", "fibers"):
+            assert values[f"isometry_{side}"]["passed"] is False, side
+            # s^2 - 1 at s = 1 + 5e-9 keeps the rounding of s, about 1e-16
+            assert values[f"isometry_{side}"]["residual"] == pytest.approx(1e-8, rel=1e-6), side
+
+    @pytest.mark.parametrize("step", Z64_GAMMAS.values(), ids=Z64_GAMMAS.keys())
+    def test_the_unit_translation_is_an_isometry_on_both_sides(self, step):
+        values = z64_structural(translation_matrix(make_group([64]), (1,)), step)
+        assert values["isometry_operator"]["passed"] and values["isometry_fibers"]["passed"]
+
+
 def same_summary(a, b) -> bool:
     """Every field of two summaries equal, NaN matching NaN."""
     return all(
@@ -566,38 +603,37 @@ class TestSummaries:
     def test_each_summary_reads_only_its_own_side(self, f2_ctx):
         # the signatures keep the two routes apart: no field reaches the
         # operator summary and no operator reaches the fiber summary
-        assert list(inspect.signature(operator_summary).parameters) == ["ctx", "u", "basis"]
+        assert list(inspect.signature(operator_summary).parameters) == ["ctx", "u"]
         assert list(inspect.signature(fiber_summary).parameters) == ["field"]
         rng = np.random.default_rng(63)
         u = rand_tp_operator(rng, f2_ctx)
         field = extract_range_operator(f2_ctx, u)
-        basis = zak_basis(f2_ctx)
-        op, fib = operator_summary(f2_ctx, u, basis), fiber_summary(field)
+        op, fib = operator_summary(f2_ctx, u), fiber_summary(field)
 
         mats = [mat.copy() for mat in field]
         mats[1][0, 1] += 1.0
         corrupted = fiber_summary(np.stack(mats))
         assert not same_summary(corrupted, fib)
         assert corrupted.norms[0] == fib.norms[0] and corrupted.norms[1] != fib.norms[1]
-        assert same_summary(operator_summary(f2_ctx, u, basis), op)
+        assert same_summary(operator_summary(f2_ctx, u), op)
         assert not norm_identity_report(op, corrupted).passed
 
-        moved = operator_summary(f2_ctx, u + np.eye(f2_ctx.group.size), basis)
+        moved = operator_summary(f2_ctx, u + np.eye(f2_ctx.group.size))
         assert not same_summary(moved, op)
         assert same_summary(fiber_summary(field), fib)
         assert not hs_trace_report(moved, fib).passed
 
-    def test_frame_route_is_u_on_the_standard_basis(self):
-        # the frame route forms no product: ||U||_F^2 and tr U, read off u
+    def test_entrywise_route_is_u_on_the_standard_basis(self):
+        # the operator route forms no product: ||U||_F^2 and tr U, read off u
         rng = np.random.default_rng(66)
         for label, ctx in battery_contexts():
             w = rand_tp_operator(rng, ctx)
             u = w.conj().T @ w
             body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
             assert ok, label
-            assert body["hs_trace"]["values"]["hs_squared"]["frame"] == np.sum(np.abs(u) ** 2), label
+            assert body["hs_trace"]["values"]["hs_squared"]["entrywise"] == np.sum(np.abs(u) ** 2), label
             tr = np.trace(u)
-            assert body["hs_trace"]["values"]["trace"]["frame"].tolist() == [tr.real, tr.imag], label
+            assert body["hs_trace"]["values"]["trace"]["entrywise"].tolist() == [tr.real, tr.imag], label
 
     def test_fiber_summary_reads_each_fiber_alone(self, ctx):
         # the stacked SVD against one SVD per fiber, and a NaN fiber is NaN
@@ -653,9 +689,8 @@ class TestSummaries:
 
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting_eigensolve(getattr(np.linalg, name)))
-        for module in (cli, operators):
-            build = module.zak_basis
-            monkeypatch.setattr(module, "zak_basis", lambda *a, build=build: basis_builds.append(1) or build(*a))
+        build = operators.zak_basis
+        monkeypatch.setattr(operators, "zak_basis", lambda *a: basis_builds.append(1) or build(*a))
 
         body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
         # positivity is decided on both sides from the spectra the SVDs give
@@ -667,12 +702,21 @@ class TestSummaries:
         # the fiber side takes one SVD over the whole stack of fibers
         assert shapes == [(n, n), (ctx.n_omega, ctx.n_c, ctx.n_c)]
         assert eigensolves == []
+        # the solve builds the Zak basis once, and the operator side reads u alone
         assert len(basis_builds) == 1
+
+        def refuse(*args):
+            raise AssertionError("the operator summary read the Zak basis")
+
+        for module in (zakfiber, fiberization, operators):
+            monkeypatch.setattr(module, "zak_basis", refuse)
+        assert operator_summary(ctx, u).hs == body["hs_trace"]["values"]["hs_squared"]["entrywise"]
 
     @pytest.mark.parametrize("hermitian", [False, True], ids=["commuting", "hermitian-psd"])
     def test_pipeline_takes_the_full_space_frame_in_closed_form(self, monkeypatch, hermitian):
         # analyze certifies the full space, whose Parseval frame is the
-        # standard basis: nothing decomposes the space to find it
+        # standard basis the operator side reads u on: nothing decomposes the
+        # space to find it
         def refuse(*args, **kwargs):
             raise AssertionError("the pipeline decomposed the full space")
 

@@ -1,18 +1,22 @@
-"""The verdict corpus: the exit code and every boolean of 864 CLI runs.
+"""The verdict corpus: the exit code and every boolean of 888 CLI runs.
 
     python3 tools/corpus.py OUT.json [--src DIR]
     python3 tools/corpus.py --compare A.json B.json
 
 The first form executes the corpus in this process through ``zakfiber.cli.main``,
-with BLAS pinned to one thread, and writes one record per run to OUT.json:
-its exit code and every boolean of its JSON report, keyed by the report path
-(``hs_trace.verdicts.trace_agree.passed``). ``--src`` names the source tree
-whose ``zakfiber`` runs (default: this checkout's ``src``), so a copy of
-another commit can be measured with this script. The runs are:
+with BLAS pinned to one thread before numpy loads, and writes one record per
+run to OUT.json: its exit code and every boolean of its JSON report, keyed by
+the report path (``hs_trace.verdicts.trace_agree.passed``). ``--src`` names
+the source tree whose ``zakfiber`` runs (default: this checkout's ``src``), so
+a copy of another commit can be measured with this script. The runs are:
 
 - the bench ``analyze`` workload at seeds 1 and 2, its perturbed operators
   and its ``demo-diffop`` ops included (60 runs);
 - ``demo-diffop 8 2``, ``128 1`` and ``256 4`` (3 runs);
+- ``analyze`` on ``Z_64`` at ``Gamma = <8>``, ``<32>`` and ``G`` of four
+  operators built with numpy alone: a positive ``W^H W``, the translation
+  ``T_1``, and ``I + 1e-8 i J/64`` and ``I + 5e-9 J/64`` (``J`` the all-ones
+  matrix), just past the self-adjointness and isometry thresholds (12 runs);
 - ``check --seed 1`` on every subgroup of every bench ``subgroup-sweep``
   group (369 runs);
 - each of these again at ``--tol 1e-20``.
@@ -29,25 +33,41 @@ run takes 10-15 s on a 2-vCPU host.
 
 from __future__ import annotations
 
+import argparse
+import collections
+import contextlib
+import json
 import os
-
-# pinned before numpy loads: the report bytes of a BLAS product depend on it
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import collections  # noqa: E402
-import contextlib  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-import tempfile  # noqa: E402
-from pathlib import Path  # noqa: E402
+import sys
+import tempfile
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 DIFFOPS = ((8, 2), (128, 1), (256, 4))
+Z64_GAMMAS = {"8": 8, "32": 32, "G": 1}  # label: generator of Gamma in Z_64
+Z64_SEED = 1
 CHECK_SEED = 1
 STRICT_TOL = "1e-20"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def z64_operators(workloads) -> dict:
+    """The operator JSON, by name, of four operators on Z_64 that commute with
+    every subgroup: W^H W for a circulant W, the translation T_1, and two just
+    past the STRUCT threshold, not self-adjoint (||U - U^H||_F = 2e-8) and
+    not an isometry (||U^H U - I||_2 = 1e-8)."""
+    import numpy as np  # not at module level: main pins the BLAS threads before numpy loads
+
+    w = workloads.commuting_operator([64], [(1,)], np.random.default_rng(Z64_SEED))
+    eye, mean = np.eye(64), np.full((64, 64), 1 / 64)
+    ops = {
+        "psd": w.conj().T @ w,
+        "translation": np.roll(eye, 1, axis=0),
+        "skew": eye + 1e-8j * mean,
+        "near-isometry": eye + 5e-9 * mean,
+    }
+    return {name: {"matrix": np.stack([u.real, u.imag], axis=-1).tolist()} for name, u in ops.items()}
 
 
 def corpus_argvs(workloads, groups, workdir: Path):
@@ -60,6 +80,15 @@ def corpus_argvs(workloads, groups, workdir: Path):
             yield f"analyze-{seed}/{op['id']}", argv
     for n, d in DIFFOPS:
         yield f"demo-diffop/{n}-{d}", ["demo-diffop", str(n), str(d)]
+    ops = {}
+    for name, matrix in z64_operators(workloads).items():
+        ops[name] = workdir / f"z64-{name}.json"
+        ops[name].write_text(json.dumps(matrix))
+    for label, generator in Z64_GAMMAS.items():
+        spec = workdir / f"spec-z64-{label}.json"
+        spec.write_text(json.dumps({"orders": [64], "gamma_generators": [[generator]]}))
+        for name, op in ops.items():
+            yield f"z64/{name}-{label}", ["analyze", str(spec), str(op)]
     for orders in workloads.SWEEP:
         name = "x".join(map(str, orders))
         for j, subgroup in enumerate(groups.all_subgroups(groups.make_group(orders))):
@@ -121,7 +150,7 @@ def compare(a: dict, b: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Exit codes and booleans of the 864-run verdict corpus.")
+    parser = argparse.ArgumentParser(description="Exit codes and booleans of the 888-run verdict corpus.")
     parser.add_argument("out", nargs="?", help="run the corpus and write its record to this JSON file")
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree whose zakfiber runs")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="list the runs whose exit code or booleans differ")
@@ -129,6 +158,9 @@ def main(argv=None) -> int:
     if (args.out is None) == (args.compare is None):
         parser.error("give either OUT or --compare A B")
     if args.out is not None:
+        # pinned before run_corpus loads numpy: the report bytes of a BLAS
+        # product depend on the thread count
+        os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
         record = run_corpus(Path(args.src).resolve())
         Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         exits = collections.Counter(entry["exit"] for entry in record["runs"].values())
