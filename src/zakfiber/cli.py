@@ -63,17 +63,21 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(tol=args.tol, seed=args.seed, json_out=args.json, out_path=args.out)
 
 
-def _load_json(path: str):
+def _load_json(path: str, decode=json.loads):
+    """``decode`` of the file's text; a failure to read or decode it raises a
+    ValueError that names the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        return decode(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValueError(f"{path} nests too deeply to parse") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _context_from_spec(path: str):
@@ -141,7 +145,7 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
 def cmd_analyze(args) -> int:
     cfg = _config_from_args(args)
     ctx = _context_from_spec(args.group_spec)
-    u = jsonio.operator_from_json(ctx, _load_json(args.operator))
+    u = _load_json(args.operator, functools.partial(jsonio.operator_from_json, ctx))
     body, ok, _ = _pipeline(ctx, u, cfg)
     report = {
         "command": "analyze",

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from itertools import chain
+from json.decoder import WHITESPACE, scanstring
 
 import numpy as np
 
@@ -27,37 +29,16 @@ MAX_GROUP_ORDER = 2**14
 # the order limit needs more factors than this; order-1 factors would only
 # add work that grows with the factor count.
 MAX_FACTORS = MAX_GROUP_ORDER.bit_length() - 1
+# Decodes the one JSON value at a position: a row of an operator matrix.
+_decode_row = json.JSONDecoder().raw_decode
 
 
 def matrix_to_json(mat: np.ndarray) -> np.ndarray:
     """The float array of ``[re, im]`` pairs, ``(rows, cols, 2)`` for a matrix
     and ``(n, 2)`` for a vector; the report encoder writes it as the nested
-    list ``matrix_from_json`` reads."""
+    list of rows ``operator_from_json`` reads."""
     mat = np.asarray(mat, dtype=complex)
     return np.stack([mat.real, mat.imag], axis=-1)
-
-
-def matrix_from_json(rows) -> np.ndarray:
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ValueError("matrix must be a list of rows")
-    n_cols = len(rows[0]) if rows else 0
-    if any(len(row) != n_cols for row in rows):
-        raise ValueError("matrix rows differ in length")
-    pairs = list(chain.from_iterable(rows))
-    if not all(isinstance(z, list) and len(z) == 2 for z in pairs):
-        raise ValueError("matrix entries must be [re, im] pairs")
-    flat = list(chain.from_iterable(pairs))
-    # JSON numbers only: bool is an int subclass that numpy would read as 1.0
-    # or 0.0, and an integer beyond 64 bits leaves an object array
-    if not set(map(type, flat)) <= {int, float}:
-        raise ValueError("matrix entries must be [re, im] pairs of numbers")
-    parts = np.array(flat)
-    if parts.dtype.kind not in "iuf":
-        raise ValueError("matrix entries must be [re, im] pairs of numbers")
-    # json.loads reads the NaN, Infinity and -Infinity tokens as floats
-    if not np.isfinite(parts).all():
-        raise ValueError("matrix entries must be finite")
-    return parts.astype(float).view(complex).reshape(len(rows), n_cols)
 
 
 def group_spec_to_json(g: GroupSpec, gamma: Subgroup) -> dict:
@@ -94,10 +75,55 @@ def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(type(x) is int for x in value)
 
 
-def operator_from_json(ctx: FiberContext, obj) -> np.ndarray:
-    if not isinstance(obj, dict) or "matrix" not in obj:
-        raise ValueError("operator JSON must contain 'matrix'")
-    return as_operator(ctx, matrix_from_json(obj["matrix"]))
+def operator_from_json(ctx: FiberContext, text: str) -> np.ndarray:
+    """The operator of the JSON text ``{"matrix": [row, ...]}``: ``|G|`` rows
+    of ``|G|`` ``[re, im]`` pairs of JSON numbers, and no other member.
+
+    The rows are decoded one at a time into a preallocated array, so no
+    nested list of the whole matrix is built, and a malformed row raises
+    ValueError before the rows after it are decoded.
+    """
+    n = ctx.group.size
+    key, pos = scanstring(text, _expect(text, _expect(text, 0, "{"), '"'))
+    if key != "matrix":
+        raise ValueError(f"operator JSON must have 'matrix' as its one member, got {key!r}")
+    pos = _expect(text, _expect(text, pos, ":"), "[")
+    parts = np.empty((n, 2 * n))
+    for i in range(n):
+        pos = WHITESPACE.match(text, pos).end()
+        if text.startswith("]", pos):
+            raise ValueError(f"matrix has {i} rows, expected {n}")
+        start = WHITESPACE.match(text, _expect(text, pos, ",")).end() if i else pos
+        row, pos = _decode_row(text, start)
+        try:
+            values = array("d", list(chain.from_iterable(row)))
+        except (TypeError, OverflowError):
+            values = None
+        # array("d") takes int and float leaves only, bool among them as an int
+        # subclass; of JSON's words only true has an r and only false an s
+        if (values is None or type(row) is not list or len(row) != n or set(map(len, row)) != {2}
+                or text.find("r", start, pos) >= 0 or text.find("s", start, pos) >= 0):
+            raise ValueError(f"matrix row {i} must be {n} [re, im] pairs of numbers")
+        parts[i] = values
+    pos = WHITESPACE.match(text, pos).end()
+    if text.startswith(",", pos):
+        raise ValueError(f"matrix has more than {n} rows")
+    pos = WHITESPACE.match(text, _expect(text, pos, "]")).end()
+    if text.startswith(",", pos):
+        raise ValueError("operator JSON must have 'matrix' as its one member")
+    pos = WHITESPACE.match(text, _expect(text, pos, "}")).end()
+    if pos != len(text):
+        raise ValueError(f"extra data after the operator object at char {pos}")
+    # as_operator checks finiteness: json reads NaN, Infinity and 1e999 as floats
+    return as_operator(ctx, parts.view(complex))
+
+
+def _expect(text: str, pos: int, token: str) -> int:
+    """The position after ``token``, which must follow ``pos`` past any whitespace."""
+    pos = WHITESPACE.match(text, pos).end()
+    if not text.startswith(token, pos):
+        raise ValueError(f'operator JSON must be {{"matrix": [row, ...]}}: expected {token!r} at char {pos}')
+    return pos + len(token)
 
 
 def field_to_json(field: np.ndarray) -> dict:

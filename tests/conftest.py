@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -66,6 +69,15 @@ def f2_ctx():
     """Z8 with the subgroup generated by 2."""
     g = make_group([8])
     return fiber_context(g, subgroup_from_generators(g, [(2,)]))
+
+
+def load_script(path: str):
+    """A script of the repository, by its path from the root, as a module."""
+    path = Path(__file__).resolve().parents[1] / path
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def delta(g, x):

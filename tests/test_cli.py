@@ -16,7 +16,10 @@ import pytest
 from zakfiber import cli, fiber_context, jsonio, make_group, subgroup_from_generators, translation_matrix
 from zakfiber.cli import main
 
-from conftest import full_range, rand_field, rand_tp_operator
+from conftest import full_range, load_script, rand_field, rand_tp_operator
+
+# on Z4 with Gamma = <2>, the group of the f1_spec fixture
+MALFORMED_OPERATORS = load_script("tools/corpus.py").malformed_operators(4)
 
 
 @pytest.fixture
@@ -141,6 +144,19 @@ class TestAnalyze:
         op.write_text(json.dumps({"matrix": [[[True, 0.0]] * 4] * 4}))
         assert main(["analyze", f1_spec, str(op)]) == 2
         assert "pairs of numbers" in capsys.readouterr().err
+
+    def test_the_malformed_operators_break_a_passing_file(self, tmp_path, f1_spec):
+        op = tmp_path / "ones.json"
+        op.write_text(json.dumps({"matrix": [[[1.0, 0.0]] * 4] * 4}))
+        assert main(["analyze", f1_spec, str(op)]) == 0
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_OPERATORS))
+    def test_malformed_operator_is_input_error(self, tmp_path, f1_spec, capsys, name):
+        op = tmp_path / f"op-{name}.json"
+        op.write_bytes(MALFORMED_OPERATORS[name])
+        assert main(["analyze", f1_spec, str(op)]) == 2
+        err = capsys.readouterr().err
+        assert str(op) in err and "Traceback" not in err, err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_tolerance_is_usage_error(self, tmp_path, value):

@@ -1,32 +1,23 @@
 """The verdict corpus's comparison, on hand-written records."""
 
-import importlib.util
 import json
 import os
-from pathlib import Path
 
 import pytest
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "corpus.py"
-
-
-def load_corpus():
-    spec = importlib.util.spec_from_file_location("corpus", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 @pytest.fixture
 def corpus():
-    return load_corpus()
+    return load_script("tools/corpus.py")
 
 
 def test_import_leaves_the_environment_unchanged():
     # the BLAS threads are pinned by main, before a corpus run loads numpy,
     # so a process that imports the tool starts its subprocesses unpinned
     before = dict(os.environ)
-    load_corpus()
+    load_script("tools/corpus.py")
     assert dict(os.environ) == before
 
 

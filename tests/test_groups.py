@@ -1,9 +1,7 @@
 """Group arithmetic: enumeration, pairing, subgroups, annihilators, transversals."""
 
-import importlib.util
 import math
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,18 +17,10 @@ from zakfiber import (
     transversal,
 )
 
-from conftest import BATTERY_ORDERS, delta, rand_signal
+from conftest import BATTERY_ORDERS, delta, load_script, rand_signal
 
 
-def _load_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _load_workloads()
+WORKLOADS = load_script("bench/workloads.py")
 SWEEP_UP_TO_16 = [o for o in WORKLOADS.SWEEP if math.prod(o) <= 16]
 
 

@@ -1,4 +1,4 @@
-"""The verdict corpus: the exit code and every boolean of 888 CLI runs.
+"""The verdict corpus: the exit code and every boolean of 934 CLI runs.
 
     python3 tools/corpus.py OUT.json [--src DIR]
     python3 tools/corpus.py --compare A.json B.json
@@ -19,6 +19,8 @@ a copy of another commit can be measured with this script. The runs are:
   matrix), just past the self-adjointness and isometry thresholds (12 runs);
 - ``check --seed 1`` on every subgroup of every bench ``subgroup-sweep``
   group (369 runs);
+- ``analyze`` on ``Z_4``, ``Gamma = <2>``, of each malformed operator file
+  of ``malformed_operators``, every one of which must exit 2 (23 runs);
 - each of these again at ``--tol 1e-20``.
 
 ``--compare`` lists every run whose exit code or booleans differ between two
@@ -37,6 +39,7 @@ import argparse
 import collections
 import contextlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -70,6 +73,47 @@ def z64_operators(workloads) -> dict:
     return {name: {"matrix": np.stack([u.real, u.imag], axis=-1).tolist()} for name, u in ops.items()}
 
 
+def malformed_operators(n: int) -> dict:
+    """The bytes, by name, of operator files for a group of order n that
+    ``analyze`` must reject with exit 2. Each breaks one rule of the file of
+    the all-ones operator, ``{"matrix": [[[1.0, 0.0]] * n] * n}``, which
+    passes."""
+    pair = [1.0, 0.0]
+    rows = [[pair] * n] * n
+    valid = json.dumps({"matrix": rows})
+
+    def first_entry(entry):
+        return json.dumps({"matrix": [[entry] + rows[0][1:]] + rows[1:]})
+
+    texts = {
+        "trailing-data": valid + " {}",
+        "second-member": json.dumps({"matrix": rows, "note": 1}),
+        "duplicate-matrix": valid[:-1] + ", " + valid[1:],
+        "no-matrix": json.dumps({"rows": rows}),
+        "matrix-not-a-list": json.dumps({"matrix": "nope"}),
+        "too-few-rows": json.dumps({"matrix": rows[1:]}),
+        "too-many-rows": json.dumps({"matrix": rows + rows[:1]}),
+        "short-row": json.dumps({"matrix": [rows[0][1:]] + rows[1:]}),
+        "long-row": json.dumps({"matrix": [rows[0] + [pair]] + rows[1:]}),
+        "triple": first_entry([1.0, 0.0, 0.0]),
+        "scalar-entry": first_entry(1.0),
+        "nested-entry": first_entry([[1.0], 0.0]),
+        "string": first_entry(["1", 0.0]),
+        "null": first_entry([None, 0.0]),
+        "true": first_entry([True, 0.0]),
+        "bool-pair": first_entry([True, False]),
+        "nan": first_entry([math.nan, 0.0]),
+        "infinity": first_entry([math.inf, 0.0]),
+        "minus-infinity": first_entry([0.0, -math.inf]),
+        "deep-row": '{"matrix": [' + "[" * 200_000 + "]" * 200_000 + "]}",
+    }
+    files = {name: text.encode() for name, text in texts.items()}
+    files["utf8-bom"] = b"\xef\xbb\xbf" + valid.encode()
+    files["invalid-utf8"] = valid.encode().replace(b"1.0", b"1.\xff", 1)
+    files["empty"] = b""
+    return files
+
+
 def corpus_argvs(workloads, groups, workdir: Path):
     """``(run id, argv)`` for every run at the default tolerances, with the
     input files written into workdir."""
@@ -89,6 +133,12 @@ def corpus_argvs(workloads, groups, workdir: Path):
         spec.write_text(json.dumps({"orders": [64], "gamma_generators": [[generator]]}))
         for name, op in ops.items():
             yield f"z64/{name}-{label}", ["analyze", str(spec), str(op)]
+    spec = workdir / "spec-z4.json"
+    spec.write_text(json.dumps({"orders": [4], "gamma_generators": [[2]]}))
+    for name, data in malformed_operators(4).items():
+        op = workdir / f"malformed-{name}.json"
+        op.write_bytes(data)
+        yield f"malformed/{name}", ["analyze", str(spec), str(op)]
     for orders in workloads.SWEEP:
         name = "x".join(map(str, orders))
         for j, subgroup in enumerate(groups.all_subgroups(groups.make_group(orders))):
@@ -150,7 +200,7 @@ def compare(a: dict, b: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Exit codes and booleans of the 888-run verdict corpus.")
+    parser = argparse.ArgumentParser(description="Exit codes and booleans of the 934-run verdict corpus.")
     parser.add_argument("out", nargs="?", help="run the corpus and write its record to this JSON file")
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree whose zakfiber runs")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="list the runs whose exit code or booleans differ")
