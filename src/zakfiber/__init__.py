@@ -20,7 +20,6 @@ from .fiberization import (
 from .groups import (
     GroupSpec,
     Subgroup,
-    Transversal,
     all_subgroups,
     annihilator,
     make_group,
@@ -61,7 +60,6 @@ __all__ = [
     "NotTranslationPreservingError",
     "RangeSolveError",
     "Subgroup",
-    "Transversal",
     "VerificationReport",
     "Verdict",
     "all_subgroups",

@@ -70,6 +70,14 @@ def gate(residual, tol: float, scale, witness=None) -> Verdict:
     return Verdict(passes(residual, tol, scale), residual, tol, scale, bound, bound - residual, witness)
 
 
+def rank_cut(s: np.ndarray) -> tuple[np.ndarray, float]:
+    """Which singular values of a stack count toward the rank (those above
+    the cut), and the cut: RANK times the stack's largest finite value, one
+    cut for every block, never a block's own largest."""
+    cut = RANK * float(s[np.isfinite(s)].max(initial=0.0))
+    return s > cut, cut
+
+
 def largest(values) -> float:
     """The largest of the values, NaN if any is NaN, 0.0 if there are none."""
     return float(np.max(np.fromiter(values, dtype=float), initial=0.0))

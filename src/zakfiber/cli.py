@@ -175,7 +175,7 @@ def cmd_demo_diffop(args) -> int:
     u = np.eye(g.size, dtype=complex) - translation_matrix(g, step)
 
     body, ok, field = _pipeline(ctx, u, cfg)
-    expected = [1.0 - pairing(g, step, w) for w in ctx.omega.reps]
+    expected = [1.0 - pairing(g, step, w) for w in ctx.omega]
     if field is None:  # no field to read: neither gate passes on no fibers
         symbols = np.zeros(0, dtype=complex)
         symbol_gap = scalar_gap = math.inf
@@ -191,8 +191,8 @@ def cmd_demo_diffop(args) -> int:
         "command": "demo-diffop",
         "modulus": n,
         "step": step[0],
-        "gamma": [list(t) for t in gamma.elements],
-        "omega_reps": [list(w) for w in ctx.omega.reps],
+        "gamma": gamma.elements.tolist(),
+        "omega_reps": ctx.omega.tolist(),
         "fiber_symbols": jsonio.matrix_to_json(symbols),
         "expected_symbols": jsonio.matrix_to_json(expected),
         **{name: verdict.to_dict() for name, verdict in symbol_gates.items()},
@@ -239,7 +239,7 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     # table the transform reads, so a wrong sign or label in those shows here.
     # Each term t_j w_j / n_j is reduced mod 1 before the sum is scaled by 2 pi.
     table = np.column_stack([determining_function(ctx, t) for t in ctx.gamma.probes])  # (|Omega|, probes)
-    terms = np.array(ctx.omega.reps)[:, None, :] * np.array(ctx.gamma.probes) / np.array(ctx.group.orders)
+    terms = ctx.omega[:, None, :] * np.array(ctx.gamma.probes) / np.array(ctx.group.orders)
     r_char = np.abs(table - np.exp(2j * np.pi * (terms % 1.0).sum(axis=-1))).max()
     suites["character_table"] = checks.gate(r_char, tol(checks.TRANSFORM), 1.0)
 

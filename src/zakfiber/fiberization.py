@@ -11,6 +11,7 @@ With counting measure (weight 1 per point) on every index set this is a
 unitary map from C^|G| onto the |Omega| x |C| fiber space, and it turns
 translation by t in Gamma into multiplication by the character values
 pairing(t, omega). Signals ``(|G|[, k])`` and fibers ``(|Omega|, |C|[, k])`` are ndarrays.
+Omega and C are element sets, ``(k, m)`` int64 arrays like Gamma's elements.
 """
 
 from __future__ import annotations
@@ -20,87 +21,62 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import (
-    GroupSpec,
-    Subgroup,
-    Transversal,
-    _array,
-    _exponents,
-    annihilator,
-    transversal,
-)
+from .groups import GroupSpec, Subgroup, _array, _exponents, annihilator, transversal
 
 
 @dataclass(frozen=True, eq=False)
 class FiberContext:
     """The stage on which the fiberization lives.
 
-    Bundles the subgroup Gamma, its annihilator, the two transversals and the
-    normalization constant, plus precomputed index/phase tables so that the
-    transform is a couple of matrix products.
+    Bundles the subgroup Gamma, the two transversals (``omega`` of the dual
+    modulo Gamma's annihilator, ``c_section`` of G / Gamma) and the
+    normalization constant, plus the index/phase tables :func:`fiber_context`
+    builds so that the transform is a couple of matrix products.
     """
 
     group: GroupSpec
     gamma: Subgroup
-    gamma_star: Subgroup
-    omega: Transversal
-    c_section: Transversal
+    omega: np.ndarray
+    c_section: np.ndarray
     normalization: float
-    _phase: np.ndarray = field(init=False, repr=False)
-    _coset_plus: np.ndarray = field(init=False, repr=False)
-    _gamma_keys: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        orders = self.group.orders
-        gamma = np.array(self.gamma.elements)
-        lcm = math.lcm(*orders)
-        # phase[w, t] = pairing(t, w) from the exact exponent table: one
-        # lookup into the lcm-th roots of unity per entry
-        roots = np.exp(2j * np.pi * np.arange(lcm) / lcm)
-        phase = roots[_exponents(orders, np.array(self.omega.reps), gamma)]
-        # coset_plus[c, t] is the index of c + t
-        sums = np.array(self.c_section.reps)[:, None, :] + gamma[None, :, :]
-        coset_plus = np.ravel_multi_index(np.moveaxis(sums, -1, 0), orders, mode="wrap")
-        object.__setattr__(self, "_phase", phase)
-        object.__setattr__(self, "_coset_plus", coset_plus)
-        # Gamma's elements are sorted, so their ravel indices are too
-        object.__setattr__(self, "_gamma_keys", np.ravel_multi_index(gamma.T, orders))
+    _phase: np.ndarray = field(repr=False)  # (|Omega|, |Gamma|): pairing(t, w)
+    _coset_plus: np.ndarray = field(repr=False)  # (|C|, |Gamma|): index of c + t
+    _gamma_keys: np.ndarray = field(repr=False)  # (|Gamma|,): sorted ravel indices of Gamma
 
     @property
     def n_omega(self) -> int:
-        return self.omega.size
+        return len(self.omega)
 
     @property
     def n_c(self) -> int:
-        return self.c_section.size
+        return len(self.c_section)
 
     def fiber_shape(self) -> tuple[int, int]:
         return (self.n_omega, self.n_c)
 
 
 def fiber_context(g: GroupSpec, gamma: Subgroup) -> FiberContext:
-    """Compute the annihilator and both transversals for a subgroup of g."""
-    gamma_star = annihilator(g, gamma)
-    omega = transversal(g, gamma_star)
+    """Both transversals for a subgroup of g, checked as sections, and the tables."""
+    orders = g.orders
+    omega = transversal(g, annihilator(g, gamma))
     c_section = transversal(g, gamma)
-    ctx = FiberContext(
-        group=g,
-        gamma=gamma,
-        gamma_star=gamma_star,
-        omega=omega,
-        c_section=c_section,
-        normalization=1.0 / np.sqrt(gamma.size),
-    )
-    if omega.size != gamma.size or omega.size * c_section.size != g.size:
+    if len(omega) != gamma.size or len(omega) * len(c_section) != g.size:
         raise RuntimeError("transversal sizes violate the quotient counting identity")
     # section property: restricting the |Gamma| chosen characters to Gamma must
     # give all characters of Gamma exactly once. A character of Gamma is fixed
     # by its exact exponents on Gamma's basis rows, so no two omegas may share
     # a row of exponents there.
-    on_basis = _exponents(g.orders, np.array(omega.reps), np.array(gamma.basis) % g.orders)
-    if len(set(map(tuple, on_basis.tolist()))) != omega.size:
+    on_basis = _exponents(orders, omega, np.array(gamma.basis) % orders)
+    if len(set(map(tuple, on_basis.tolist()))) != len(omega):
         raise RuntimeError("omega transversal is not a section of the dual quotient")
-    return ctx
+    lcm = math.lcm(*orders)
+    # phase[w, t] = pairing(t, w) from the exact exponent table: one lookup
+    # into the lcm-th roots of unity per entry
+    phase = np.exp(2j * np.pi * np.arange(lcm) / lcm)[_exponents(orders, omega, gamma.elements)]
+    sums = c_section[:, None, :] + gamma.elements[None, :, :]
+    coset_plus = np.ravel_multi_index(np.moveaxis(sums, -1, 0), orders, mode="wrap")
+    keys = np.ravel_multi_index(gamma.elements.T, orders)  # sorted, as Gamma's elements are
+    return FiberContext(g, gamma, omega, c_section, 1.0 / np.sqrt(gamma.size), phase, coset_plus, keys)
 
 
 def zak(ctx: FiberContext, f) -> np.ndarray:
@@ -167,6 +143,8 @@ def determining_function(ctx: FiberContext, gamma_elt) -> np.ndarray:
     finite counterpart of being a determining set.
     """
     t = ctx.group.validate(gamma_elt)
-    if t not in ctx.gamma:
+    key = ctx.group.index(t)
+    col = np.searchsorted(ctx._gamma_keys, key)
+    if col == ctx.gamma.size or ctx._gamma_keys[col] != key:
         raise ValueError(f"{t!r} is not a member of the translation subgroup")
-    return ctx._phase[:, np.searchsorted(ctx._gamma_keys, ctx.group.index(t))].copy()
+    return ctx._phase[:, col].copy()

@@ -4,12 +4,13 @@ A subgroup H of G = Z_{n_1} x ... x Z_{n_m} is stored with the Hermite
 normal form of its lattice diag(n) Z^m <= L <= Z^m: an upper-triangular
 integer basis with pivots d_i | n_i and entries 0 <= a_ij < d_j to the right
 of each pivot (Cohen, GTM 138, section 2.4). The HNF is unique, so it names
-the subgroup, and element lists, annihilators and coset representatives are
+the subgroup, and element sets, annihilators and coset representatives are
 all read off it with integer array arithmetic.
 
-Every signal, family, fibered array, field and operator argument passes
-:func:`_array`: an ndarray of its documented shape, never a list. Group
-elements are tuples checked by :meth:`GroupSpec.validate`.
+An element is a tuple of Python ints checked by :meth:`GroupSpec.validate`;
+an element set is a read-only ``(k, m)`` int64 array, one element per row in
+lexicographic order. Every signal, family, fibered array, field and operator
+argument passes :func:`_array`: an ndarray of its documented shape, never a list.
 """
 
 from __future__ import annotations
@@ -35,21 +36,21 @@ class GroupSpec:
     def __post_init__(self) -> None:
         if not self.orders:
             raise ValueError("group needs at least one cyclic factor")
-        if any(int(n) < 1 for n in self.orders):
+        if any(_integer(n, "cyclic factor order") < 1 for n in self.orders):
             raise ValueError(f"cyclic factor orders must be >= 1, got {self.orders!r}")
 
     @property
     def size(self) -> int:
         return math.prod(self.orders)
 
-    def elements(self) -> list[Element]:
-        return _as_elements(_coords(self.orders))
+    def elements(self) -> np.ndarray:
+        return _frozen(_coords(self.orders))
 
     def zero(self) -> Element:
         return (0,) * len(self.orders)
 
     def validate(self, x) -> Element:
-        coords = tuple(int(c) for c in x)
+        coords = tuple(_integer(c, "element coordinate") for c in x)
         if len(coords) != len(self.orders):
             raise ValueError(f"element {x!r} has {len(coords)} coordinates, expected {len(self.orders)}")
         for c, n in zip(coords, self.orders):
@@ -73,10 +74,17 @@ class GroupSpec:
 
 def make_group(orders) -> GroupSpec:
     """Build the group Z_{n_1} x ... x Z_{n_m} from a list of positive orders."""
-    orders = () if orders is None else tuple(int(n) for n in orders)
+    orders = () if orders is None else tuple(_integer(n, "cyclic factor order") for n in orders)
     if not orders:
         raise ValueError("orders list must be non-empty")
     return GroupSpec(orders)
+
+
+def _integer(value, what: str) -> int:
+    """A Python or numpy integer as an int; a bool, float or anything else raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _coords(shape) -> np.ndarray:
@@ -84,8 +92,10 @@ def _coords(shape) -> np.ndarray:
     return np.indices(shape, dtype=np.int64).reshape(len(shape), math.prod(shape)).T
 
 
-def _as_elements(rows: np.ndarray) -> list[Element]:
-    return [tuple(x) for x in rows.tolist()]
+def _frozen(rows: np.ndarray) -> np.ndarray:
+    """An element set: the int64 rows, made read-only."""
+    rows.flags.writeable = False
+    return rows
 
 
 def _exponents(orders, x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -118,20 +128,16 @@ def pairing(g: GroupSpec, x, k) -> complex:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup stored as its full, lexicographically sorted element list.
+    """A subgroup with its full element set, lexicographically sorted.
 
     ``basis`` is the Hermite normal form of the subgroup's lattice, one row
-    per cyclic factor; it is unique for the subgroup.
+    per cyclic factor; it is unique, so it alone decides equality and the hash.
     """
 
     ambient: GroupSpec
     generators: tuple[Element, ...] = field(compare=False)
-    elements: tuple[Element, ...]
-    basis: tuple[Element, ...] = field(compare=False)
-    _members: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_members", frozenset(self.elements))
+    elements: np.ndarray = field(compare=False)
+    basis: tuple[Element, ...]
 
     @property
     def size(self) -> int:
@@ -140,10 +146,10 @@ class Subgroup:
     @property
     def probes(self) -> tuple[Element, ...]:
         """What a translation check probes: the generators, or the trivial subgroup's one element."""
-        return self.generators or self.elements
+        return self.generators or (self.ambient.zero(),)
 
     def __contains__(self, x) -> bool:
-        return tuple(x) in self._members
+        return not _reduce(np.array(self.basis), [self.ambient.validate(x)]).any()
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -207,7 +213,7 @@ def _subgroup(g: GroupSpec, basis, generators=None) -> Subgroup:
     coords = coords[np.argsort(np.ravel_multi_index(coords.T, g.orders))]
     if generators is None:
         generators = tuple(tuple(row) for row in (rows % orders).tolist() if any(row))
-    return Subgroup(g, tuple(generators), tuple(_as_elements(coords)), tuple(tuple(r) for r in rows.tolist()))
+    return Subgroup(g, tuple(generators), _frozen(coords), tuple(tuple(r) for r in rows.tolist()))
 
 
 def subgroup_from_generators(g: GroupSpec, gens) -> Subgroup:
@@ -233,25 +239,14 @@ def annihilator(g: GroupSpec, gamma: Subgroup) -> Subgroup:
     return _subgroup(g, _hnf(orders, zip(*c)))
 
 
-@dataclass(frozen=True)
-class Transversal:
-    """Coset representatives, one per coset, each lexicographically minimal."""
-
-    subgroup: Subgroup
-    reps: tuple[Element, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.reps)
-
-
-def transversal(g: GroupSpec, h: Subgroup) -> Transversal:
-    """Lexicographically minimal coset representatives for G / h."""
+def transversal(g: GroupSpec, h: Subgroup) -> np.ndarray:
+    """Lexicographically minimal coset representatives for G / h, one per
+    coset, as an element set in lexicographic order."""
     coords = _coords(g.orders)
     # index of each element's coset representative; the representatives are
     # the elements that index themselves, already in lex order
     rep_of = np.ravel_multi_index(_reduce(np.array(h.basis, dtype=np.int64), coords).T, g.orders)
-    return Transversal(h, tuple(_as_elements(coords[rep_of == np.arange(g.size)])))
+    return _frozen(coords[rep_of == np.arange(g.size)])
 
 
 def translate(g: GroupSpec, f, t) -> np.ndarray:
@@ -284,7 +279,7 @@ def _array(value, name: str, *shapes) -> np.ndarray:
 
 
 def all_subgroups(g: GroupSpec) -> list[Subgroup]:
-    """Every subgroup of g, sorted by element list, each with HNF generators.
+    """Every subgroup of g, sorted by element set, each with HNF generators.
 
     Enumerates HNF bases from the last row up. Row i has a pivot d | n_i and
     entries a_ij in [0, d_j); it is accepted iff (n_i/d) * row_i - n_i e_i
@@ -309,4 +304,4 @@ def all_subgroups(g: GroupSpec) -> list[Subgroup]:
                     candidate[i, i], candidate[i, i + 1:] = d, tail
                     grown.append(candidate)
         partial = grown
-    return sorted((_subgroup(g, basis) for basis in partial), key=lambda s: s.elements)
+    return sorted((_subgroup(g, basis) for basis in partial), key=lambda s: s.elements.tolist())

@@ -26,7 +26,6 @@ import numpy as np
 from . import checks
 from .fiberization import FiberContext, determining_function, zak, zak_basis, zak_inverse
 from .groups import _array, translate
-from .spaces import _rank_cut
 
 
 class NotTranslationPreservingError(Exception):
@@ -313,7 +312,7 @@ def _rank_decision(s: np.ndarray) -> tuple[np.ndarray, dict]:
     """The rank of each row of a stack of singular values, and what decided
     it: the cut, the smallest value kept and the largest dropped (None where
     there is none)."""
-    keep, cut = _rank_cut(s)
+    keep, cut = checks.rank_cut(s)
     kept, dropped = s[keep], s[s <= cut]
     return keep.sum(axis=-1), {
         "cut": cut,

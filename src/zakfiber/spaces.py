@@ -28,14 +28,6 @@ class NotTranslationInvariantError(ValueError):
         )
 
 
-def _rank_cut(s: np.ndarray) -> tuple[np.ndarray, float]:
-    """Which singular values of a stack count toward the rank (those above
-    the cut), and the cut: checks.RANK times the stack's largest finite
-    value, one cut for every block, never a block's own largest."""
-    cut = checks.RANK * float(s[np.isfinite(s)].max(initial=0.0))
-    return s > cut, cut
-
-
 def _column_spans(stacked: np.ndarray) -> list[np.ndarray]:
     """Orthonormal basis of the numerical column span of each stacked matrix.
 
@@ -46,7 +38,7 @@ def _column_spans(stacked: np.ndarray) -> list[np.ndarray]:
     """
     left, s = np.linalg.svd(stacked, full_matrices=False)[:2]
     spans = []
-    for u, rank in zip(left, _rank_cut(s)[0].sum(axis=-1)):
+    for u, rank in zip(left, checks.rank_cut(s)[0].sum(axis=-1)):
         u = u[:, :rank]
         pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
         spans.append(u * (pivots.conj() / np.abs(pivots)))
@@ -61,7 +53,7 @@ def range_function(ctx: FiberContext, generators) -> np.ndarray:
     # zak(...)[wi] holds the omega-fibers of all generators as columns; a
     # projection does not depend on which singular directions span its range
     left, s = np.linalg.svd(zak(ctx, generators), full_matrices=False)[:2]
-    spans = left * _rank_cut(s)[0][:, None, :]
+    spans = left * checks.rank_cut(s)[0][:, None, :]
     return spans @ spans.conj().swapaxes(-1, -2)
 
 

@@ -149,7 +149,7 @@ def test_norm_formula(tp_samples):
     u = np.eye(8, dtype=complex) - translation_matrix(g, (2,))
     field8 = extract_range_operator(ctx8, u)
     report8 = norm_identity_report(*summaries(ctx8, u, field8))
-    expected = max(abs(1 - pairing(g, (2,), w)) for w in ctx8.omega.reps)
+    expected = max(abs(1 - pairing(g, (2,), w)) for w in ctx8.omega)
     ok_demo = (
         abs(report8.values["operator_norm"] - 2.0) <= 1e-10
         and abs(expected - 2.0) <= 1e-12

@@ -1,5 +1,6 @@
 """The tolerance table and the gate rule: pass at the bound, fail closed."""
 
+import inspect
 import math
 import re
 from pathlib import Path
@@ -96,12 +97,20 @@ def test_every_tolerance_is_positive_and_finite():
 
 
 def test_every_tolerance_has_a_reader():
-    # a tolerance that no other module reads belongs to a gate that is gone
+    # a tolerance that no other module reads, itself or through a function
+    # of checks that it calls, belongs to a gate that is gone
     here = Path(checks.__file__)
     sources = [path.read_text(encoding="utf-8") for path in here.parent.glob("*.py") if path != here]
+    called = [
+        inspect.getsource(fn)
+        for name, fn in vars(checks).items()
+        if inspect.isfunction(fn) and any(re.search(rf"\bchecks\.{name}\(", text) for text in sources)
+    ]
     unread = [
         name
         for name in dir(checks)
-        if name.isupper() and not any(re.search(rf"\bchecks\.{name}\b", text) for text in sources)
+        if name.isupper()
+        and not any(re.search(rf"\bchecks\.{name}\b", text) for text in sources)
+        and not any(re.search(rf"\b{name}\b", text) for text in called)
     ]
     assert not unread, unread

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from zakfiber import (
+    GroupSpec,
     all_subgroups,
     annihilator,
+    determining_function,
+    fiber_context,
     make_group,
     pairing,
     subgroup_from_generators,
@@ -41,26 +44,26 @@ def closure(g, gens):
 
 def closure_subgroups(g):
     """Reference enumeration: closures of every generator set of size <= rank."""
-    found = {closure(g, gens) for r in range(len(g.orders) + 1) for gens in combinations(g.elements(), r)}
-    return sorted(found)
+    found = {closure(g, gens) for r in range(len(g.orders) + 1) for gens in combinations(g.elements().tolist(), r)}
+    return [[list(x) for x in elements] for elements in sorted(found)]
 
 
 def lex_scan_reps(g, h):
     """Reference transversal: scan G in lex order, mark each new coset."""
     reps, covered = [], set()
-    for x in g.elements():
+    for x in map(tuple, g.elements().tolist()):
         if x not in covered:
-            reps.append(x)
-            covered.update(g.add(x, t) for t in h.elements)
-    return tuple(reps)
+            reps.append(list(x))
+            covered.update(g.add(x, t) for t in h.elements.tolist())
+    return reps
 
 
 def brute_annihilator(g, h):
     lcm = math.lcm(*g.orders)
-    return tuple(
-        k for k in g.elements()
-        if all(sum(a * b * (lcm // n) for a, b, n in zip(t, k, g.orders)) % lcm == 0 for t in h.elements)
-    )
+    return [
+        k for k in g.elements().tolist()
+        if all(sum(a * b * (lcm // n) for a, b, n in zip(t, k, g.orders)) % lcm == 0 for t in h.elements.tolist())
+    ]
 
 
 def bench_contexts():
@@ -81,17 +84,17 @@ class TestMakeGroup:
     def test_cyclic_order_four(self):
         g = make_group([4])
         assert g.size == 4
-        assert g.elements() == [(0,), (1,), (2,), (3,)]
+        assert g.elements().tolist() == [[0], [1], [2], [3]]
 
     def test_product_enumeration_is_lexicographic(self):
         g = make_group([2, 2])
         assert g.size == 4
-        assert g.elements() == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert g.elements().tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
 
     def test_trivial_group(self):
         g = make_group([1])
         assert g.size == 1
-        assert g.elements() == [(0,)]
+        assert g.elements().tolist() == [[0]]
 
     def test_index_matches_enumeration(self):
         g = make_group([3, 4])
@@ -162,16 +165,16 @@ class TestSubgroups:
     def test_generated_by_two_in_z4(self):
         g = make_group([4])
         sub = subgroup_from_generators(g, [(2,)])
-        assert sub.elements == ((0,), (2,))
+        assert sub.elements.tolist() == [[0], [2]]
 
     def test_empty_generators_give_trivial(self):
         g = make_group([4])
-        assert subgroup_from_generators(g, []).elements == ((0,),)
+        assert subgroup_from_generators(g, []).elements.tolist() == [[0]]
 
     def test_involution_closure_in_z2z2(self):
         g = make_group([2, 2])
         sub = subgroup_from_generators(g, [(1, 0)])
-        assert sub.elements == ((0, 0), (1, 0))
+        assert sub.elements.tolist() == [[0, 0], [1, 0]]
 
     @pytest.mark.parametrize("orders", BATTERY_ORDERS)
     def test_lagrange_and_closure_exhaustive(self, orders):
@@ -204,7 +207,7 @@ class TestLatticeSubgroups:
     @pytest.mark.parametrize("orders", list(BATTERY_ORDERS) + SWEEP_UP_TO_16, ids=str)
     def test_matches_closure_enumeration(self, orders):
         g = make_group(orders)
-        assert [sub.elements for sub in all_subgroups(g)] == closure_subgroups(g)
+        assert [sub.elements.tolist() for sub in all_subgroups(g)] == closure_subgroups(g)
 
     @pytest.mark.parametrize(
         "orders, count", [([2] * 5, 374), ([2] * 6, 2825), ([3, 3, 3], 28)], ids=["Z2^5", "Z2^6", "Z3^3"]
@@ -224,7 +227,7 @@ class TestLatticeSubgroups:
                 assert all(0 <= b[i, j] < pivots[j] for i in range(len(orders)) for j in range(i + 1, len(orders)))
                 assert math.prod(n // d for d, n in zip(pivots, orders)) == h.size
                 again = subgroup_from_generators(g, h.generators)
-                assert again.elements == h.elements and again.basis == h.basis
+                assert np.array_equal(again.elements, h.elements) and again.basis == h.basis
 
     def test_generators_are_the_nonzero_hnf_rows(self):
         g = make_group([4, 4])
@@ -240,30 +243,30 @@ class TestAnnihilator:
     def test_z4(self):
         g = make_group([4])
         gamma = subgroup_from_generators(g, [(2,)])
-        assert annihilator(g, gamma).elements == ((0,), (2,))
+        assert annihilator(g, gamma).elements.tolist() == [[0], [2]]
 
     def test_z8_against_brute_force(self):
         g = make_group([8])
         gamma = subgroup_from_generators(g, [(2,)])
         # oracle: test all eight candidate characters numerically
-        expected = tuple(
+        expected = [
             k
-            for k in g.elements()
+            for k in g.elements().tolist()
             if all(abs(pairing(g, t, k) - 1) < 1e-12 for t in gamma.elements)
-        )
+        ]
         result = annihilator(g, gamma)
-        assert result.elements == expected == ((0,), (4,))
+        assert result.elements.tolist() == expected == [[0], [4]]
 
     def test_z2z2_against_brute_force(self):
         g = make_group([2, 2])
         gamma = subgroup_from_generators(g, [(1, 0)])
-        expected = tuple(
+        expected = [
             k
-            for k in g.elements()
+            for k in g.elements().tolist()
             if all(abs(pairing(g, t, k) - 1) < 1e-12 for t in gamma.elements)
-        )
+        ]
         result = annihilator(g, gamma)
-        assert result.elements == expected == ((0, 0), (0, 1))
+        assert result.elements.tolist() == expected == [[0, 0], [0, 1]]
 
     @pytest.mark.parametrize("orders", BATTERY_ORDERS)
     def test_size_product_and_biannihilator(self, orders):
@@ -271,19 +274,19 @@ class TestAnnihilator:
         for sub in all_subgroups(g):
             ann = annihilator(g, sub)
             assert ann.size * sub.size == g.size
-            assert annihilator(g, ann).elements == sub.elements
+            assert np.array_equal(annihilator(g, ann).elements, sub.elements)
 
 
 class TestTransversal:
     def test_z4(self):
         g = make_group([4])
         h = subgroup_from_generators(g, [(2,)])
-        assert transversal(g, h).reps == ((0,), (1,))
+        assert transversal(g, h).tolist() == [[0], [1]]
 
     def test_z8(self):
         g = make_group([8])
         h = subgroup_from_generators(g, [(4,)])
-        assert transversal(g, h).reps == ((0,), (1,), (2,), (3,))
+        assert transversal(g, h).tolist() == [[0], [1], [2], [3]]
 
     def test_z2z2_against_coset_enumeration(self):
         g = make_group([2, 2])
@@ -291,18 +294,19 @@ class TestTransversal:
         tr = transversal(g, h)
         # oracle: explicit coset list and minima
         cosets = [{(0, 0), (1, 0)}, {(0, 1), (1, 1)}]
-        assert set(tr.reps) == {min(c) for c in cosets}
-        assert tr.reps == ((0, 0), (0, 1))
+        assert set(map(tuple, tr.tolist())) == {min(c) for c in cosets}
+        assert tr.tolist() == [[0, 0], [0, 1]]
 
     @pytest.mark.parametrize("orders", BATTERY_ORDERS)
     def test_reps_are_coset_minima_and_total(self, orders):
         g = make_group(orders)
         for sub in all_subgroups(g):
             tr = transversal(g, sub)
-            assert len(tr.reps) * sub.size == g.size
+            reps = tr.tolist()
+            assert len(reps) * sub.size == g.size
             # with one rep per coset, every coset minimum a rep means the reps are the minima
-            for x in g.elements():
-                assert min(g.add(x, t) for t in sub.elements) in tr.reps
+            for x in g.elements().tolist():
+                assert list(min(g.add(x, t) for t in sub.elements.tolist())) in reps
 
 
 class TestLexConventions:
@@ -321,11 +325,63 @@ class TestLexConventions:
     @staticmethod
     def check(g, sub):
         ann = annihilator(g, sub)
-        assert ann.elements == brute_annihilator(g, sub)
+        assert ann.elements.tolist() == brute_annihilator(g, sub)
         for h in (sub, ann):
             tr = transversal(g, h)
-            assert tr.reps == lex_scan_reps(g, h)
-            assert tr.reps[0] == g.zero()
+            assert tr.tolist() == lex_scan_reps(g, h)
+            assert tuple(tr[0].tolist()) == g.zero()
+
+
+class TestElementSets:
+    """Element sets are read-only int64 arrays; a subgroup is named by its HNF."""
+
+    def test_subgroups_with_one_hnf_are_equal(self):
+        g = make_group([12])
+        subs = [subgroup_from_generators(g, gens) for gens in ([(4,)], [(8,)], [(4,), (8,)])]
+        assert subs[0] == subs[1] == subs[2]
+        assert len({hash(sub) for sub in subs}) == 1
+        assert all(sub != subgroup_from_generators(g, [(2,)]) for sub in subs)
+
+    @pytest.mark.parametrize("orders", WORKLOADS.SWEEP, ids=str)
+    def test_all_subgroups_are_distinct(self, orders):
+        subs = all_subgroups(make_group(orders))
+        assert len(set(subs)) == len(subs)
+
+    def test_element_sets_are_read_only(self, f2_ctx):
+        g, gamma = f2_ctx.group, f2_ctx.gamma
+        for rows in (g.elements(), gamma.elements, f2_ctx.omega, transversal(g, gamma)):
+            assert rows.dtype == np.int64 and rows.ndim == 2
+            with pytest.raises(ValueError):
+                rows[0, 0] = 1
+
+    def test_membership_agrees_with_the_elements(self, ctx):
+        members = set(map(tuple, ctx.gamma.elements.tolist()))
+        for x in ctx.group.elements().tolist():
+            assert (x in ctx.gamma) == (tuple(x) in members)
+
+    def test_rows_validate(self):
+        g = make_group([3, 4])
+        assert [g.validate(x) for x in g.elements()] == [tuple(x) for x in g.elements().tolist()]
+
+
+Z8 = make_group([8])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: subgroup_from_generators(Z8, [(2.9,)]),
+        lambda: make_group([2.7, True]),
+        lambda: GroupSpec((4.0,)),
+        lambda: translate(Z8, np.zeros(8), (1.5,)),
+        lambda: pairing(Z8, (1.9,), (True,)),
+        lambda: determining_function(fiber_context(Z8, subgroup_from_generators(Z8, [(2,)])), (4.2,)),
+    ],
+    ids=["subgroup_from_generators", "make_group", "GroupSpec", "translate", "pairing", "determining_function"],
+)
+def test_only_integers_are_elements_or_orders(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 class TestTranslate:

@@ -97,11 +97,11 @@ def closed_form_field(ctx, u):
     with no transform and no phase table."""
     g = ctx.group
     field = np.zeros(ctx.fiber_shape() + (ctx.n_c,), dtype=complex)
-    for wi, w in enumerate(ctx.omega.reps):
+    for wi, w in enumerate(ctx.omega):
         for r in ctx.gamma.elements:
             character = pairing(g, r, w).conjugate()
-            for ci, c in enumerate(ctx.c_section.reps):
-                for di, d in enumerate(ctx.c_section.reps):
+            for ci, c in enumerate(ctx.c_section):
+                for di, d in enumerate(ctx.c_section):
                     field[wi, ci, di] += u[g.index(c), g.index(g.add(d, r))] * character
     return field
 
@@ -137,7 +137,7 @@ class TestExtract:
 
     def test_translation_gives_scalar_field(self, f1_ctx):
         field = extract_range_operator(f1_ctx, translation_matrix(f1_ctx.group, (2,)).astype(complex))
-        for wi, w in enumerate(f1_ctx.omega.reps):
+        for wi, w in enumerate(f1_ctx.omega):
             symbol = pairing(f1_ctx.group, (2,), w)
             assert np.abs(field[wi] - symbol * np.eye(2)).max() <= 1e-12
 
@@ -181,7 +181,7 @@ class TestSynthesize:
         field = np.stack(
             tuple(
                 pairing(f2_ctx.group, t, w) * np.eye(f2_ctx.n_c, dtype=complex)
-                for w in f2_ctx.omega.reps
+                for w in f2_ctx.omega
             )
         )
         u = synthesize_operator(f2_ctx, field)
@@ -306,7 +306,7 @@ class TestNormIdentity:
         assert report.passed
         assert report.values["operator_norm"] == pytest.approx(2.0, abs=1e-10)
         # attained where the character value is -1
-        attained = f2_ctx.omega.reps[report.witness]
+        attained = f2_ctx.omega[report.witness]
         assert pairing(f2_ctx.group, (2,), attained) == pytest.approx(-1.0)
 
     def test_scaled_translation(self, f1_ctx):

@@ -359,7 +359,7 @@ class TestFullSpaceFrame:
 
     def test_closed_form_fibers_and_translates(self, ctx):
         g = ctx.group
-        generators = np.sqrt(ctx.gamma.size) * np.column_stack([delta(g, c) for c in ctx.c_section.reps])
+        generators = np.sqrt(ctx.gamma.size) * np.column_stack([delta(g, c) for c in ctx.c_section])
         # every fiber of the c-th generator is e_c
         assert np.abs(zak(ctx, generators) - np.eye(ctx.n_c)).max() <= 1e-15
         frame = translate_parseval_frame(ctx, generators)

@@ -1,12 +1,13 @@
-"""The verdict corpus: the exit code and every boolean of 934 CLI runs.
+"""The verdict corpus: the exit code, every boolean and the report bytes of 934 CLI runs.
 
     python3 tools/corpus.py OUT.json [--src DIR]
     python3 tools/corpus.py --compare A.json B.json
 
 The first form executes the corpus in this process through ``zakfiber.cli.main``,
 with BLAS pinned to one thread before numpy loads, and writes one record per
-run to OUT.json: its exit code and every boolean of its JSON report, keyed by
-the report path (``hs_trace.verdicts.trace_agree.passed``). ``--src`` names
+run to OUT.json: its exit code, every boolean of its JSON report, keyed by
+the report path (``hs_trace.verdicts.trace_agree.passed``), and the SHA-256
+of the report's bytes (null when no report was written). ``--src`` names
 the source tree whose ``zakfiber`` runs (default: this checkout's ``src``), so
 a copy of another commit can be measured with this script. The runs are:
 
@@ -23,9 +24,10 @@ a copy of another commit can be measured with this script. The runs are:
   of ``malformed_operators``, every one of which must exit 2 (23 runs);
 - each of these again at ``--tol 1e-20``.
 
-``--compare`` lists every run whose exit code or booleans differ between two
-records, then counts each boolean change by its path. It exits 0 when the
-records agree and 1 otherwise.
+``--compare`` lists every run whose exit code, booleans or report bytes
+differ between two records, then counts each boolean change by its path and
+the runs whose report bytes differ. It exits 0 when the records agree and 1
+otherwise.
 
 The inputs come from ``bench/workloads.py``, imported without writing
 bytecode so that nothing under ``bench/`` changes. Input files and reports
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
+import hashlib
 import json
 import math
 import os
@@ -173,13 +176,18 @@ def run_corpus(src: Path) -> dict:
                 out.unlink(missing_ok=True)
                 with contextlib.redirect_stdout(devnull), contextlib.redirect_stderr(devnull):
                     code = cli.main([*argv, *extra, "--out", str(out)])
-                report = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
-                records[run_id + suffix] = {"exit": code, "booleans": booleans(report)}
+                data = out.read_bytes() if out.exists() else None
+                records[run_id + suffix] = {
+                    "exit": code,
+                    "booleans": booleans(json.loads(data.decode("utf-8")) if data is not None else {}),
+                    "sha256": hashlib.sha256(data).hexdigest() if data is not None else None,
+                }
     return {"src": str(src), "runs": records}
 
 
 def compare(a: dict, b: dict) -> list[str]:
-    """One line per differing run, then one per boolean change with its count."""
+    """One line per difference in a run, then one per kind of difference with
+    its count: each boolean change, and report bytes that differ."""
     lines, tally = [], collections.Counter()
     runs_a, runs_b = a["runs"], b["runs"]
     for run_id in sorted(runs_a.keys() | runs_b.keys()):
@@ -189,21 +197,26 @@ def compare(a: dict, b: dict) -> list[str]:
         one, two = runs_a[run_id], runs_b[run_id]
         if one["exit"] != two["exit"]:
             lines.append(f"{run_id}: exit {one['exit']} -> {two['exit']}")
+        changes = []
         for path in sorted(one["booleans"].keys() | two["booleans"].keys()):
             old, new = one["booleans"].get(path, "absent"), two["booleans"].get(path, "absent")
             if old != new:
-                lines.append(f"{run_id}: {path} {old} -> {new}")
-                tally[path, old, new] += 1
-    for (path, old, new), count in sorted(tally.items(), key=str):
-        lines.append(f"{count} runs: {path} {old} -> {new}")
+                changes.append(f"{path} {old} -> {new}")
+        if one["sha256"] != two["sha256"]:
+            changes.append("report bytes differ")
+        lines += [f"{run_id}: {change}" for change in changes]
+        tally.update(changes)
+    lines += [f"{count} runs: {change}" for change, count in sorted(tally.items())]
     return lines
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Exit codes and booleans of the 934-run verdict corpus.")
+    parser = argparse.ArgumentParser(description="Exit codes, booleans and report bytes of the 934-run verdict corpus.")
     parser.add_argument("out", nargs="?", help="run the corpus and write its record to this JSON file")
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree whose zakfiber runs")
-    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="list the runs whose exit code or booleans differ")
+    parser.add_argument(
+        "--compare", nargs=2, metavar=("A", "B"), help="list the runs whose exit code, booleans or report bytes differ"
+    )
     args = parser.parse_args(argv)
     if (args.out is None) == (args.compare is None):
         parser.error("give either OUT or --compare A B")
