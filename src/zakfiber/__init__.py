@@ -13,7 +13,6 @@ from .fiberization import (
     determining_function,
     fiber_context,
     zak,
-    zak_basis,
     zak_inverse,
     zak_matrix,
 )
@@ -33,6 +32,7 @@ from .operators import (
     NotTranslationPreservingError,
     RangeSolveError,
     VerificationReport,
+    check_field_identity,
     check_translation_preserving,
     extract_range_operator,
     fiber_summary,
@@ -64,6 +64,7 @@ __all__ = [
     "Verdict",
     "all_subgroups",
     "annihilator",
+    "check_field_identity",
     "check_translation_preserving",
     "determining_function",
     "extract_range_operator",
@@ -88,7 +89,6 @@ __all__ = [
     "translation_matrix",
     "transversal",
     "zak",
-    "zak_basis",
     "zak_inverse",
     "zak_matrix",
 ]

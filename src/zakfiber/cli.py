@@ -20,11 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import checks, jsonio
-from .fiberization import fiber_context, determining_function, zak, zak_inverse
+from .fiberization import characters, fiber_context, determining_function, zak, zak_inverse
 from .groups import make_group, pairing, subgroup_from_generators, translate, translation_matrix
 from .operators import (
     NotTranslationPreservingError,
     RangeSolveError,
+    check_field_identity,
     check_translation_preserving,
     extract_range_operator,
     fiber_summary,
@@ -114,7 +115,7 @@ def _print_summary(report: dict, indent: str = "") -> None:
 
 
 def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
-    """check -> extract -> norm/HS/trace/structural on the full signal space.
+    """commutation -> field -> field identity -> norm/HS/trace/structural, on the full space.
 
     Returns the report body, the verdict and the extracted field (None when
     the pipeline stopped before the field was accepted).
@@ -123,11 +124,11 @@ def _pipeline(ctx, u, cfg: RunConfig) -> tuple[dict, bool, np.ndarray | None]:
     report = {"translation_preserving": commute.to_dict()}
     if not commute:
         return report, False, None
-    field, solve_residual = solve_range_field(ctx, u)
-    # the leakage is measured against max|U|, the commutation check's scale
-    solve = checks.gate(solve_residual, cfg.tolerance(checks.SOLVE), commute.scale)
-    report["fiber_solve"] = solve.to_dict()
-    if not solve:
+    field = solve_range_field(ctx, u)
+    # certified here, on u and the field the solve returned, so no solve certifies itself
+    identity = check_field_identity(ctx, u, field, cfg.seed, cfg.tolerance(checks.IDENTITY))
+    report["field_identity"] = identity.to_dict()
+    if not identity:
         return report, False, None
     report["range_field"] = jsonio.field_to_json(field)
 
@@ -234,13 +235,9 @@ def _check_suites(ctx, cfg: RunConfig) -> dict:
     )
     suites["zak_intertwining"] = checks.gate(r_inter, tol(checks.TRANSFORM), 1.0)
 
-    # each generator's character straight from its definition, in floating
-    # point from the omega labels: neither the exponent table nor the phase
-    # table the transform reads, so a wrong sign or label in those shows here.
-    # Each term t_j w_j / n_j is reduced mod 1 before the sum is scaled by 2 pi.
+    # each generator's character from its definition, not from the transform's tables
     table = np.column_stack([determining_function(ctx, t) for t in ctx.gamma.probes])  # (|Omega|, probes)
-    terms = ctx.omega[:, None, :] * np.array(ctx.gamma.probes) / np.array(ctx.group.orders)
-    r_char = np.abs(table - np.exp(2j * np.pi * (terms % 1.0).sum(axis=-1))).max()
+    r_char = np.abs(table - characters(ctx, ctx.gamma.probes)).max()
     suites["character_table"] = checks.gate(r_char, tol(checks.TRANSFORM), 1.0)
 
     chars = np.column_stack([determining_function(ctx, t) for t in ctx.gamma.elements])

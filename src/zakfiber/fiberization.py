@@ -109,17 +109,6 @@ def zak_inverse(ctx: FiberContext, fibers) -> np.ndarray:
     return out.T
 
 
-def zak_basis(ctx: FiberContext) -> np.ndarray:
-    """The Zak basis Z* of the full signal space, a ``(|G|, |G|)`` matrix whose
-    column omega*|C| + c has the one nonzero fiber entry 1 at (omega, c).
-
-    Built by :func:`zak_inverse`, so the field solve, its one caller in the
-    package, fiberizes U Z* with :func:`zak` and checks each transform
-    against the other."""
-    n = ctx.group.size
-    return zak_inverse(ctx, np.eye(n, dtype=complex).reshape(ctx.fiber_shape() + (n,)))
-
-
 def zak_matrix(ctx: FiberContext) -> np.ndarray:
     """The unitary matrix of the fiberization, rows flattened as omega*|C| + c.
 
@@ -148,3 +137,12 @@ def determining_function(ctx: FiberContext, gamma_elt) -> np.ndarray:
     if col == ctx.gamma.size or ctx._gamma_keys[col] != key:
         raise ValueError(f"{t!r} is not a member of the translation subgroup")
     return ctx._phase[:, col].copy()
+
+
+def characters(ctx: FiberContext, elements) -> np.ndarray:
+    """pairing(t, w) for w in Omega (rows) and each row t of ``elements``, in floating point from the
+    labels, each term t_j w_j / n_j reduced mod 1: never from the exponent or phase tables."""
+    elements, phase = np.asarray(elements), np.zeros((len(ctx.omega), len(elements)))
+    for j, n in enumerate(ctx.group.orders):  # one coordinate at a time: no (|Omega|, k, m) array
+        phase += np.multiply.outer(ctx.omega[:, j], elements[:, j]) / n % 1.0
+    return np.exp(2j * np.pi * phase)

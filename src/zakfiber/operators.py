@@ -7,13 +7,14 @@ operator field, held as one complex ``(|Omega|, |C|, |C|)`` ndarray; an
 operator is a ``(|G|, |G|)`` ndarray. The functions here detect the
 commutation property, and extract and synthesize fields, on the full signal
 space, the space every command certifies: the field is the diagonal blocks
-of Z U Z*. The two summaries and the norm, Hilbert-Schmidt, trace, isometry,
-self-adjointness and rank reports that compare them describe that space too:
-the operator side reads U alone, the fiber side the blocks R(omega) alone.
-Z is unitary, so each compared value is one that conjugation by Z leaves
-unchanged: a spectrum, a Frobenius norm or a trace, never a largest entry.
-Per-fiber values (norms, ranks, HS and trace terms) are 1-D arrays indexed
-by omega.
+of Z U Z*, read in closed form and certified by its defining identity on
+seeded probes. The two summaries and the norm, Hilbert-Schmidt, trace,
+isometry, self-adjointness and rank reports that compare them describe that
+space too: the operator side reads U alone, the fiber side the blocks
+R(omega) alone. Z is unitary, so each compared value is one that
+conjugation by Z leaves unchanged: a spectrum, a Frobenius norm or a trace,
+never a largest entry. Per-fiber values (norms, ranks, HS and trace terms)
+are 1-D arrays indexed by omega.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks
-from .fiberization import FiberContext, determining_function, zak, zak_basis, zak_inverse
+from .fiberization import FiberContext, characters, determining_function, zak, zak_inverse
 from .groups import _array, translate
 
 
@@ -41,11 +42,11 @@ class NotTranslationPreservingError(Exception):
 
 
 class RangeSolveError(Exception):
-    """No fiber field reproduces the operator on the space (off-fiber leakage)."""
+    """The solved field fails its defining identity zak(U f) = R zak(f)."""
 
     def __init__(self, residual: float):
         self.residual = residual
-        super().__init__(f"fiber solve failed: off-fiber residual {residual:.3e}")
+        super().__init__(f"field identity failed: residual {residual:.3e}")
 
 
 @dataclass
@@ -110,22 +111,33 @@ def check_translation_preserving(ctx: FiberContext, u, tol: float = checks.COMMU
     return checks.gate(checks.largest(residuals), tol, scale)
 
 
-def solve_range_field(ctx: FiberContext, u):
-    """Fiberwise solve for the field of u.
-
-    Returns ``(field, residual)``: the diagonal |C| x |C| blocks of
-    Z U Z* = zak(U B) as the ``(|Omega|, |C|, |C|)`` field, and the largest
-    entry off them. A residual at rounding scale certifies that the field
-    reproduces u; a large residual means no field exists. The Zak basis
-    B = Z* is built by :func:`zak_inverse` and U B is fiberized by
-    :func:`zak`, so the solve is where the two transforms meet: a sign error
-    in either one leaks off the diagonal blocks.
-    """
+def solve_range_field(ctx: FiberContext, u) -> np.ndarray:
+    """The field of a u that commutes with Gamma, in closed form from its |C|
+    rows at C: R(w)[c, c'] = sum_{r in Gamma} U[c, c' + r] conj(pairing(r, w)),
+    one (|Omega|, |Gamma|) x (|Gamma|, |C|^2) product with the characters of
+    :func:`characters`. It certifies nothing; :func:`check_field_identity` does."""
     u = as_operator(ctx, u)
-    blocks = zak(ctx, u @ zak_basis(ctx)).reshape(ctx.fiber_shape() * 2)
-    diagonal = np.arange(ctx.n_omega)
-    # contiguous, so the per-fiber sums downstream add in one fixed order
-    return np.ascontiguousarray(blocks[diagonal, :, diagonal, :]), _off_block_max(ctx, blocks)[0]
+    rows = u[np.ravel_multi_index(ctx.c_section.T, ctx.group.orders)]  # U[c, :]
+    entries = rows[:, ctx._coset_plus].reshape(-1, ctx.gamma.size)  # U[c, c' + r], one row per (c, c')
+    field = characters(ctx, ctx.gamma.elements).conj() @ entries.T
+    return field.reshape(ctx.fiber_shape() + (ctx.n_c,))
+
+
+def check_field_identity(ctx: FiberContext, u, field, seed: int = 0, tol: float = checks.IDENTITY) -> checks.Verdict:
+    """The defining identity zak(U f)(w) = R(w) zak(f)(w) on four complex Gaussian
+    probes f drawn from ``seed``. By Freivalds' argument (E f != 0 for a Gaussian f
+    and any E != 0, with probability 1) it holds iff Z U Z* = blockdiag R(w). The
+    residual is the largest entry of zak(U f) - R zak(f), the scale max|zak(U f)|;
+    a failure names the omega of the largest gap."""
+    u = as_operator(ctx, u)
+    field = _array(field, "field", ctx.fiber_shape() + (ctx.n_c,))
+    z = np.random.default_rng(seed).standard_normal((4, 2, ctx.group.size))
+    probes = np.ascontiguousarray((z[:, 0] + 1j * z[:, 1]).T)
+    image = zak(ctx, u @ probes)
+    gaps = np.abs(image - field @ zak(ctx, probes)).max(axis=(1, 2))
+    r, scale = checks.largest(gaps), _max_entry(image)
+    passed = checks.passes(r, tol, scale)
+    return checks.gate(r, tol, scale, witness=None if passed else int(np.argmax(gaps)))
 
 
 def extract_range_operator(ctx: FiberContext, u) -> np.ndarray:
@@ -133,15 +145,14 @@ def extract_range_operator(ctx: FiberContext, u) -> np.ndarray:
 
     Raises :class:`NotTranslationPreservingError` (with the commutator
     witness) when u fails the commutation test, and :class:`RangeSolveError`
-    when the fiber solve leaves an off-fiber residual above
-    ``checks.SOLVE * max|U|``.
+    when the field fails :func:`check_field_identity` at seed 0.
     """
     verdict = check_translation_preserving(ctx, u)
     if not verdict:
         raise NotTranslationPreservingError(verdict)
-    field, residual = solve_range_field(ctx, u)
-    if not checks.passes(residual, checks.SOLVE, verdict.scale):
-        raise RangeSolveError(residual)
+    field = solve_range_field(ctx, u)
+    if not (identity := check_field_identity(ctx, u, field)):
+        raise RangeSolveError(identity.residual)
     return field
 
 
@@ -164,15 +175,6 @@ def synthesize_operator(ctx: FiberContext, field) -> np.ndarray:
     shape = (n_omega, nc, ctx.group.size)
     left = zak_inverse(ctx, blocks.reshape(shape))  # Z* B
     return zak_inverse(ctx, left.conj().T.reshape(shape)).conj().T
-
-
-def _off_block_max(ctx: FiberContext, mat: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """The largest entry of a fibered ``(|G|, |G|)`` matrix off its diagonal
-    |C| x |C| blocks (NaN if one is NaN), and the block ``(wi, wj)`` holding it."""
-    blocks = np.abs(mat).reshape(ctx.fiber_shape() * 2).max(axis=(1, 3))
-    np.fill_diagonal(blocks, 0.0)
-    wi, wj = np.unravel_index(int(np.argmax(blocks)), blocks.shape)
-    return float(blocks[wi, wj]), (int(wi), int(wj))
 
 
 def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determining-set") -> checks.Verdict:
@@ -201,9 +203,11 @@ def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determ
                 return checks.gate(r, checks.COMMUTE, scale, witness=t)
         return checks.gate(checks.largest(residuals), checks.COMMUTE, scale)
     if mode == "full":
-        r, block = _off_block_max(ctx, uhat)
-        passed = checks.passes(r, checks.COMMUTE, scale)
-        return checks.gate(r, checks.COMMUTE, scale, witness=None if passed else block)
+        blocks = np.abs(uhat).reshape(ctx.fiber_shape() * 2).max(axis=(1, 3))  # a NaN entry gives a NaN block
+        np.fill_diagonal(blocks, 0.0)
+        wi, wj = np.unravel_index(int(np.argmax(blocks)), blocks.shape)
+        passed = checks.passes(blocks[wi, wj], checks.COMMUTE, scale)
+        return checks.gate(blocks[wi, wj], checks.COMMUTE, scale, witness=None if passed else (int(wi), int(wj)))
     raise ValueError(f"unknown mode {mode!r}; expected 'determining-set' or 'full'")
 
 

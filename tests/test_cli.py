@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zakfiber import cli, fiber_context, jsonio, make_group, subgroup_from_generators, translation_matrix
+from zakfiber import cli, fiber_context, jsonio, make_group, subgroup_from_generators
 from zakfiber.cli import main
 
 from conftest import full_range, load_script, rand_field, rand_tp_operator
@@ -57,62 +57,18 @@ class TestAnalyze:
         # the witness is the failing probe of Gamma and the largest commutator entry
         assert report["translation_preserving"]["witness"][0] == [2]
 
-    def test_nan_solve_residual_fails(self, tmp_path, f1_spec, capsys, monkeypatch):
+    def test_nan_field_fails_the_identity(self, tmp_path, f1_spec, capsys, monkeypatch):
+        def nan_solve(*args):
+            field = solve(*args)
+            field[1, 0, 1] = np.nan
+            return field
+
         solve = cli.solve_range_field
-        monkeypatch.setattr(cli, "solve_range_field", lambda *args: (solve(*args)[0], float("nan")))
+        monkeypatch.setattr(cli, "solve_range_field", nan_solve)
         op = write_operator(tmp_path, "id.json", np.eye(4))
         assert main(["analyze", f1_spec, op, "--json"]) == 1
-        assert read_report(capsys)["fiber_solve"]["passed"] is False
-
-    def test_positivity_catches_a_polar_factor_field(self, tmp_path, capsys, monkeypatch):
-        # (R^H R)^(1/2) keeps every fiber's singular values, HS norm, rank and
-        # self-adjointness on a Hermitian U, but it is positive where R is not
-        spec = tmp_path / "z8.json"
-        spec.write_text(json.dumps({"orders": [8], "gamma_generators": [[2]]}))
-        t = lambda k: translation_matrix(make_group([8]), (k,))
-        op = write_operator(tmp_path, "u.json", np.eye(8) + t(2) / 2 + t(6) / 2 - 0.9 * t(4))
-        assert main(["analyze", str(spec), op, "--json"]) == 0
-        structural = read_report(capsys)["structural"]
-        assert structural["verdicts"]["positive_agree"]["passed"] is True
-        assert structural["values"]["positive_operator"]["passed"] is False
-
-        def polar(field):
-            values, vectors = np.linalg.eigh(field.conj().swapaxes(1, 2) @ field)
-            return (vectors * np.sqrt(np.clip(values, 0.0, None))[:, None, :]) @ vectors.conj().swapaxes(1, 2)
-
-        solve = cli.solve_range_field
-        monkeypatch.setattr(cli, "solve_range_field", lambda *args: (polar(solve(*args)[0]), solve(*args)[1]))
-        assert main(["analyze", str(spec), op, "--json"]) == 1
-        report = read_report(capsys)
-        assert report["structural"]["values"]["positive_fibers"]["passed"] is True
-        comparisons = ("norm_identity", "hs_trace", "structural")
-        failed = [(c, name) for c in comparisons for name, v in report[c]["verdicts"].items() if not v["passed"]]
-        assert failed == [("hs_trace", "trace_agree"), ("structural", "positive_agree")]
-
-    @pytest.mark.parametrize(
-        "corrupt",
-        [np.conj, lambda field: field.conj().swapaxes(1, 2)],
-        ids=["conjugated", "adjoint"],
-    )
-    def test_trace_catches_a_conjugated_or_adjoint_field(self, tmp_path, capsys, monkeypatch, corrupt):
-        # conj R and R^H keep every fiber's singular values, HS norm and
-        # self-adjointness, but conjugate its trace: on a commuting U that is
-        # not self-adjoint and has a non-real trace, only the trace routes see it
-        spec = tmp_path / "z8.json"
-        spec.write_text(json.dumps({"orders": [8], "gamma_generators": [[2]]}))
-        g = make_group([8])
-        u = (1 + 0.5j) * np.eye(8) + 0.5 * translation_matrix(g, (2,)) + 0.3j * translation_matrix(g, (1,))
-        op = write_operator(tmp_path, "u.json", u)
-        assert main(["analyze", str(spec), op, "--json"]) == 0
-        assert read_report(capsys)["hs_trace"]["verdicts"]["trace_agree"]["passed"] is True
-        solve = cli.solve_range_field
-        monkeypatch.setattr(cli, "solve_range_field", lambda *args: (corrupt(solve(*args)[0]), solve(*args)[1]))
-        assert main(["analyze", str(spec), op, "--json"]) == 1
-        report = read_report(capsys)
-        assert report["translation_preserving"]["passed"] and report["fiber_solve"]["passed"]
-        comparisons = ("norm_identity", "hs_trace", "structural")
-        failed = [(c, name) for c in comparisons for name, v in report[c]["verdicts"].items() if not v["passed"]]
-        assert failed == [("hs_trace", "trace_agree")]
+        identity = read_report(capsys)["field_identity"]
+        assert identity["passed"] is False and math.isnan(identity["residual"]) and identity["witness"] == 1
 
     def test_shape_mismatch_is_input_error(self, tmp_path, f1_spec):
         op = write_operator(tmp_path, "small.json", np.eye(3))
@@ -188,24 +144,35 @@ class TestAnalyze:
 
 class TestDemoDiffop:
     def test_z8_step2_symbols(self, capsys):
+        # compared omega by omega: a sort by (re, im) would put a correct
+        # 0.9999999999999999+1j before 1-1j
         code = main(["demo-diffop", "8", "2", "--json"])
         report = read_report(capsys)
         assert code == 0
-        by_parts = lambda z: (z.real, z.imag)
-        symbols = sorted((complex(re, im) for re, im in report["fiber_symbols"]), key=by_parts)
-        expected = sorted([0.0, 1 - 1j, 2.0, 1 + 1j], key=by_parts)
+        symbols = [complex(re, im) for re, im in report["fiber_symbols"]]
+        expected = [complex(re, im) for re, im in report["expected_symbols"]]
+        assert len(symbols) == len(expected) == 4
         for got, want in zip(symbols, expected):
             assert abs(got - want) <= 1e-10
+        assert sorted(expected, key=lambda z: (round(z.real, 9), round(z.imag, 9))) == pytest.approx(
+            [0.0, 1 - 1j, 1 + 1j, 2.0], abs=1e-12
+        )
         assert report["operator_norm"] == pytest.approx(2.0, abs=1e-10)
 
     def test_text_summary_prints_arrays_as_lists(self, capsys):
         # per-fiber values print as Python lists, and the (|Omega|, 2) symbol
         # arrays as entry counts, never as numpy reprs
+        assert main(["demo-diffop", "8", "2", "--json"]) == 0
+        report = read_report(capsys)
+        norms = report["norm_identity"]["values"]["fiber_norms"]
+        terms = report["hs_trace"]["values"]["hs_fiber_terms"]
+        assert norms == pytest.approx([0.0, 2**0.5, 2.0, 2**0.5], abs=1e-12)
+        assert terms == pytest.approx([0.0, 4.0, 8.0, 4.0], abs=1e-12)
         assert main(["demo-diffop", "8", "2"]) == 0
         lines = {line.strip() for line in capsys.readouterr().out.splitlines()}
         assert {
-            "fiber_norms: [0.0, 1.4142135623730951, 2.0, 1.4142135623730951]",
-            "hs_fiber_terms: [0.0, 4.0, 8.0, 4.0]",
+            f"fiber_norms: {norms}",
+            f"hs_fiber_terms: {terms}",
             "fiber_ranks: [0, 2, 2, 2]",
             "fiber_symbols: [4 entries]",
             "expected_symbols: [4 entries]",
@@ -227,11 +194,11 @@ class TestDemoDiffop:
 
     @pytest.mark.parametrize("modulus, step", [(8, 2), (128, 1), (256, 4)])
     def test_no_field_fails_both_symbol_gates(self, capsys, modulus, step):
-        # the solve fails at this tolerance, so there is no field: neither
+        # the field identity fails at this tolerance, so there is no field: neither
         # gate may pass on no fibers (scalar_fibers once passed with residual 0)
         code = main(["demo-diffop", str(modulus), str(step), "--tol", "1e-20", "--json"])
         report = read_report(capsys)
-        assert code == 1 and not report["fiber_solve"]["passed"]
+        assert code == 1 and not report["field_identity"]["passed"]
         assert report["fiber_symbols"] == []
         for gate in ("symbols", "scalar_fibers"):
             assert report[gate]["passed"] is False and report[gate]["residual"] == math.inf
@@ -339,7 +306,9 @@ class TestCheck:
     def test_character_table_catches_a_conjugated_phase_table(self, tmp_path, capsys, monkeypatch, spec):
         # conjugating the transform's phase table keeps Z unitary, and every
         # suite that reads the table on both of its sides still passes; only
-        # the characters computed from their definition see the sign
+        # the characters computed from their definition see the sign: the
+        # character table, and the field bijection, whose closed-form field
+        # reads them and fails its identity under the conjugated transform
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
         assert main(["check", str(path), "--json"]) == 0
@@ -354,7 +323,7 @@ class TestCheck:
         monkeypatch.setattr(cli, "fiber_context", conjugated)
         assert main(["check", str(path), "--json"]) == 1
         suites = read_report(capsys)["suites"]
-        assert [name for name, entry in suites.items() if not entry["passed"]] == ["character_table"]
+        assert [name for name, entry in suites.items() if not entry["passed"]] == ["character_table", "field_bijection"]
         assert suites["character_table"]["residual"] == pytest.approx(2.0)
 
     def test_field_bijection_fails_closed_when_extraction_raises(self, tmp_path, capsys, monkeypatch):
@@ -422,6 +391,20 @@ class TestContract:
         r1 = json.loads(out1.read_text())["suites"]["zak_isometry"]["residual"]
         r2 = json.loads(out2.read_text())["suites"]["zak_isometry"]["residual"]
         assert r1 != r2
+
+    def test_analyze_draws_the_identity_probes_from_the_seed(self, tmp_path, f1_spec):
+        # the same seed gives the same bytes; another seed other probes, so
+        # another residual, and the same verdicts
+        u = rand_tp_operator(np.random.default_rng(8), cli._context_from_spec(f1_spec))
+        op = write_operator(tmp_path, "u.json", u)
+        reports = []
+        for seed in ("1", "1", "2"):
+            out = tmp_path / f"r{len(reports)}.json"
+            assert main(["analyze", f1_spec, op, "--seed", seed, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] != reports[2]
+        one, two = (json.loads(report)["field_identity"] for report in reports[1:])
+        assert one["passed"] and two["passed"] and one["residual"] != two["residual"]
 
     def test_negative_seed_is_usage_error(self, tmp_path, f1_spec, capsys):
         # unchecked, analyze and demo-diffop wrote it into the report, and

@@ -1,11 +1,22 @@
-"""The verdict corpus's comparison, on hand-written records."""
+"""The verdict corpus: its comparison on hand-written records, and the
+934-run record pinned in ``tests/corpus_record.json``.
+
+After a change that moves a verdict on purpose, regenerate the record with
+
+    python3 tools/corpus.py tests/corpus_record.json --pinned
+
+and list the ``--compare`` lines of the runs that moved with the change.
+"""
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from conftest import load_script
+
+RECORD = Path(__file__).resolve().with_name("corpus_record.json")
 
 
 @pytest.fixture
@@ -80,3 +91,50 @@ def test_main_prints_the_lines_and_exits_by_agreement(corpus, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == corpus.compare(BEFORE, AFTER)
     assert corpus.main(["--compare", str(before), str(before)]) == 0
     assert capsys.readouterr().out == "8 runs agree\n"
+
+
+def test_compare_reads_records_without_report_bytes(corpus):
+    pinned = {"runs": {"a": {"exit": 1, "booleans": {"passed": False}, "margin": 0.5}}}
+    assert corpus.compare(pinned, pinned) == []
+    assert corpus.compare(pinned, BEFORE) == ["a: only in A"] + [f"{run}: only in B" for run in sorted(BEFORE["runs"])]
+
+
+def test_pinned_keeps_the_exit_code_and_the_false_booleans(corpus):
+    record = {"runs": {"a": {"exit": 1, "booleans": {"x.passed": True, "passed": False}, "sha256": "f", "margin": 0.123456}}}
+    assert corpus.pinned(record) == {"runs": {"a": {"exit": 1, "booleans": {"passed": False}, "margin": 0.123}}}
+
+
+def test_smallest_margin_reads_every_positive_bound(corpus):
+    report = {
+        "a": {"bound": 2.0, "margin": -1.0},  # failed: residual 3
+        "b": [{"bound": 1.0, "margin": 0.75}, {"bound": 0.0, "margin": 0.0}],  # an *_agree gate has no ratio
+        "c": {"bound": 1.0, "margin": float("nan")},
+    }
+    assert corpus.smallest_margin(report) == 0.5
+    assert corpus.smallest_margin({"passed": True}) is None
+
+
+@pytest.fixture(scope="module")
+def corpus_run():
+    # one in-process run of the 934 CLI invocations, about 7 s on 2 vCPUs
+    corpus = load_script("tools/corpus.py")
+    return corpus.pinned(corpus.run_corpus(corpus.ROOT / "src"))
+
+
+def test_corpus_matches_the_record(corpus, corpus_run):
+    # every exit code and every false boolean of the corpus, as recorded
+    lines = corpus.compare(json.loads(RECORD.read_text(encoding="utf-8")), corpus_run)
+    assert not lines, "\n".join(lines)
+
+
+def test_a_changed_record_entry_names_its_run(corpus, corpus_run):
+    record = json.loads(RECORD.read_text(encoding="utf-8"))
+    entry = record["runs"]["z64/skew-8"]
+    assert entry["exit"] == 0 and entry["booleans"]["structural.values.selfadjoint_operator.passed"] is False
+    del entry["booleans"]["structural.values.selfadjoint_operator.passed"]
+    record["runs"]["check/2x2x2-3"]["exit"] = 1
+    assert corpus.compare(record, corpus_run) == [
+        "check/2x2x2-3: exit 1 -> 0",
+        "z64/skew-8: structural.values.selfadjoint_operator.passed absent -> False",
+        "1 runs: structural.values.selfadjoint_operator.passed absent -> False",
+    ]

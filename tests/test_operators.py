@@ -11,6 +11,7 @@ import pytest
 from zakfiber import (
     NotTranslationPreservingError,
     RangeSolveError,
+    check_field_identity,
     check_translation_preserving,
     extract_range_operator,
     fiber_context,
@@ -31,11 +32,9 @@ from zakfiber import (
     translate_parseval_frame,
     translation_matrix,
     zak,
-    zak_basis,
     zak_matrix,
 )
 
-import zakfiber
 from zakfiber import cli, fiberization, jsonio, operators, spaces
 
 from conftest import battery_contexts, delta, full_range, rand_field, rand_signal, rand_tp_operator, summaries
@@ -110,8 +109,19 @@ class TestExtract:
     def test_solved_field_is_the_closed_form(self, ctx):
         # a second route to the field, from u's entries and the characters alone
         u = rand_tp_operator(np.random.default_rng(52), ctx)
-        field, _ = solve_range_field(ctx, u)
+        field = solve_range_field(ctx, u)
         assert np.abs(field - closed_form_field(ctx, u)).max() <= 1e-12 * np.abs(u).max()
+
+    def test_solved_field_is_the_diagonal_blocks_of_the_conjugation(self, ctx):
+        # the field is the diagonal blocks of Z U Z*, with Z the dense oracle
+        # matrix built from the phase table, and Z U Z* has no other block
+        u = rand_tp_operator(np.random.default_rng(53), ctx)
+        zmat = zak_matrix(ctx)
+        blocks = (zmat @ u @ zmat.conj().T).reshape(ctx.fiber_shape() * 2)
+        diagonal = np.arange(ctx.n_omega)
+        assert np.abs(solve_range_field(ctx, u) - blocks[diagonal, :, diagonal, :]).max() <= 1e-12 * np.abs(u).max()
+        blocks[diagonal, :, diagonal, :] = 0.0
+        assert np.abs(blocks).max() <= 1e-12 * np.abs(u).max()
 
     def test_identity_gives_identity_fibers(self, f1_ctx):
         field = extract_range_operator(f1_ctx, np.eye(4, dtype=complex))
@@ -148,21 +158,25 @@ class TestExtract:
         assert excinfo.value.verdict.witness[0] == (2,)
 
     def test_off_fiber_leakage_is_a_hard_failure(self, f1_ctx, monkeypatch):
-        # skip the commutation gate to reach the solve residual detector
+        # skip the commutation gate to reach the field identity: no field
+        # reproduces a u that does not commute
         rng = np.random.default_rng(51)
         u = rand_signal(rng, 16).reshape(4, 4)
-        field, residual = solve_range_field(f1_ctx, u)
-        assert residual > 1e-3
+        identity = check_field_identity(f1_ctx, u, solve_range_field(f1_ctx, u))
+        assert identity.residual > 1e-3 * identity.scale and not identity
         passing = operators.checks.gate(0.0, np.inf, 1.0)
         monkeypatch.setattr(operators, "check_translation_preserving", lambda *args: passing)
-        with pytest.raises(RangeSolveError):
+        with pytest.raises(RangeSolveError) as excinfo:
             extract_range_operator(f1_ctx, u)
+        assert excinfo.value.residual == identity.residual
 
-    def test_nan_solve_residual_is_a_failure(self, f1_ctx, monkeypatch):
-        field, _ = solve_range_field(f1_ctx, np.eye(4, dtype=complex))
-        monkeypatch.setattr(operators, "solve_range_field", lambda *args: (field, float("nan")))
-        with pytest.raises(RangeSolveError):
+    def test_nan_field_is_a_failure(self, f1_ctx, monkeypatch):
+        field = solve_range_field(f1_ctx, np.eye(4, dtype=complex))
+        field[1, 0, 1] = np.nan
+        monkeypatch.setattr(operators, "solve_range_field", lambda *args: field)
+        with pytest.raises(RangeSolveError) as excinfo:
             extract_range_operator(f1_ctx, np.eye(4, dtype=complex))
+        assert np.isnan(excinfo.value.residual)
 
 
 class TestSynthesize:
@@ -201,7 +215,7 @@ class TestSynthesize:
 
     def test_bijection_roundtrips(self, ctx):
         rng = np.random.default_rng(53)
-        basis = zak_basis(ctx)
+        basis = zak_matrix(ctx).conj().T
         for _ in range(5):
             field = rand_field(rng, ctx, full_range(ctx))
             u = synthesize_operator(ctx, field)
@@ -665,7 +679,7 @@ class TestSummaries:
         n = g.size
         w = rand_tp_operator(np.random.default_rng(64), ctx)
         u = w.conj().T @ w if hermitian else w
-        shapes, eigensolves, basis_builds = [], [], []
+        shapes, eigensolves, transforms = [], [], []
         svd, norm = np.linalg.svd, np.linalg.norm
 
         def counting_svd(a, *args, **kwargs):
@@ -689,10 +703,20 @@ class TestSummaries:
 
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counting_eigensolve(getattr(np.linalg, name)))
-        build = operators.zak_basis
-        monkeypatch.setattr(operators, "zak_basis", lambda *a: basis_builds.append(1) or build(*a))
+        forward = fiberization.zak
 
-        body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
+        def counting_zak(c, x):
+            transforms.append(np.shape(x))
+            return forward(c, x)
+
+        def refuse(*args):
+            raise AssertionError("a refused transform ran")
+
+        for module in (fiberization, operators, cli):
+            monkeypatch.setattr(module, "zak", counting_zak)
+            monkeypatch.setattr(module, "zak_inverse", refuse)
+
+        body, ok, field = cli._pipeline(ctx, u, cli.RunConfig())
         # positivity is decided on both sides from the spectra the SVDs give
         assert ok and body["hs_trace"]["verdicts"]["trace_agree"]["passed"]
         structural = body["structural"]
@@ -702,15 +726,12 @@ class TestSummaries:
         # the fiber side takes one SVD over the whole stack of fibers
         assert shapes == [(n, n), (ctx.n_omega, ctx.n_c, ctx.n_c)]
         assert eigensolves == []
-        # the solve builds the Zak basis once, and the operator side reads u alone
-        assert len(basis_builds) == 1
-
-        def refuse(*args):
-            raise AssertionError("the operator summary read the Zak basis")
-
-        for module in (zakfiber, fiberization, operators):
-            monkeypatch.setattr(module, "zak_basis", refuse)
+        # no n-column transform: the field identity fiberizes the four probes
+        # and their images, and the closed-form field reads no transform
+        assert transforms == [(n, 4), (n, 4)]
+        monkeypatch.setattr(operators, "zak", refuse)
         assert operator_summary(ctx, u).hs == body["hs_trace"]["values"]["hs_squared"]["entrywise"]
+        assert np.array_equal(solve_range_field(ctx, u), field)
 
     @pytest.mark.parametrize("hermitian", [False, True], ids=["commuting", "hermitian-psd"])
     def test_pipeline_takes_the_full_space_frame_in_closed_form(self, monkeypatch, hermitian):
@@ -741,25 +762,34 @@ def conjugated_phase(ctx):
 
 
 class TestTransformCrossCheck:
-    # the solve reads zak(U B) with B = zak_basis(ctx), built by zak_inverse:
-    # it mixes the two transforms, and it is the one place analyze can see a
-    # phase-sign error in either, since every operator-side value is
-    # invariant under any unitary basis. Each mutant stops the pipeline at
-    # fiber_solve
-    @pytest.mark.parametrize("name", ["zak_inverse", "zak"])
-    def test_a_sign_error_in_one_transform_fails_the_solve(self, monkeypatch, name):
+    # analyze fiberizes the probes and their images with zak, and reads the
+    # field in closed form with characters taken from their definition, not
+    # from the phase table: a phase-sign error in zak fails the field
+    # identity, since every operator-side value is invariant under any
+    # unitary basis. analyze runs no zak_inverse; check's round trip reads it
+    def test_a_sign_error_in_zak_fails_the_field_identity(self, monkeypatch):
         g = make_group([16])
         ctx = fiber_context(g, subgroup_from_generators(g, [(4,)]))
         u = rand_tp_operator(np.random.default_rng(70), ctx)
         body, ok, field = cli._pipeline(ctx, u, cli.RunConfig())
-        assert ok and body["fiber_solve"]["passed"]
-        honest = getattr(fiberization, name)
+        assert ok and body["field_identity"]["passed"]
+        honest = fiberization.zak
         for module in (fiberization, operators, cli):
-            monkeypatch.setattr(module, name, lambda c, x: honest(conjugated_phase(c), x))
+            monkeypatch.setattr(module, "zak", lambda c, x: honest(conjugated_phase(c), x))
         body, ok, field = cli._pipeline(ctx, u, cli.RunConfig())
         assert not ok and field is None
-        assert body["translation_preserving"]["passed"] and not body["fiber_solve"]["passed"]
+        assert body["translation_preserving"]["passed"] and not body["field_identity"]["passed"]
         assert "range_field" not in body
+
+    def test_a_sign_error_in_zak_inverse_fails_the_round_trip(self, monkeypatch):
+        g = make_group([16])
+        ctx = fiber_context(g, subgroup_from_generators(g, [(4,)]))
+        assert cli._check_suites(ctx, cli.RunConfig())["zak_roundtrip"]["passed"]
+        honest = fiberization.zak_inverse
+        for module in (fiberization, operators, cli):
+            monkeypatch.setattr(module, "zak_inverse", lambda c, x: honest(conjugated_phase(c), x))
+        suites = cli._check_suites(ctx, cli.RunConfig())
+        assert not suites["zak_roundtrip"]["passed"] and suites["zak_roundtrip"]["residual"] > 0.1
 
 
 class TestMultiplicationPreserving:

@@ -52,7 +52,7 @@ class TestRegressions:
     def test_large_commuting_operator_passes_the_solve(self, z8):
         u = 1e12 * (np.eye(8) + translation_matrix(z8.group, (2,)))
         body, ok = pipeline(z8, u)
-        assert body["fiber_solve"]["passed"] is True and ok
+        assert body["field_identity"]["passed"] is True and ok
 
     def test_small_projector_keeps_its_rank(self, z8):
         basis = space_from_range(z8, range_function(z8, delta(z8.group, (0,))[:, None]))
@@ -72,7 +72,7 @@ class TestRegressions:
     def test_zero_operator_passes_at_scale_zero(self, z8):
         body, ok = pipeline(z8, np.zeros((8, 8), dtype=complex))
         assert ok
-        assert body["translation_preserving"]["scale"] == body["fiber_solve"]["scale"] == 0.0
+        assert body["translation_preserving"]["scale"] == body["field_identity"]["scale"] == 0.0
         assert body["norm_identity"]["verdicts"]["norm_identity"]["bound"] == 0.0
 
 

@@ -8,6 +8,7 @@ import pytest
 import zakfiber
 from zakfiber import (
     NotTranslationInvariantError,
+    check_field_identity,
     check_translation_preserving,
     determining_function,
     extract_range_operator,
@@ -23,7 +24,6 @@ from zakfiber import (
     translate,
     translate_parseval_frame,
     zak,
-    zak_basis,
     zak_inverse,
     zak_matrix,
 )
@@ -180,8 +180,12 @@ class TestRangeFunctionIdentity:
         assert np.abs(extract_range_operator(ctx, q @ q.conj().T) - rangefn).max() <= 1e-9
         assert np.abs(projection_of(space_from_range(ctx, rangefn)) - q @ q.conj().T).max() <= 1e-9
 
-    def test_zak_basis_is_the_adjoint_of_the_zak_matrix(self, ctx):
-        assert np.array_equal(zak_basis(ctx), zak_matrix(ctx).conj().T)
+    def test_inverse_of_the_unit_fibers_is_the_adjoint_of_the_zak_matrix(self, ctx):
+        # the Zak basis Z*, built by zak_inverse, is bit-identical to the
+        # oracle's adjoint, which the tests use in its place
+        n = ctx.group.size
+        basis = zak_inverse(ctx, np.eye(n, dtype=complex).reshape(ctx.fiber_shape() + (n,)))
+        assert np.array_equal(basis, zak_matrix(ctx).conj().T)
 
 
 class TestProjectViaFibers:
@@ -371,7 +375,7 @@ class TestFullSpaceFrame:
         # singular values are degenerate, so the values are compared, not the frames
         w = rand_tp_operator(np.random.default_rng(48), ctx)
         u = w.conj().T @ w if hermitian else w
-        computed = translate_parseval_frame(ctx, principal_decomposition(ctx, zak_basis(ctx)))
+        computed = translate_parseval_frame(ctx, principal_decomposition(ctx, zak_matrix(ctx).conj().T))
         closed = operator_summary(ctx, u)
         images = u @ computed
         assert closed.hs == pytest.approx(np.linalg.norm(images) ** 2, rel=1e-12, abs=0)
@@ -420,6 +424,10 @@ ARRAY_ARGUMENTS = [
     ("check_translation_preserving", "u", check_translation_preserving, BAD_OPERATORS, OPERATOR),
     ("extract_range_operator", "u", extract_range_operator, BAD_OPERATORS, OPERATOR),
     ("solve_range_field", "u", solve_range_field, BAD_OPERATORS, OPERATOR),
+    ("check_field_identity", "u", lambda ctx, bad: check_field_identity(ctx, bad, np.zeros((2, 2, 2))),
+     BAD_OPERATORS, OPERATOR),
+    ("check_field_identity", "field", lambda ctx, bad: check_field_identity(ctx, EYE, bad), BAD_FIELDS,
+     r"field must be a \(2, 2, 2\) array"),
     ("operator_summary", "u", operator_summary, BAD_OPERATORS, OPERATOR),
     ("synthesize_operator", "field", synthesize_operator, BAD_FIELDS, r"field must be a \(2, 2, 2\) array"),
     # without a context the last axis gives the shape: k square fiber matrices

@@ -1,15 +1,22 @@
 """The verdict corpus: the exit code, every boolean and the report bytes of 934 CLI runs.
 
-    python3 tools/corpus.py OUT.json [--src DIR]
+    python3 tools/corpus.py OUT.json [--src DIR] [--pinned]
     python3 tools/corpus.py --compare A.json B.json
 
 The first form executes the corpus in this process through ``zakfiber.cli.main``,
 with BLAS pinned to one thread before numpy loads, and writes one record per
 run to OUT.json: its exit code, every boolean of its JSON report, keyed by
-the report path (``hs_trace.verdicts.trace_agree.passed``), and the SHA-256
-of the report's bytes (null when no report was written). ``--src`` names
-the source tree whose ``zakfiber`` runs (default: this checkout's ``src``), so
-a copy of another commit can be measured with this script. The runs are:
+the report path (``hs_trace.verdicts.trace_agree.passed``), the SHA-256
+of the report's bytes (null when no report was written) and the smallest
+``|margin| / bound`` of its verdicts with a positive bound (null when there
+is none). ``--src`` names the source tree whose ``zakfiber`` runs (default:
+this checkout's ``src``), so a copy of another commit can be measured with
+this script. ``--pinned`` writes the record the test suite pins instead
+(:func:`pinned`: no report bytes, only the false booleans), so
+
+    python3 tools/corpus.py tests/corpus_record.json --pinned
+
+regenerates ``tests/test_corpus.py``'s record. The runs are:
 
 - the bench ``analyze`` workload at seeds 1 and 2, its perturbed operators
   and its ``demo-diffop`` ops included (60 runs);
@@ -31,8 +38,7 @@ otherwise.
 
 The inputs come from ``bench/workloads.py``, imported without writing
 bytecode so that nothing under ``bench/`` changes. Input files and reports
-go to a temporary directory. This script is not part of the test suite: a
-run takes 10-15 s on a 2-vCPU host.
+go to a temporary directory. A run takes 7-15 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -161,12 +167,38 @@ def booleans(node, path: str = "") -> dict:
     return found
 
 
+def smallest_margin(node) -> float | None:
+    """The smallest ``|margin| / bound`` over the verdicts of a JSON report
+    whose bound is positive and finite: how near its closest decision is to
+    flipping. None when no verdict has such a bound."""
+    if isinstance(node, list):
+        found = [smallest_margin(value) for value in node]
+    elif isinstance(node, dict):
+        found = [smallest_margin(value) for value in node.values()]
+        bound = node.get("bound")
+        margin = node.get("margin")
+        if isinstance(bound, float) and 0.0 < bound < math.inf and isinstance(margin, float) and math.isfinite(margin):
+            found.append(abs(margin) / bound)
+    else:
+        return None
+    found = [value for value in found if value is not None]
+    return min(found) if found else None
+
+
 def run_corpus(src: Path) -> dict:
+    saved = sys.dont_write_bytecode, list(sys.path)  # restored: the tests run the corpus in their own process
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(src), str(ROOT / "bench")]
-    import workloads
-    from zakfiber import cli, groups
+    try:
+        import workloads
+        from zakfiber import cli, groups
 
+        return {"src": str(src), "runs": _run(cli, groups, workloads)}
+    finally:
+        sys.dont_write_bytecode, sys.path[:] = saved
+
+
+def _run(cli, groups, workloads) -> dict:
     records = {}
     with tempfile.TemporaryDirectory() as tmp, open(os.devnull, "w") as devnull:
         workdir = Path(tmp)
@@ -177,12 +209,30 @@ def run_corpus(src: Path) -> dict:
                 with contextlib.redirect_stdout(devnull), contextlib.redirect_stderr(devnull):
                     code = cli.main([*argv, *extra, "--out", str(out)])
                 data = out.read_bytes() if out.exists() else None
+                report = json.loads(data.decode("utf-8")) if data is not None else {}
                 records[run_id + suffix] = {
                     "exit": code,
-                    "booleans": booleans(json.loads(data.decode("utf-8")) if data is not None else {}),
+                    "booleans": booleans(report),
                     "sha256": hashlib.sha256(data).hexdigest() if data is not None else None,
+                    "margin": smallest_margin(report),
                 }
-    return {"src": str(src), "runs": records}
+    return records
+
+
+def pinned(record: dict) -> dict:
+    """The record the test suite pins: each run's exit code, its false
+    booleans and its smallest margin (3 significant digits, not compared),
+    with no report bytes, which depend on the BLAS build."""
+    return {
+        "runs": {
+            run_id: {
+                "exit": entry["exit"],
+                "booleans": {path: False for path, value in entry["booleans"].items() if not value},
+                "margin": None if entry["margin"] is None else float(f"{entry['margin']:.3g}"),
+            }
+            for run_id, entry in record["runs"].items()
+        }
+    }
 
 
 def compare(a: dict, b: dict) -> list[str]:
@@ -202,7 +252,7 @@ def compare(a: dict, b: dict) -> list[str]:
             old, new = one["booleans"].get(path, "absent"), two["booleans"].get(path, "absent")
             if old != new:
                 changes.append(f"{path} {old} -> {new}")
-        if one["sha256"] != two["sha256"]:
+        if one.get("sha256") != two.get("sha256"):
             changes.append("report bytes differ")
         lines += [f"{run_id}: {change}" for change in changes]
         tally.update(changes)
@@ -214,6 +264,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Exit codes, booleans and report bytes of the 934-run verdict corpus.")
     parser.add_argument("out", nargs="?", help="run the corpus and write its record to this JSON file")
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree whose zakfiber runs")
+    parser.add_argument("--pinned", action="store_true", help="write the record tests/test_corpus.py pins")
     parser.add_argument(
         "--compare", nargs=2, metavar=("A", "B"), help="list the runs whose exit code, booleans or report bytes differ"
     )
@@ -225,7 +276,12 @@ def main(argv=None) -> int:
         # product depend on the thread count
         os.environ.update(dict.fromkeys(BLAS_THREADS, "1"))
         record = run_corpus(Path(args.src).resolve())
-        Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        if args.pinned:
+            # one run per line, so a change in the record shows as the lines of its runs
+            lines = [f"{json.dumps(k)}: {json.dumps(v, sort_keys=True)}" for k, v in sorted(pinned(record)["runs"].items())]
+            Path(args.out).write_text('{"runs": {\n' + ",\n".join(lines) + "\n}}\n", encoding="utf-8")
+        else:
+            Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         exits = collections.Counter(entry["exit"] for entry in record["runs"].values())
         print(f"{len(record['runs'])} runs, exit codes {dict(sorted(exits.items()))}")
         return 0
