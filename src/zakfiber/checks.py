@@ -2,8 +2,8 @@
 
 Every pass/fail decision goes through :func:`passes`: a residual passes iff
 ``residual <= tol * scale``, where ``scale`` is the magnitude the residual
-is homogeneous in (each table entry names it; the field identity's is the
-image of its seeded probes, max|zak(U f)|). Scaling U by s scales the
+is homogeneous in (each table entry names it; the field identity's is
+sqrt(|G|) max|U| max|zak(f)| on its seeded probes f). Scaling U by s scales the
 residual and the bound alike, so no verdict depends on the units of U; U = 0
 is the one input with scale 0, where only a residual of exactly 0 passes. A
 NaN residual or scale fails, and :func:`largest` keeps a NaN, so no gate
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 COMMUTE = 1e-10  # commutator entries, against max|U| (max|uhat| for a fibered operator)
-IDENTITY = 1e-8  # field identity: largest entry of zak(U f) - R zak(f) on the probes, against max|zak(U f)|
+IDENTITY = 1e-8  # field identity: largest entry of zak(U f) - R zak(f) on the probes, against sqrt(|G|) max|U| max|zak(f)|
 STRUCT = 1e-9  # isometry max|s^2 - 1| (absolute); ||A - A^H||_F and positivity: against the operator or largest fiber norm
 NORM = 1e-8  # operator norm against the largest fiber norm, relative to the operator norm
 HS = 1e-8  # HS and trace, operator against fibers: against sum |U_ij|^2 and the nuclear norm

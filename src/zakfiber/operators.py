@@ -125,17 +125,17 @@ def solve_range_field(ctx: FiberContext, u) -> np.ndarray:
 
 def check_field_identity(ctx: FiberContext, u, field, seed: int = 0, tol: float = checks.IDENTITY) -> checks.Verdict:
     """The defining identity zak(U f)(w) = R(w) zak(f)(w) on four complex Gaussian
-    probes f drawn from ``seed``. By Freivalds' argument (E f != 0 for a Gaussian f
+    probes f drawn from ``seed``; by Freivalds' argument (E f != 0 for a Gaussian f
     and any E != 0, with probability 1) it holds iff Z U Z* = blockdiag R(w). The
-    residual is the largest entry of zak(U f) - R zak(f), the scale max|zak(U f)|;
-    a failure names the omega of the largest gap."""
+    residual, the largest entry of zak(U f) - R zak(f), is read against sqrt(|G|) max|U|
+    max|zak(f)|, blind to U's density; a failure names the omega of the largest gap."""
     u = as_operator(ctx, u)
     field = _array(field, "field", ctx.fiber_shape() + (ctx.n_c,))
     z = np.random.default_rng(seed).standard_normal((4, 2, ctx.group.size))
     probes = np.ascontiguousarray((z[:, 0] + 1j * z[:, 1]).T)
-    image = zak(ctx, u @ probes)
-    gaps = np.abs(image - field @ zak(ctx, probes)).max(axis=(1, 2))
-    r, scale = checks.largest(gaps), _max_entry(image)
+    fibers = zak(ctx, probes)
+    gaps = np.abs(zak(ctx, u @ probes) - field @ fibers).max(axis=(1, 2))
+    r, scale = checks.largest(gaps), math.sqrt(ctx.group.size) * _max_entry(u) * _max_entry(fibers)
     passed = checks.passes(r, tol, scale)
     return checks.gate(r, tol, scale, witness=None if passed else int(np.argmax(gaps)))
 

@@ -125,6 +125,10 @@ def test_corpus_matches_the_record(corpus, corpus_run):
     # every exit code and every false boolean of the corpus, as recorded
     lines = corpus.compare(json.loads(RECORD.read_text(encoding="utf-8")), corpus_run)
     assert not lines, "\n".join(lines)
+    # and no run's closest decision lies within 1e-3 of its bound, so a
+    # rounding-level change cannot flip one
+    near = {run_id: e["margin"] for run_id, e in corpus_run["runs"].items() if e["margin"] is not None and e["margin"] < 1e-3}
+    assert not near, near
 
 
 def test_a_changed_record_entry_names_its_run(corpus, corpus_run):

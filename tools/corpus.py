@@ -156,33 +156,38 @@ def corpus_argvs(workloads, groups, workdir: Path):
             yield f"check/{name}-{j}", ["check", str(spec), "--seed", str(CHECK_SEED)]
 
 
-def booleans(node, path: str = "") -> dict:
+def booleans(node) -> dict:
     """Every boolean of a JSON report, by its dotted path."""
-    if isinstance(node, bool):
-        return {path: node}
-    found = {}
-    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
-    for key, value in items:
-        found.update(booleans(value, f"{path}.{key}" if path else str(key)))
-    return found
+    return _scan(node)[0]
 
 
 def smallest_margin(node) -> float | None:
     """The smallest ``|margin| / bound`` over the verdicts of a JSON report
     whose bound is positive and finite: how near its closest decision is to
     flipping. None when no verdict has such a bound."""
-    if isinstance(node, list):
-        found = [smallest_margin(value) for value in node]
-    elif isinstance(node, dict):
-        found = [smallest_margin(value) for value in node.values()]
-        bound = node.get("bound")
-        margin = node.get("margin")
-        if isinstance(bound, float) and 0.0 < bound < math.inf and isinstance(margin, float) and math.isfinite(margin):
-            found.append(abs(margin) / bound)
-    else:
-        return None
-    found = [value for value in found if value is not None]
-    return min(found) if found else None
+    return _scan(node)[1]
+
+
+def _scan(report) -> tuple[dict, float | None]:
+    """:func:`booleans` and :func:`smallest_margin` in one walk, which skips
+    the lists that hold no boolean and no object, such as a field's numbers."""
+    found, ratios = {}, []
+
+    def walk(node, path):
+        if isinstance(node, bool):
+            found[path] = node
+        elif isinstance(node, dict):
+            bound, margin = node.get("bound"), node.get("margin")
+            if isinstance(bound, float) and 0.0 < bound < math.inf and isinstance(margin, float) and math.isfinite(margin):
+                ratios.append(abs(margin) / bound)
+            for key, value in node.items():
+                walk(value, f"{path}.{key}" if path else str(key))
+        elif isinstance(node, list) and not {bool, dict, list}.isdisjoint(map(type, node)):
+            for key, value in enumerate(node):
+                walk(value, f"{path}.{key}" if path else str(key))
+
+    walk(report, "")
+    return found, min(ratios, default=None)
 
 
 def run_corpus(src: Path) -> dict:
@@ -209,12 +214,12 @@ def _run(cli, groups, workloads) -> dict:
                 with contextlib.redirect_stdout(devnull), contextlib.redirect_stderr(devnull):
                     code = cli.main([*argv, *extra, "--out", str(out)])
                 data = out.read_bytes() if out.exists() else None
-                report = json.loads(data.decode("utf-8")) if data is not None else {}
+                found, margin = _scan(json.loads(data.decode("utf-8")) if data is not None else {})
                 records[run_id + suffix] = {
                     "exit": code,
-                    "booleans": booleans(report),
+                    "booleans": found,
                     "sha256": hashlib.sha256(data).hexdigest() if data is not None else None,
-                    "margin": smallest_margin(report),
+                    "margin": margin,
                 }
     return records
 
