@@ -7,7 +7,7 @@ block-diagonal fields of fiber operators, with verification reports for the
 norm, Hilbert-Schmidt, trace, isometry and self-adjointness identities.
 """
 
-from .checks import Verdict
+from .checks import Verdict, VerificationError
 from .fiberization import (
     FiberContext,
     determining_function,
@@ -29,8 +29,6 @@ from .groups import (
     transversal,
 )
 from .operators import (
-    NotTranslationPreservingError,
-    RangeSolveError,
     VerificationReport,
     check_field_identity,
     check_translation_preserving,
@@ -45,7 +43,6 @@ from .operators import (
     synthesize_operator,
 )
 from .spaces import (
-    NotTranslationInvariantError,
     is_translation_invariant,
     principal_decomposition,
     range_function,
@@ -56,12 +53,10 @@ from .spaces import (
 __all__ = [
     "FiberContext",
     "GroupSpec",
-    "NotTranslationInvariantError",
-    "NotTranslationPreservingError",
-    "RangeSolveError",
     "Subgroup",
-    "VerificationReport",
     "Verdict",
+    "VerificationError",
+    "VerificationReport",
     "all_subgroups",
     "annihilator",
     "check_field_identity",

@@ -58,6 +58,19 @@ class Verdict:
         return dict(vars(self))
 
 
+class VerificationError(Exception):
+    """A gate that an operation requires failed: ``check`` names the gate and
+    ``verdict`` is its failing :class:`Verdict`. Not a ValueError, which
+    means malformed input: here the input was well formed and the check failed."""
+
+    def __init__(self, check: str, verdict: Verdict):
+        self.check, self.verdict = check, verdict
+        super().__init__(
+            f"{check} failed: residual {verdict.residual:.3e} against bound "
+            f"{verdict.bound:.3e}, witness {verdict.witness!r}"
+        )
+
+
 def passes(residual, tol: float, scale):
     """The gate rule; a bool for one residual, a boolean array for an array."""
     ok = np.asarray(residual) <= tol * scale

@@ -15,45 +15,21 @@ from .fiberization import FiberContext, zak, zak_inverse
 from .groups import _array, translate
 
 
-class NotTranslationInvariantError(ValueError):
-    """Raised when an operation requires an invariant space and gets a witness instead."""
-
-    def __init__(self, witness_gamma, witness_column: int, residual: float):
-        self.witness_gamma = witness_gamma
-        self.witness_column = witness_column
-        self.residual = residual
-        super().__init__(
-            f"space is not translation invariant: translating basis column "
-            f"{witness_column} by {witness_gamma!r} leaves the span (residual {residual:.3e})"
-        )
-
-
-def _column_spans(stacked: np.ndarray) -> list[np.ndarray]:
-    """Orthonormal basis of the numerical column span of each stacked matrix.
-
-    One SVD over the whole ``(|Omega|, |C|, k)`` stack; per matrix, the left
-    singular directions above the stack's rank cut, each rotated so its
-    largest-modulus entry is real positive. The rotation keeps
-    orthonormality and makes the basis reproducible across LAPACK builds.
-    """
-    left, s = np.linalg.svd(stacked, full_matrices=False)[:2]
-    spans = []
-    for u, rank in zip(left, checks.rank_cut(s)[0].sum(axis=-1)):
-        u = u[:, :rank]
-        pivots = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-        spans.append(u * (pivots.conj() / np.abs(pivots)))
-    return spans
+def _directions(ctx: FiberContext, family) -> np.ndarray:
+    """Per omega, the left singular directions of the fibers of the family
+    (the columns of a ``(|G|, k)`` matrix), one SVD over the whole
+    ``(|Omega|, |C|, k)`` stack; the directions at or below the stack's rank
+    cut are zero columns."""
+    left, s = np.linalg.svd(zak(ctx, family), full_matrices=False)[:2]
+    return np.where(checks.rank_cut(s)[0][:, None, :], left, 0)
 
 
 def range_function(ctx: FiberContext, generators) -> np.ndarray:
     """Per omega, the projection onto the span of the fibers of the generators
     (the columns of a ``(|G|, k)`` matrix) above the stack's rank cut; k = 0
     yields the zero range function."""
-    generators = _array(generators, "generators", (ctx.group.size, None))
-    # zak(...)[wi] holds the omega-fibers of all generators as columns; a
-    # projection does not depend on which singular directions span its range
-    left, s = np.linalg.svd(zak(ctx, generators), full_matrices=False)[:2]
-    spans = left * checks.rank_cut(s)[0][:, None, :]
+    # a projection does not depend on which singular directions span its range
+    spans = _directions(ctx, _array(generators, "generators", (ctx.group.size, None)))
     return spans @ spans.conj().swapaxes(-1, -2)
 
 
@@ -105,16 +81,15 @@ def principal_decomposition(ctx: FiberContext, basis):
     Where fiber singular values are degenerate, as on the full space, rounding
     in the SVD picks which rotation of the valid generators is returned.
     """
-    verdict = is_translation_invariant(ctx, basis)
-    if not verdict:
-        raise NotTranslationInvariantError(*verdict.witness, verdict.residual)
-    # per omega: |C| x rank matrix of singular directions
-    directions = _column_spans(zak(ctx, basis))
-    n_generators = max(mat.shape[1] for mat in directions)
-    fibers = np.zeros(ctx.fiber_shape() + (n_generators,), dtype=complex)
-    for wi, mat in enumerate(directions):
-        fibers[wi, :, : mat.shape[1]] = mat
-    return zak_inverse(ctx, fibers)
+    if not (verdict := is_translation_invariant(ctx, basis)):
+        raise checks.VerificationError("translation_invariant", verdict)
+    directions = _directions(ctx, basis)
+    fibers = directions[..., : directions.any(axis=1).sum(axis=-1).max(initial=0)]
+    # rotate each direction so its largest-modulus entry is real positive,
+    # which keeps orthonormality and makes the basis reproducible across
+    # LAPACK builds; a zero column has pivot 0 and stays zero
+    pivots = np.take_along_axis(fibers, np.abs(fibers).argmax(axis=1)[:, None, :], axis=1)
+    return zak_inverse(ctx, fibers * (pivots.conj() / np.where(pivots == 0, 1.0, np.abs(pivots))))
 
 
 def translate_parseval_frame(ctx: FiberContext, generators) -> np.ndarray:

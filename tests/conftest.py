@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zakfiber import (
+    VerificationError,
     all_subgroups,
     fiber_context,
     fiber_summary,
@@ -104,6 +106,21 @@ def rand_field(rng, context, rangefn):
 def rand_tp_operator(rng, context):
     """Random translation-commuting operator, synthesized from a dense field."""
     return synthesize_operator(context, rand_field(rng, context, full_range(context)))
+
+
+def failed_verdict(excinfo, check):
+    """The verdict a raised VerificationError carries, held to the failure
+    contract: it names its check, its verdict failed with bound = tolerance
+    * scale, margin = bound - residual and a witness, and it is no
+    ValueError, which the CLI reports as bad input."""
+    exc = excinfo.value
+    assert type(exc) is VerificationError and not isinstance(exc, ValueError)
+    verdict = exc.verdict
+    assert exc.check == check and verdict.passed is False and verdict.witness is not None
+    assert verdict.bound == verdict.tolerance * verdict.scale
+    assert verdict.margin == verdict.bound - verdict.residual or math.isnan(verdict.residual)
+    assert check in str(exc) and repr(verdict.witness) in str(exc)
+    return verdict
 
 
 def summaries(context, u, field):

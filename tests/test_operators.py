@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from zakfiber import (
-    NotTranslationPreservingError,
-    RangeSolveError,
+    VerificationError,
     check_field_identity,
     check_translation_preserving,
     extract_range_operator,
@@ -37,7 +36,16 @@ from zakfiber import (
 
 from zakfiber import cli, fiberization, jsonio, operators, spaces
 
-from conftest import battery_contexts, delta, full_range, rand_field, rand_signal, rand_tp_operator, summaries
+from conftest import (
+    battery_contexts,
+    delta,
+    failed_verdict,
+    full_range,
+    rand_field,
+    rand_signal,
+    rand_tp_operator,
+    summaries,
+)
 
 
 def diff_operator(ctx, step):
@@ -153,9 +161,12 @@ class TestExtract:
 
     def test_rejects_non_preserving_with_witness(self, f1_ctx):
         u = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-        with pytest.raises(NotTranslationPreservingError) as excinfo:
+        with pytest.raises(VerificationError) as excinfo:
             extract_range_operator(f1_ctx, u)
-        assert excinfo.value.verdict.witness[0] == (2,)
+        verdict = failed_verdict(excinfo, "translation_preserving")
+        assert verdict == check_translation_preserving(f1_ctx, u)
+        t, (i, j) = verdict.witness
+        assert t == (2,) and 0 <= i < 4 and 0 <= j < 4
 
     def test_off_fiber_leakage_is_a_hard_failure(self, f1_ctx, monkeypatch):
         # skip the commutation gate to reach the field identity: no field
@@ -166,17 +177,19 @@ class TestExtract:
         assert identity.residual > 1e-3 * identity.scale and not identity
         passing = operators.checks.gate(0.0, np.inf, 1.0)
         monkeypatch.setattr(operators, "check_translation_preserving", lambda *args: passing)
-        with pytest.raises(RangeSolveError) as excinfo:
+        with pytest.raises(VerificationError) as excinfo:
             extract_range_operator(f1_ctx, u)
-        assert excinfo.value.residual == identity.residual
+        verdict = failed_verdict(excinfo, "field_identity")
+        assert verdict == identity and 0 <= verdict.witness < f1_ctx.n_omega
 
     def test_nan_field_is_a_failure(self, f1_ctx, monkeypatch):
         field = solve_range_field(f1_ctx, np.eye(4, dtype=complex))
         field[1, 0, 1] = np.nan
         monkeypatch.setattr(operators, "solve_range_field", lambda *args: field)
-        with pytest.raises(RangeSolveError) as excinfo:
+        with pytest.raises(VerificationError) as excinfo:
             extract_range_operator(f1_ctx, np.eye(4, dtype=complex))
-        assert np.isnan(excinfo.value.residual)
+        verdict = failed_verdict(excinfo, "field_identity")
+        assert np.isnan(verdict.residual) and verdict.witness == 1  # the NaN fiber
 
 
 class TestSynthesize:
@@ -304,6 +317,17 @@ class TestNormIdentity:
         assert not report.passed and not report.verdicts["norm_identity"]
         assert np.isnan(report.values["fiber_norms"][0]) and np.isnan(report.verdicts["norm_identity"].residual)
         assert report.witness == 0
+
+    @pytest.mark.parametrize(
+        "norms, witness",
+        [([1 - 1e-16, 1.0, 1 - 1e-16, 0.5], 0), ([0.5, 0.9, 1.0, 0.9], 2)],
+        ids=["tie-to-rounding", "clear-maximum"],
+    )
+    def test_witness_is_the_first_fiber_within_the_bound_of_the_largest(self, f2_ctx, norms, witness):
+        u = np.eye(8, dtype=complex)
+        op, fib = summaries(f2_ctx, u, extract_range_operator(f2_ctx, u))
+        report = norm_identity_report(op, dataclasses.replace(fib, norms=np.array(norms)))
+        assert report.passed and report.witness == witness
 
     def test_identity(self, f1_ctx):
         u = np.eye(4, dtype=complex)

@@ -7,7 +7,7 @@ import pytest
 
 import zakfiber
 from zakfiber import (
-    NotTranslationInvariantError,
+    VerificationError,
     check_field_identity,
     check_translation_preserving,
     determining_function,
@@ -28,7 +28,7 @@ from zakfiber import (
     zak_matrix,
 )
 
-from conftest import delta, full_range, rand_signal, rand_tp_operator
+from conftest import delta, failed_verdict, full_range, rand_signal, rand_tp_operator
 
 
 def projection_of(basis):
@@ -276,9 +276,11 @@ class TestPrincipalDecomposition:
         assert principal_decomposition(f1_ctx, np.zeros((4, 0), dtype=complex)).shape == (4, 0)
 
     def test_rejects_non_invariant(self, f1_ctx):
-        with pytest.raises(NotTranslationInvariantError) as excinfo:
-            principal_decomposition(f1_ctx, delta(f1_ctx.group, (0,)).reshape(-1, 1))
-        assert excinfo.value.witness_gamma == (2,)
+        basis = delta(f1_ctx.group, (0,)).reshape(-1, 1)
+        with pytest.raises(VerificationError) as excinfo:
+            principal_decomposition(f1_ctx, basis)
+        verdict = failed_verdict(excinfo, "translation_invariant")
+        assert verdict == is_translation_invariant(f1_ctx, basis) and verdict.witness == ((2,), 0)
 
     def test_structural_properties(self, ctx):
         rng = np.random.default_rng(45)
