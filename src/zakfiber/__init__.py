@@ -37,7 +37,6 @@ from .operators import (
     hs_trace_report,
     multiplication_preserving_check,
     norm_identity_report,
-    operator_summary,
     solve_range_field,
     structural_flags,
     synthesize_operator,
@@ -70,7 +69,6 @@ __all__ = [
     "make_group",
     "multiplication_preserving_check",
     "norm_identity_report",
-    "operator_summary",
     "pairing",
     "principal_decomposition",
     "range_function",

@@ -8,13 +8,15 @@ operator is a ``(|G|, |G|)`` ndarray. The functions here detect the
 commutation property, and extract and synthesize fields, on the full signal
 space, the space every command certifies: the field is the diagonal blocks
 of Z U Z*, read in closed form and certified by its defining identity on
-seeded probes. The two summaries and the norm, Hilbert-Schmidt, trace,
-isometry, self-adjointness and rank reports that compare them describe that
-space too: the operator side reads U alone, the fiber side the blocks
-R(omega) alone. Z is unitary, so each compared value is one that
-conjugation by Z leaves unchanged: a spectrum, a Frobenius norm or a trace,
-never a largest entry. Per-fiber values (norms, ranks, HS and trace terms)
-are 1-D arrays indexed by omega.
+seeded probes. The norm, Hilbert-Schmidt, trace, isometry,
+self-adjointness and rank reports describe that space too. They compare two
+summaries of one type, each of a stack of blocks: the fiber side summarizes
+the blocks R(omega) alone, and the operator side U alone, as the one block of
+the trivial fiberization (Gamma = {0}, C = G, R = U), so its entrywise HS
+route is the sum of re^2 + im^2 over U's entries. Z is unitary, so each
+compared value is one that conjugation by Z leaves unchanged: a spectrum, a
+Frobenius norm or a trace, never a largest entry. Per-fiber values (norms,
+ranks, HS and trace terms) are 1-D arrays indexed by omega.
 """
 
 from __future__ import annotations
@@ -142,18 +144,13 @@ def synthesize_operator(ctx: FiberContext, field) -> np.ndarray:
     extracting its field recovers the input.
 
     With Z the fiberization and B the block-diagonal field, U = Z* B Z is
-    computed as ``zak_inverse(zak_inverse(B)^H)^H`` over columns, since
-    ``zak_inverse`` applies Z* to each column.
+    read on the standard basis: column j is zak_inverse(R zak(e_j)), one
+    batched transform each way.
     """
-    n_omega, nc = ctx.fiber_shape()
-    field = _array(field, "field", (n_omega, nc, nc))
+    field = _array(field, "field", ctx.fiber_shape() + (ctx.n_c,))
     if not np.isfinite(field).all():
         raise ValueError("field has non-finite entries")
-    blocks = np.zeros(ctx.fiber_shape() * 2, dtype=complex)
-    blocks[np.arange(n_omega), :, np.arange(n_omega), :] = field
-    shape = (n_omega, nc, ctx.group.size)
-    left = zak_inverse(ctx, blocks.reshape(shape))  # Z* B
-    return zak_inverse(ctx, left.conj().T.reshape(shape)).conj().T
+    return zak_inverse(ctx, field @ zak(ctx, np.eye(ctx.group.size, dtype=complex)))
 
 
 def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determining-set") -> checks.Verdict:
@@ -191,32 +188,20 @@ def multiplication_preserving_check(ctx: FiberContext, uhat, mode: str = "determ
 
 
 @dataclass(frozen=True, eq=False)
-class OperatorSummary:
-    """What the reports read of U on the full signal space, from U alone,
-    never from a field or a basis. Each value is unchanged by a unitary change
-    of basis, so it is also the value of Z U Z*."""
-
-    norm: float
-    singular_values: np.ndarray  # descending
-    hs: float  # ||U||_F^2, the sum of |U_ij|^2
-    trace: complex  # tr U
-    hermitian_gap: float  # ||U - U^H||_F
-
-
-@dataclass(frozen=True, eq=False)
 class FiberSummary:
-    """What the reports read of a field, one entry per fiber, never from the
-    operator.
+    """What the reports read of a stack of blocks, one entry per block: of a
+    field R(omega), or of U alone as the one block ``u[None]`` of the trivial
+    fiberization (Gamma = {0}, C = G, R = U).
 
-    A fiber norm is NaN exactly when that fiber R(omega) has a non-finite
-    entry, and so is each of that fiber's singular values.
+    A block norm is NaN exactly when that block has a non-finite entry, and
+    so is each of that block's singular values.
     """
 
     norms: np.ndarray  # float64
-    singular_values: np.ndarray  # (|Omega|, |C|), each row descending
-    hs_terms: np.ndarray  # float64
+    singular_values: np.ndarray  # (blocks, |C|), each row descending
+    hs_terms: np.ndarray  # float64, the sum of re^2 + im^2 over each block
     trace_terms: np.ndarray  # complex128
-    selfadjoint_residual: float  # (sum over the fibers of ||R - R^H||_F^2)^(1/2)
+    selfadjoint_residual: float  # (sum over the blocks of ||R - R^H||_F^2)^(1/2)
 
 
 def _max_entry(mat: np.ndarray) -> float:
@@ -224,23 +209,10 @@ def _max_entry(mat: np.ndarray) -> float:
     return float(np.abs(mat).max(initial=0.0))
 
 
-def operator_summary(ctx: FiberContext, u) -> OperatorSummary:
-    """Summarize u on the full signal space: one SVD of u, the sum of
-    |U_ij|^2, tr U and ||U - U^H||_F. No basis is read and no product formed."""
-    u = as_operator(ctx, u)
-    s = np.linalg.svd(u, compute_uv=False)
-    return OperatorSummary(
-        norm=float(s[0]),
-        singular_values=s,
-        hs=float(np.sum(np.abs(u) ** 2)),
-        trace=complex(np.trace(u)),
-        hermitian_gap=float(np.linalg.norm(u - u.conj().T)),
-    )
-
-
 def fiber_summary(field) -> FiberSummary:
-    """Summarize the field, a ``(k, c, c)`` array of fiber matrices R(omega):
-    one stacked SVD over its finite fibers, and batched traces and R - R^H."""
+    """Summarize a ``(k, c, c)`` stack of blocks, a field of fiber matrices
+    R(omega) or ``u[None]``: one stacked SVD over its finite blocks, and
+    batched traces and R - R^H."""
     nc = field.shape[-1] if isinstance(field, np.ndarray) and field.ndim == 3 else None
     field = _array(field, "field", (None, nc, nc))
     finite = np.isfinite(field).all(axis=(1, 2))
@@ -255,39 +227,38 @@ def fiber_summary(field) -> FiberSummary:
     )
 
 
-def norm_identity_report(
-    op: OperatorSummary, fib: FiberSummary, tol: float = checks.NORM
-) -> VerificationReport:
+def norm_identity_report(op: FiberSummary, fib: FiberSummary, tol: float = checks.NORM) -> VerificationReport:
     """Operator norm on the space versus the largest fiber operator norm,
     measured against the operator norm. The witness is the first fiber whose
     norm is within the gate's bound of the largest, or the first NaN one."""
-    fiber_max = checks.largest(fib.norms)
-    verdict = checks.gate(abs(op.norm - fiber_max), tol, op.norm)
+    op_norm, fiber_max = checks.largest(op.norms), checks.largest(fib.norms)
+    verdict = checks.gate(abs(op_norm - fiber_max), tol, op_norm)
     attains = np.isnan(fib.norms) | (fib.norms >= fiber_max - verdict.bound)
     return VerificationReport(
         verdicts={"norm_identity": verdict},
-        values={"operator_norm": op.norm, "max_fiber_norm": fiber_max, "fiber_norms": fib.norms},
+        values={"operator_norm": op_norm, "max_fiber_norm": fiber_max, "fiber_norms": fib.norms},
         witness=int(np.argmax(attains)) if attains.size else None,
     )
 
 
-def hs_trace_report(op: OperatorSummary, fib: FiberSummary, tol: float = checks.HS) -> VerificationReport:
+def hs_trace_report(op: FiberSummary, fib: FiberSummary, tol: float = checks.HS) -> VerificationReport:
     """Hilbert-Schmidt norm and trace computed two independent ways.
 
-    The squared HS norm of u, the sum of |U_ij|^2, is compared with the sum
-    of the fiber HS norms, measured against the former. The complex trace,
-    which every operator on a finite group has, is compared as tr U with the
-    sum of the fiber traces, against the nuclear norm of u: |tr u| on a
-    positive u, and zero only at u = 0.
+    The squared HS norm of u by the entrywise route, the sum of re^2 + im^2
+    over U's entries, is compared with the sum of the fiber HS norms,
+    measured against the former. The complex trace, which every operator on
+    a finite group has, is compared as tr U with the sum of the fiber traces,
+    against the nuclear norm of u: |tr u| on a positive u, and zero only at u = 0.
     """
-    hs_fiber, tr_fiber = float(sum(fib.hs_terms)), complex(sum(fib.trace_terms))
+    hs_op, hs_fiber = (float(sum(side.hs_terms)) for side in (op, fib))
+    tr_op, tr_fiber = (complex(sum(side.trace_terms)) for side in (op, fib))
     verdicts = {
-        "hs_agree": checks.gate(abs(op.hs - hs_fiber), tol, op.hs),
-        "trace_agree": checks.gate(abs(op.trace - tr_fiber), tol, float(np.sum(op.singular_values))),
+        "hs_agree": checks.gate(abs(hs_op - hs_fiber), tol, hs_op),
+        "trace_agree": checks.gate(abs(tr_op - tr_fiber), tol, float(np.sum(op.singular_values))),
     }
     values = {
-        "hs_squared": {"entrywise": op.hs, "fiber": hs_fiber},
-        "trace": {"entrywise": op.trace, "fiber": tr_fiber},
+        "hs_squared": {"entrywise": hs_op, "fiber": hs_fiber},
+        "trace": {"entrywise": tr_op, "fiber": tr_fiber},
         "hs_fiber_terms": fib.hs_terms,
         "trace_fiber_terms": fib.trace_terms,
     }
@@ -307,9 +278,7 @@ def _rank_decision(s: np.ndarray) -> tuple[np.ndarray, dict]:
     }
 
 
-def structural_flags(
-    op: OperatorSummary, fib: FiberSummary, tol: float = checks.STRUCT
-) -> VerificationReport:
+def structural_flags(op: FiberSummary, fib: FiberSummary, tol: float = checks.STRUCT) -> VerificationReport:
     """Isometry, self-adjointness, positivity and rank compared between the sides.
 
     Each side decides isometry (absolute), self-adjointness and positivity
@@ -326,36 +295,30 @@ def structural_flags(
     residual. The report passes when the two sides agree on each
     biconditional and the rank on the space equals the sum of the fiber ranks.
     """
+    sides, ranks, cuts = {}, {}, {}
+    for side, summary in (("operator", op), ("fibers", fib)):
+        s, norm, gap = summary.singular_values, checks.largest(summary.norms), summary.selfadjoint_residual
+        deficit = np.sum(s) - np.sum(summary.trace_terms).real
+        sides[f"isometry_{side}"] = checks.gate(_max_entry(s**2 - 1), tol, 1.0)
+        sides[f"selfadjoint_{side}"] = checks.gate(gap, tol, norm)
+        sides[f"positive_{side}"] = checks.gate(checks.largest([gap, deficit]), tol, norm)
+        ranks[side], cuts[side] = _rank_decision(s)
     # a non-finite field leaves the comparison undefined: no verdict that
     # compares the two sides passes, and no rank is reported
-    finite = bool(np.isfinite([op.norm, *fib.norms]).all())
-    fiber_norm = checks.largest(fib.norms)
-    deficit_op = np.sum(op.singular_values) - op.trace.real
-    deficit_fib = np.sum(fib.singular_values) - np.sum(fib.trace_terms).real
-    sides = {
-        "isometry_operator": checks.gate(_max_entry(op.singular_values**2 - 1), tol, 1.0),
-        "isometry_fibers": checks.gate(_max_entry(fib.singular_values**2 - 1), tol, 1.0),
-        "selfadjoint_operator": checks.gate(op.hermitian_gap, tol, op.norm),
-        "selfadjoint_fibers": checks.gate(fib.selfadjoint_residual, tol, fiber_norm),
-        "positive_operator": checks.gate(checks.largest([op.hermitian_gap, deficit_op]), tol, op.norm),
-        "positive_fibers": checks.gate(checks.largest([fib.selfadjoint_residual, deficit_fib]), tol, fiber_norm),
-    }
-    rank_op, cut_op = _rank_decision(op.singular_values)
-    fiber_ranks, cut_fib = _rank_decision(fib.singular_values)
-    rank_op, rank_fib = int(rank_op), int(fiber_ranks.sum())
+    finite = bool(np.isfinite([*op.norms, *fib.norms]).all())
+    rank_op, rank_fib = int(ranks["operator"].sum()), int(ranks["fibers"].sum())
     disagreements = {
-        "isometry_agree": sides["isometry_operator"].passed != sides["isometry_fibers"].passed,
-        "selfadjoint_agree": sides["selfadjoint_operator"].passed != sides["selfadjoint_fibers"].passed,
-        "positive_agree": sides["positive_operator"].passed != sides["positive_fibers"].passed,
-        "rank_agree": abs(rank_op - rank_fib),
+        f"{name}_agree": sides[f"{name}_operator"].passed != sides[f"{name}_fibers"].passed
+        for name in ("isometry", "selfadjoint", "positive")
     }
+    disagreements["rank_agree"] = abs(rank_op - rank_fib)
     return VerificationReport(
         verdicts={name: checks.gate(d if finite else math.nan, 0.0, 1.0) for name, d in disagreements.items()},
         values={
             **sides,
             "rank_operator": rank_op if finite else None,
             "rank_fiber_sum": rank_fib if finite else None,
-            "fiber_ranks": fiber_ranks if finite else None,
-            "rank_cut": {"operator": cut_op, "fibers": cut_fib},
+            "fiber_ranks": ranks["fibers"] if finite else None,
+            "rank_cut": cuts,
         },
     )

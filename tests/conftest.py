@@ -15,7 +15,6 @@ from zakfiber import (
     fiber_context,
     fiber_summary,
     make_group,
-    operator_summary,
     subgroup_from_generators,
     synthesize_operator,
 )
@@ -124,5 +123,6 @@ def failed_verdict(excinfo, check):
 
 
 def summaries(context, u, field):
-    """The operator summary of u and the fiber summary of its field."""
-    return operator_summary(context, u), fiber_summary(field)
+    """The summary of u, the one block of the trivial fiberization, and the
+    summary of its field."""
+    return fiber_summary(u[None]), fiber_summary(field)

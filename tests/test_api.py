@@ -26,7 +26,6 @@ PUBLIC = [
     "make_group",
     "multiplication_preserving_check",
     "norm_identity_report",
-    "operator_summary",
     "pairing",
     "principal_decomposition",
     "range_function",

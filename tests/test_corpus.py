@@ -1,5 +1,5 @@
 """The verdict corpus: its comparison on hand-written records, and the
-934-run record pinned in ``tests/corpus_record.json``.
+942-run record pinned in ``tests/corpus_record.json``.
 
 After a change that moves a verdict on purpose, regenerate the record with
 
@@ -116,7 +116,7 @@ def test_smallest_margin_reads_every_positive_bound(corpus):
 
 @pytest.fixture(scope="module")
 def corpus_run():
-    # one in-process run of the 934 CLI invocations, about 7 s on 2 vCPUs
+    # one in-process run of the 942 CLI invocations, about 7 s on 2 vCPUs
     corpus = load_script("tools/corpus.py")
     return corpus.pinned(corpus.run_corpus(corpus.ROOT / "src"))
 

@@ -19,7 +19,6 @@ from zakfiber import (
     make_group,
     multiplication_preserving_check,
     norm_identity_report,
-    operator_summary,
     pairing,
     principal_decomposition,
     range_function,
@@ -34,7 +33,7 @@ from zakfiber import (
     zak_matrix,
 )
 
-from zakfiber import cli, fiberization, jsonio, operators, spaces
+from zakfiber import checks, cli, fiberization, jsonio, operators, spaces
 
 from conftest import (
     battery_contexts,
@@ -564,7 +563,7 @@ class TestStructuralFlags:
         psd = w.conj().T @ w
         u = psd + 1e-7j * np.linalg.norm(psd, 2) * np.eye(64)
         op, fib = summaries(ctx, u, extract_range_operator(ctx, u))
-        assert np.sum(op.singular_values) - np.trace(u).real <= 1e-9 * op.norm
+        assert np.sum(op.singular_values) - np.trace(u).real <= 1e-9 * checks.largest(op.norms)
         report = structural_flags(op, fib)
         assert report.passed
         for side in ("operator", "fibers"):
@@ -637,39 +636,53 @@ def same_summary(a, b) -> bool:
     )
 
 
+TRIVIAL = [(label, ctx) for label, ctx in battery_contexts() if ctx.gamma.size == 1]
+
+
 class TestSummaries:
+    @pytest.mark.parametrize("trivial_ctx", [c for _, c in TRIVIAL], ids=[label for label, _ in TRIVIAL])
+    def test_u_is_the_one_block_of_the_trivial_fiberization(self, trivial_ctx):
+        # with Gamma = {0} there is one fiber, C = G and R = U, so summarizing
+        # u[None] is summarizing the field of the trivial fiberization
+        n = trivial_ctx.group.size
+        u = rand_signal(np.random.default_rng(68), n * n).reshape(n, n)
+        assert u.flags.c_contiguous
+        field = solve_range_field(trivial_ctx, u)
+        assert field.shape == (1, n, n) and field.tobytes() == u[None].tobytes()
+        assert same_summary(fiber_summary(field), fiber_summary(u[None]))
+
     def test_each_summary_reads_only_its_own_side(self, f2_ctx):
-        # the signatures keep the two routes apart: no field reaches the
-        # operator summary and no operator reaches the fiber summary
-        assert list(inspect.signature(operator_summary).parameters) == ["ctx", "u"]
+        # the signature keeps the two routes apart: the summary reads one
+        # stack of blocks, u[None] or the field, never both
         assert list(inspect.signature(fiber_summary).parameters) == ["field"]
         rng = np.random.default_rng(63)
         u = rand_tp_operator(rng, f2_ctx)
         field = extract_range_operator(f2_ctx, u)
-        op, fib = operator_summary(f2_ctx, u), fiber_summary(field)
+        op, fib = fiber_summary(u[None]), fiber_summary(field)
 
         mats = [mat.copy() for mat in field]
         mats[1][0, 1] += 1.0
         corrupted = fiber_summary(np.stack(mats))
         assert not same_summary(corrupted, fib)
         assert corrupted.norms[0] == fib.norms[0] and corrupted.norms[1] != fib.norms[1]
-        assert same_summary(operator_summary(f2_ctx, u), op)
+        assert same_summary(fiber_summary(u[None]), op)
         assert not norm_identity_report(op, corrupted).passed
 
-        moved = operator_summary(f2_ctx, u + np.eye(f2_ctx.group.size))
+        moved = fiber_summary((u + np.eye(f2_ctx.group.size))[None])
         assert not same_summary(moved, op)
         assert same_summary(fiber_summary(field), fib)
         assert not hs_trace_report(moved, fib).passed
 
     def test_entrywise_route_is_u_on_the_standard_basis(self):
-        # the operator route forms no product: ||U||_F^2 and tr U, read off u
+        # the operator route forms no product: ||U||_F^2 as the sum of
+        # re^2 + im^2 over U's entries, and tr U, read off u
         rng = np.random.default_rng(66)
         for label, ctx in battery_contexts():
             w = rand_tp_operator(rng, ctx)
             u = w.conj().T @ w
             body, ok, _ = cli._pipeline(ctx, u, cli.RunConfig())
             assert ok, label
-            assert body["hs_trace"]["values"]["hs_squared"]["entrywise"] == np.sum(np.abs(u) ** 2), label
+            assert body["hs_trace"]["values"]["hs_squared"]["entrywise"] == np.sum(u.real**2 + u.imag**2), label
             tr = np.trace(u)
             assert body["hs_trace"]["values"]["trace"]["entrywise"].tolist() == [tr.real, tr.imag], label
 
@@ -746,15 +759,16 @@ class TestSummaries:
         structural = body["structural"]
         assert structural["verdicts"]["positive_agree"]["passed"]
         assert structural["values"]["positive_operator"]["passed"] is hermitian
-        assert shapes.count((n, n)) == 1
+        # u is the one block of the trivial fiberization: one SVD of it, and
         # the fiber side takes one SVD over the whole stack of fibers
-        assert shapes == [(n, n), (ctx.n_omega, ctx.n_c, ctx.n_c)]
+        assert shapes.count((1, n, n)) == 1
+        assert shapes == [(1, n, n), (ctx.n_omega, ctx.n_c, ctx.n_c)]
         assert eigensolves == []
         # no n-column transform: the field identity fiberizes the four probes
         # and their images, and the closed-form field reads no transform
         assert transforms == [(n, 4), (n, 4)]
         monkeypatch.setattr(operators, "zak", refuse)
-        assert operator_summary(ctx, u).hs == body["hs_trace"]["values"]["hs_squared"]["entrywise"]
+        assert fiber_summary(u[None]).hs_terms[0] == body["hs_trace"]["values"]["hs_squared"]["entrywise"]
         assert np.array_equal(solve_range_field(ctx, u), field)
 
     @pytest.mark.parametrize("hermitian", [False, True], ids=["commuting", "hermitian-psd"])

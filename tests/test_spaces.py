@@ -15,7 +15,6 @@ from zakfiber import (
     fiber_summary,
     is_translation_invariant,
     multiplication_preserving_check,
-    operator_summary,
     principal_decomposition,
     range_function,
     solve_range_field,
@@ -378,10 +377,10 @@ class TestFullSpaceFrame:
         w = rand_tp_operator(np.random.default_rng(48), ctx)
         u = w.conj().T @ w if hermitian else w
         computed = translate_parseval_frame(ctx, principal_decomposition(ctx, zak_matrix(ctx).conj().T))
-        closed = operator_summary(ctx, u)
+        closed = fiber_summary(u[None])
         images = u @ computed
-        assert closed.hs == pytest.approx(np.linalg.norm(images) ** 2, rel=1e-12, abs=0)
-        assert closed.trace == pytest.approx(np.vdot(computed, images), rel=1e-12, abs=0)
+        assert closed.hs_terms[0] == pytest.approx(np.linalg.norm(images) ** 2, rel=1e-12, abs=0)
+        assert closed.trace_terms[0] == pytest.approx(np.vdot(computed, images), rel=1e-12, abs=0)
 
 
 V = np.array([1, 2, 0.5, -1], dtype=complex)
@@ -430,7 +429,6 @@ ARRAY_ARGUMENTS = [
      BAD_OPERATORS, OPERATOR),
     ("check_field_identity", "field", lambda ctx, bad: check_field_identity(ctx, EYE, bad), BAD_FIELDS,
      r"field must be a \(2, 2, 2\) array"),
-    ("operator_summary", "u", operator_summary, BAD_OPERATORS, OPERATOR),
     ("synthesize_operator", "field", synthesize_operator, BAD_FIELDS, r"field must be a \(2, 2, 2\) array"),
     # without a context the last axis gives the shape: k square fiber matrices
     ("fiber_summary", "field", lambda ctx, bad: fiber_summary(bad),

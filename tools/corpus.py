@@ -1,4 +1,4 @@
-"""The verdict corpus: the exit code, every boolean and the report bytes of 934 CLI runs.
+"""The verdict corpus: the exit code, every boolean and the report bytes of 942 CLI runs.
 
     python3 tools/corpus.py OUT.json [--src DIR] [--pinned]
     python3 tools/corpus.py --compare A.json B.json
@@ -21,10 +21,11 @@ regenerates ``tests/test_corpus.py``'s record. The runs are:
 - the bench ``analyze`` workload at seeds 1 and 2, its perturbed operators
   and its ``demo-diffop`` ops included (60 runs);
 - ``demo-diffop 8 2``, ``128 1`` and ``256 4`` (3 runs);
-- ``analyze`` on ``Z_64`` at ``Gamma = <8>``, ``<32>`` and ``G`` of four
-  operators built with numpy alone: a positive ``W^H W``, the translation
-  ``T_1``, and ``I + 1e-8 i J/64`` and ``I + 5e-9 J/64`` (``J`` the all-ones
-  matrix), just past the self-adjointness and isometry thresholds (12 runs);
+- ``analyze`` on ``Z_64`` at ``Gamma = {0}`` (where the field is ``U``
+  itself), ``<8>``, ``<32>`` and ``G`` of four operators built with numpy
+  alone: a positive ``W^H W``, the translation ``T_1``, and
+  ``I + 1e-8 i J/64`` and ``I + 5e-9 J/64`` (``J`` the all-ones matrix), just
+  past the self-adjointness and isometry thresholds (16 runs);
 - ``check --seed 1`` on every subgroup of every bench ``subgroup-sweep``
   group (369 runs);
 - ``analyze`` on ``Z_4``, ``Gamma = <2>``, of each malformed operator file
@@ -57,7 +58,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2)
 DIFFOPS = ((8, 2), (128, 1), (256, 4))
-Z64_GAMMAS = {"8": 8, "32": 32, "G": 1}  # label: generator of Gamma in Z_64
+Z64_GAMMAS = {"0": 0, "8": 8, "32": 32, "G": 1}  # label: generator of Gamma in Z_64
 Z64_SEED = 1
 CHECK_SEED = 1
 STRICT_TOL = "1e-20"
@@ -266,7 +267,7 @@ def compare(a: dict, b: dict) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="Exit codes, booleans and report bytes of the 934-run verdict corpus.")
+    parser = argparse.ArgumentParser(description="Exit codes, booleans and report bytes of the 942-run verdict corpus.")
     parser.add_argument("out", nargs="?", help="run the corpus and write its record to this JSON file")
     parser.add_argument("--src", default=str(ROOT / "src"), help="source tree whose zakfiber runs")
     parser.add_argument("--pinned", action="store_true", help="write the record tests/test_corpus.py pins")
